@@ -1,7 +1,7 @@
 """Spiking neural network training engine with temporal-channel joint attention."""
 
 from .tensor import ShapeError, Tensor
-from .neuron import LifConfig, LifState, heaviside_surrogate, lif_sequence, lif_step
+from .neuron import LifConfig, lif_sequence
 from .attention import (
     AttentionMaps,
     TcjaConfig,
@@ -14,7 +14,7 @@ from .attention import (
     tcja_forward,
     tla,
 )
-from .network import ArchSpec, Network, build_network, forward_temporal, parse_arch, render
+from .network import ArchSpec, Network, build_network, parse_arch, render
 from .training import TrainConfig, evaluate, predict_label, smse_loss, train
 
 __version__ = "0.1.0"
@@ -23,10 +23,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "LifConfig",
-    "LifState",
-    "heaviside_surrogate",
     "lif_sequence",
-    "lif_step",
     "AttentionMaps",
     "TcjaConfig",
     "TcjaParams",
@@ -40,7 +37,6 @@ __all__ = [
     "ArchSpec",
     "Network",
     "build_network",
-    "forward_temporal",
     "parse_arch",
     "render",
     "TrainConfig",

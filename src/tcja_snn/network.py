@@ -290,19 +290,6 @@ def voting_layer(spikes: Tensor, num_classes: int) -> Tensor:
     return spikes.reshape(t_steps, num_classes, window).mean(axis=2)
 
 
-def spiking_dropout(
-    x: Tensor, p: float, mask: np.ndarray | None = None, training: bool = True
-) -> Tensor:
-    """Standalone dropout op; `mask` must already be scaled by 1/(1-p)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    if mask is None:
-        raise ValueError("training-mode dropout needs a mask")
-    return x * Tensor(mask.astype(x.dtype))
-
-
 @dataclass
 class ForwardContext:
     training: bool = False
@@ -481,13 +468,3 @@ def build_network(
             net.layers.append(TcjaLayer(params))
     return net
 
-
-def forward_temporal(
-    net: Network,
-    x: Tensor,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    stats: dict | None = None,
-) -> Tensor:
-    """Run the spatial stack over all T steps; spiking layers carry state."""
-    return net.forward(x, training=training, rng=rng, stats=stats)

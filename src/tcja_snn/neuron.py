@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, stack
+from .tensor import ShapeError, Tensor
 
 _SURROGATES = ("atan", "triangle")
 
@@ -55,15 +55,8 @@ class LifConfig:
 
 
 @dataclass
-class LifState:
-    """Post-reset membrane potential carried between steps of one sequence."""
-
-    h: Tensor
-
-
-@dataclass
 class LifTrace:
-    """Recorded per-step membrane and spike values (forward copies)."""
+    """Recorded per-step membrane, spike and post-reset values."""
 
     v: list[np.ndarray] = field(default_factory=list)
     s: list[np.ndarray] = field(default_factory=list)
@@ -77,44 +70,6 @@ def surrogate_derivative(x: np.ndarray, cfg: LifConfig) -> np.ndarray:
     return (1.0 / cfg.gamma**2) * np.maximum(0.0, cfg.gamma - np.abs(x - 1.0))
 
 
-def heaviside_surrogate(x: Tensor, cfg: LifConfig) -> Tensor:
-    """Step function forward (1 at x >= 0), surrogate derivative backward."""
-    data = (x.data >= 0).astype(x.data.dtype)
-    src = x
-
-    def backward(g: np.ndarray) -> None:
-        src._accumulate(g * surrogate_derivative(src.data, cfg).astype(g.dtype))
-
-    return Tensor._node(data, (src,), backward)
-
-
-def lif_init(shape: tuple[int, ...], cfg: LifConfig, dtype=np.float64) -> LifState:
-    """Fresh state at the reset potential; used at every sequence start."""
-    return LifState(h=Tensor(np.full(shape, cfg.v_reset, dtype=dtype)))
-
-
-def _lif_update(
-    state: LifState, input_current: Tensor, cfg: LifConfig
-) -> tuple[Tensor, Tensor, LifState]:
-    if state.h.shape != input_current.shape:
-        raise ShapeError(
-            f"state shape {state.h.shape} does not match input {input_current.shape}"
-        )
-    h = state.h
-    v = h + (input_current - (h - cfg.v_reset)) * (1.0 / cfg.tau)
-    spikes = heaviside_surrogate(v - cfg.v_threshold, cfg)
-    keep = 1.0 - (spikes.detach() if cfg.detach_reset else spikes)
-    return v, spikes, LifState(h=v * keep)
-
-
-def lif_step(
-    state: LifState, input_current: Tensor, cfg: LifConfig
-) -> tuple[Tensor, LifState]:
-    """One membrane update; returns binary spikes and the post-reset state."""
-    _, spikes, new_state = _lif_update(state, input_current, cfg)
-    return spikes, new_state
-
-
 def lif_sequence(
     inputs: Tensor, cfg: LifConfig, trace: LifTrace | None = None
 ) -> Tensor:
@@ -122,19 +77,42 @@ def lif_sequence(
 
     `inputs` is (T, ...); the output has the same shape and holds the
     spike train. State never carries across separate calls.
+
+    The whole unroll is one graph node. The forward keeps the membrane
+    and spike stacks; the backward runs BPTT in closed form from the last
+    step down: with a = 1/tau and s' the surrogate derivative at V - v_th,
+    gV = (gS - [not detach_reset] gH V) s' + gH (1 - S), gI = a gV and
+    gH_prev = (1 - a) gV.
     """
     if inputs.ndim < 1 or inputs.shape[0] < 1:
         raise ShapeError(f"empty time dimension in input of shape {inputs.shape}")
     t_steps = inputs.shape[0]
-    state = lif_init(inputs.shape[1:], cfg, dtype=inputs.dtype)
-    outputs = []
+    x = inputs.data
+    rate = 1.0 / cfg.tau
+    v_stack = np.empty_like(x)
+    s_stack = np.empty_like(x)
+    h = np.full(x.shape[1:], cfg.v_reset, dtype=x.dtype)
     for t in range(t_steps):
-        current = inputs.take0(t)
-        v, spikes, new_state = _lif_update(state, current, cfg)
+        v = h + (x[t] - (h - cfg.v_reset)) * rate
+        s = (v - cfg.v_threshold >= 0).astype(x.dtype)
+        h = v * (1.0 - s)
+        v_stack[t] = v
+        s_stack[t] = s
         if trace is not None:
-            trace.v.append(v.data.copy())
-            trace.s.append(spikes.data.copy())
-            trace.h.append(new_state.h.data.copy())
-        state = new_state
-        outputs.append(spikes)
-    return stack(outputs)
+            trace.v.append(v)
+            trace.s.append(s)
+            trace.h.append(h)
+
+    def backward(g: np.ndarray) -> None:
+        slope = surrogate_derivative(v_stack - cfg.v_threshold, cfg).astype(g.dtype, copy=False)
+        keep = 1.0 - s_stack
+        g_v = np.empty_like(g)
+        g_h = np.zeros_like(g[0])
+        for t in range(t_steps - 1, -1, -1):
+            g_s = g[t] if cfg.detach_reset else g[t] - g_h * v_stack[t]
+            g_v[t] = g_s * slope[t] + g_h * keep[t]
+            g_h = g_v[t] - g_v[t] * rate
+        g_v *= rate
+        inputs._accumulate(g_v)
+
+    return Tensor._node(s_stack, (inputs,), backward)

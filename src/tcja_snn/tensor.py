@@ -258,18 +258,6 @@ class Tensor:
 
         return Tensor._node(data, (src,), backward)
 
-    def take0(self, index: int) -> "Tensor":
-        """Select one slice along the leading axis."""
-        data = self.data[index]
-        src = self
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(src.data)
-            full[index] = g
-            src._accumulate(full)
-
-        return Tensor._node(data, (src,), backward)
-
     # -- linear algebra -------------------------------------------------------------
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
@@ -312,25 +300,6 @@ def _spread(
     return np.broadcast_to(g, shape)
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    if not tensors:
-        raise ShapeError("cannot stack an empty sequence")
-    first = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != first:
-            raise ShapeError(f"stack shape mismatch: {first} vs {t.shape}")
-    data = np.stack([t.data for t in tensors])
-    parents = tuple(tensors)
-
-    def backward(g: np.ndarray) -> None:
-        for i, t in enumerate(parents):
-            if t.requires_grad:
-                t._accumulate(g[i])
-
-    return Tensor._node(data, parents, backward)
-
-
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched 2-D cross-correlation.
 
@@ -362,33 +331,50 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         )
 
     padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B, Cin, out_h, out_w, k, k)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w, c_in * k * k)
-    kmat = kernel.data.reshape(c_out, -1)
-    out = (cols @ kmat.T).reshape(batch, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+    cols = _im2col(padded, k, stride)
+    out = _col2out(cols @ kernel.data.reshape(c_out, -1).T, batch, out_h, out_w)
     xt, kt = x, kernel
 
     def backward(g: np.ndarray) -> None:
-        gmat = g.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, c_out)
         if kt.requires_grad:
+            gmat = g.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, c_out)
             kt._accumulate((gmat.T @ cols).reshape(kt.shape))
         if xt.requires_grad:
-            dcols = (gmat @ kmat).reshape(batch, out_h, out_w, c_in, k, k)
-            dpadded = np.zeros_like(padded)
-            for di in range(k):
-                for dj in range(k):
-                    dpadded[
-                        :,
-                        :,
-                        di : di + out_h * stride : stride,
-                        dj : dj + out_w * stride : stride,
-                    ] += dcols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-            if padding:
-                dpadded = dpadded[:, :, padding:-padding, padding:-padding]
-            xt._accumulate(dpadded)
+            # dx is the stride-1 correlation of the output gradient, dilated
+            # by `stride` and padded by k-1-padding (cropped where that is
+            # negative), with the flipped, channel-swapped kernel.
+            lead = k - 1 - padding
+            spread = np.zeros((batch, c_out, height + k - 1, width + k - 1), dtype=g.dtype)
+            src_h, dst_h = _dilated(out_h, height + k - 1, lead, stride)
+            src_w, dst_w = _dilated(out_w, width + k - 1, lead, stride)
+            spread[:, :, dst_h, dst_w] = g[:, :, src_h, src_w]
+            flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+            xt._accumulate(_col2out(_im2col(spread, k, 1) @ flipped.T, batch, height, width))
 
     return Tensor._node(np.ascontiguousarray(out), (xt, kt), backward)
+
+
+def _im2col(padded: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(B, C, H, W) -> (B*out_h*out_w, C*k*k) rows of k x k windows."""
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (B, C, out_h, out_w, k, k)
+    batch, _, out_h, out_w, _, _ = windows.shape
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w, -1)
+
+
+def _col2out(mat: np.ndarray, batch: int, out_h: int, out_w: int) -> np.ndarray:
+    """(B*out_h*out_w, C) GEMM result -> (B, C, out_h, out_w)."""
+    return mat.reshape(batch, out_h, out_w, -1).transpose(0, 3, 1, 2)
+
+
+def _dilated(n: int, size: int, lead: int, stride: int) -> tuple[slice, slice]:
+    """Slices placing positions 0..n-1 at lead + i*stride inside [0, size)."""
+    first = max(0, -(lead // stride))
+    stop = min(n, (size - 1 - lead) // stride + 1)
+    return (
+        slice(first, stop),
+        slice(lead + first * stride, lead + (stop - 1) * stride + 1, stride),
+    )
 
 
 def conv1d_multichannel(

@@ -196,19 +196,20 @@ class Checkpoint:
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
         if blob[:8] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint magic {blob[:8]!r}")
-        off = 8
-        (version,) = struct.unpack_from("<H", blob, off)
-        off += 2
+        if len(blob) < 10:
+            raise CheckpointError("truncated checkpoint: no version field")
+        (version,) = struct.unpack_from("<H", blob, 8)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (arch_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        arch = blob[off : off + arch_len].decode()
-        off += arch_len
-        (n_records,) = struct.unpack_from("<I", blob, off)
-        off += 4
+        off = 10
         records = []
         try:
+            (arch_len,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            arch = blob[off : off + arch_len].decode()
+            off += arch_len
+            (n_records,) = struct.unpack_from("<I", blob, off)
+            off += 4
             for _ in range(n_records):
                 (name_len,) = struct.unpack_from("<H", blob, off)
                 off += 2
@@ -294,27 +295,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerState, dict, int]:
     """Rebuild the network, optimizer, and RNG state stored in a checkpoint."""
     named = dict(ckpt.records)
-    if "meta.config" not in named:
-        raise CheckpointError("checkpoint is missing its configuration record")
-    meta = json.loads(named["meta.config"].tobytes().decode())
-    lif_cfg = LifConfig(**meta["lif"])
-    tcja_cfg = TcjaConfig(**meta["tcja"])
-    cfg = TrainConfig(precision=meta["precision"], surrogate=lif_cfg.surrogate,
-                      detach_reset=lif_cfg.detach_reset)
-    arch = parse_arch(
-        ckpt.arch,
-        input_dims=tuple(meta["input_dims"]),
-        time_steps=meta["time_steps"],
-    )
+    try:
+        meta = json.loads(named["meta.config"].tobytes().decode())
+        lif_cfg = LifConfig(**meta["lif"])
+        tcja_cfg = TcjaConfig(**meta["tcja"])
+        cfg = TrainConfig(precision=meta["precision"], surrogate=lif_cfg.surrogate,
+                          detach_reset=lif_cfg.detach_reset)
+        input_dims, time_steps = tuple(meta["input_dims"]), meta["time_steps"]
+        num_classes = meta["num_classes"]
+        opt_state = OptimizerState(step=int(named["opt.step"][0]))
+        rng_state = json.loads(named["meta.rng"].tobytes().decode())
+        epoch = int(named["meta.epoch"][0])
+    except KeyError as err:
+        raise CheckpointError(f"checkpoint is missing record or key {err}") from err
+    except (IndexError, TypeError, ValueError) as err:
+        raise CheckpointError(f"corrupt checkpoint metadata: {err}") from err
+    arch = parse_arch(ckpt.arch, input_dims=input_dims, time_steps=time_steps)
     net = build_network(
         arch,
-        num_classes=meta["num_classes"],
+        num_classes=num_classes,
         lif_cfg=lif_cfg,
         tcja_cfg=tcja_cfg,
         rng=np.random.default_rng(0),
         dtype=cfg.dtype,
     )
-    opt_state = OptimizerState(step=int(named["opt.step"][0]))
     for name, p in net.parameters():
         key = f"param.{name}"
         if key not in named:
@@ -329,8 +333,6 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerSt
             opt_state.m[name] = named[m_key].astype(cfg.dtype).copy()
         if v_key in named:
             opt_state.v[name] = named[v_key].astype(cfg.dtype).copy()
-    rng_state = json.loads(named["meta.rng"].tobytes().decode())
-    epoch = int(named["meta.epoch"][0])
     return net, cfg, opt_state, rng_state, epoch
 
 

@@ -2,12 +2,20 @@
 
 Everything here is written as plain loops over the defining sums so the
 fast vectorized paths in the package are checked against independent
-arithmetic, not against themselves.
+arithmetic, not against themselves. The unfused LIF composition and the
+scatter form of the conv input gradient are kept here as parity oracles
+for the fused kernels that replaced them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
+
+from tcja_snn.neuron import LifConfig, LifTrace, surrogate_derivative
+from tcja_snn.tensor import ShapeError, Tensor
 
 
 def conv2d_loops(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -165,6 +173,118 @@ def lif_trace_loops(
         h[t] = v[t] * (1.0 - s[t])
         h_prev = h[t]
     return v, s, h
+
+
+def conv2d_input_grad_scatter(
+    g: np.ndarray, kernel: np.ndarray, x_shape: tuple[int, ...], stride: int, padding: int
+) -> np.ndarray:
+    """Input gradient of conv2d by scattering each kernel tap's columns."""
+    batch, c_in, height, width = x_shape
+    c_out, _, k, _ = kernel.shape
+    _, _, out_h, out_w = g.shape
+    gmat = g.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, c_out)
+    dcols = (gmat @ kernel.reshape(c_out, -1)).reshape(batch, out_h, out_w, c_in, k, k)
+    dpadded = np.zeros((batch, c_in, height + 2 * padding, width + 2 * padding), dtype=g.dtype)
+    for di in range(k):
+        for dj in range(k):
+            dpadded[
+                :, :, di : di + out_h * stride : stride, dj : dj + out_w * stride : stride
+            ] += dcols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
+    return dpadded[:, :, padding : padding + height, padding : padding + width]
+
+
+# -- unfused LIF: one graph node per elementary op and step ----------------------
+
+
+def take0(x: Tensor, index: int) -> Tensor:
+    """Select one slice along the leading axis."""
+    data = x.data[index]
+
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros_like(x.data)
+        full[index] = g
+        x._accumulate(full)
+
+    return Tensor._node(data, (x,), backward)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack same-shape tensors along a new leading axis."""
+    if not tensors:
+        raise ShapeError("cannot stack an empty sequence")
+    first = tensors[0].shape
+    for t in tensors[1:]:
+        if t.shape != first:
+            raise ShapeError(f"stack shape mismatch: {first} vs {t.shape}")
+    data = np.stack([t.data for t in tensors])
+    parents = tuple(tensors)
+
+    def backward(g: np.ndarray) -> None:
+        for i, t in enumerate(parents):
+            if t.requires_grad:
+                t._accumulate(g[i])
+
+    return Tensor._node(data, parents, backward)
+
+
+@dataclass
+class LifState:
+    """Post-reset membrane potential carried between steps of one sequence."""
+
+    h: Tensor
+
+
+def heaviside_surrogate(x: Tensor, cfg: LifConfig) -> Tensor:
+    """Step function forward (1 at x >= 0), surrogate derivative backward."""
+    data = (x.data >= 0).astype(x.data.dtype)
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(g * surrogate_derivative(x.data, cfg).astype(g.dtype))
+
+    return Tensor._node(data, (x,), backward)
+
+
+def lif_init(shape: tuple[int, ...], cfg: LifConfig, dtype=np.float64) -> LifState:
+    """Fresh state at the reset potential."""
+    return LifState(h=Tensor(np.full(shape, cfg.v_reset, dtype=dtype)))
+
+
+def _lif_update(
+    state: LifState, input_current: Tensor, cfg: LifConfig
+) -> tuple[Tensor, Tensor, LifState]:
+    if state.h.shape != input_current.shape:
+        raise ShapeError(
+            f"state shape {state.h.shape} does not match input {input_current.shape}"
+        )
+    h = state.h
+    v = h + (input_current - (h - cfg.v_reset)) * (1.0 / cfg.tau)
+    spikes = heaviside_surrogate(v - cfg.v_threshold, cfg)
+    keep = 1.0 - (spikes.detach() if cfg.detach_reset else spikes)
+    return v, spikes, LifState(h=v * keep)
+
+
+def lif_step(
+    state: LifState, input_current: Tensor, cfg: LifConfig
+) -> tuple[Tensor, LifState]:
+    """One membrane update; returns binary spikes and the post-reset state."""
+    _, spikes, new_state = _lif_update(state, input_current, cfg)
+    return spikes, new_state
+
+
+def lif_sequence_unfused(
+    inputs: Tensor, cfg: LifConfig, trace: LifTrace | None = None
+) -> Tensor:
+    """The LIF unroll composed from per-step graph ops (about 8 nodes a step)."""
+    state = lif_init(inputs.shape[1:], cfg, dtype=inputs.dtype)
+    outputs = []
+    for t in range(inputs.shape[0]):
+        v, spikes, state = _lif_update(state, take0(inputs, t), cfg)
+        if trace is not None:
+            trace.v.append(v.data.copy())
+            trace.s.append(spikes.data.copy())
+            trace.h.append(state.h.data.copy())
+        outputs.append(spikes)
+    return stack(outputs)
 
 
 def smse_loops(outputs: np.ndarray, target: np.ndarray) -> float:

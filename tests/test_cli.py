@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tcja_snn.cli import DEFAULT_CONFIG, load_config, main, write_pgm
 
@@ -131,6 +132,19 @@ class TestEvalCommand:
         blob = bytearray(ckpt.read_bytes())
         blob[:8] = b"BADMAGIC"
         ckpt.write_bytes(bytes(blob))
+        assert main(["eval", "--checkpoint", str(ckpt), "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"TCJACKPT",  # header cut before the version field
+            b"TCJACKPT\x01\x00\x02\x00\x00\x00\xff\xfe",  # non-UTF-8 arch string
+        ],
+    )
+    def test_truncated_or_undecodable_header_exits_4(self, tmp_path, blob):
+        path, out_dir = quick_config(tmp_path, epochs=0)
+        ckpt = tmp_path / "broken.ckpt"
+        ckpt.write_bytes(blob)
         assert main(["eval", "--checkpoint", str(ckpt), "--config", str(path)]) == 4
 
     def test_input_dims_mismatch_exits_4(self, tmp_path):

@@ -5,8 +5,10 @@ from tcja_snn.attention import TcjaConfig
 from tcja_snn.network import (
     ArchParseError,
     ConvSpec,
+    DropoutLayer,
     DropoutSpec,
     FcSpec,
+    ForwardContext,
     LifSpec,
     PoolSpec,
     PRESETS,
@@ -14,10 +16,8 @@ from tcja_snn.network import (
     VotingSpec,
     analytic_param_count,
     build_network,
-    forward_temporal,
     parse_arch,
     render,
-    spiking_dropout,
     voting_layer,
 )
 from tcja_snn.tensor import ShapeError, Tensor
@@ -105,15 +105,16 @@ class TestVoting:
 class TestDropout:
     def test_p_zero_is_identity(self):
         x = Tensor(np.ones((3, 4)))
-        assert spiking_dropout(x, 0.0, training=True) is x
+        ctx = ForwardContext(training=True, rng=np.random.default_rng(0))
+        assert DropoutLayer(0.0).apply(x, ctx) is x
 
     def test_eval_mode_is_identity(self):
         x = Tensor(np.ones((3, 4)))
-        assert spiking_dropout(x, 0.5, training=False) is x
+        assert DropoutLayer(0.5).apply(x, ForwardContext(training=False)) is x
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            spiking_dropout(Tensor(np.ones(3)), 1.0)
+            DropoutLayer(1.0)
 
     def test_mask_shared_across_time_steps(self):
         arch = parse_arch("4FC-LIF-0.5DP", input_dims=(1, 2, 2), time_steps=6)
@@ -214,14 +215,14 @@ class TestForward:
         for _, p in net.parameters():
             p.data[...] = 0.0
         x = Tensor(np.random.default_rng(1).random((8, 2, 16, 16)))
-        out = forward_temporal(net, x)
+        out = net.forward(x)
         np.testing.assert_array_equal(out.data, np.zeros(out.shape))
 
     def test_single_conv_lif_reproduces_neuron_recurrence(self):
         arch = parse_arch("1C3-LIF", input_dims=(1, 4, 4), time_steps=6)
         net = build_network(arch, num_classes=1, rng=np.random.default_rng(2), dtype=np.float64)
         x = np.full((6, 1, 4, 4), 0.7)
-        out = forward_temporal(net, Tensor(x))
+        out = net.forward(Tensor(x))
         # The conv output is constant per step; each neuron must follow the
         # scripted recurrence driven by its own constant current.
         from tcja_snn.tensor import conv2d
@@ -250,28 +251,28 @@ class TestForward:
     def test_output_spikes_binary_when_final_layer_is_lif(self):
         net = self._desk_net(arch_text="8C3-LIF-MP2-16FC-LIF")
         x = Tensor(np.random.default_rng(4).random((8, 2, 16, 16)) * 3)
-        out = forward_temporal(net, x)
+        out = net.forward(x)
         assert np.all((out.data == 0.0) | (out.data == 1.0))
 
     def test_forward_deterministic_under_seed(self):
         net = self._desk_net(seed=9)
         x = Tensor(np.random.default_rng(5).random((8, 2, 16, 16)))
-        a = forward_temporal(net, x, training=True, rng=np.random.default_rng(1)).data
-        b = forward_temporal(net, x, training=True, rng=np.random.default_rng(1)).data
+        a = net.forward(x, training=True, rng=np.random.default_rng(1)).data
+        b = net.forward(x, training=True, rng=np.random.default_rng(1)).data
         np.testing.assert_array_equal(a, b)
 
     def test_dimension_mismatch_reports_layer_index(self):
         net = self._desk_net()
         bad = Tensor(np.zeros((8, 3, 16, 16)))
         with pytest.raises(ShapeError, match="input shape"):
-            forward_temporal(net, bad)
+            net.forward(bad)
 
     def test_mid_stack_error_carries_layer_index(self):
         arch = parse_arch("2C3-LIF-MP2", input_dims=(2, 16, 16), time_steps=2)
         net = build_network(arch, num_classes=2)
         net.layers[2].k = 3  # sabotage: 16x16 not divisible by 3
         with pytest.raises(ShapeError, match=r"layer 2 \(PoolLayer\)"):
-            forward_temporal(net, Tensor(np.zeros((2, 2, 16, 16), dtype=np.float32)))
+            net.forward(Tensor(np.zeros((2, 2, 16, 16), dtype=np.float32)))
 
 
 def _ctx():

@@ -3,19 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcja_snn.neuron import (
-    LifConfig,
-    LifState,
-    LifTrace,
-    heaviside_surrogate,
-    lif_init,
-    lif_sequence,
-    lif_step,
-    surrogate_derivative,
-)
+from tcja_snn.neuron import LifConfig, LifTrace, lif_sequence, surrogate_derivative
 from tcja_snn.tensor import ShapeError, Tensor
 
 import oracles
+from oracles import heaviside_surrogate, lif_init, lif_step
 
 
 class TestConfig:
@@ -197,3 +189,39 @@ class TestSequence:
         x = Tensor(np.full((4, 1), 0.9), requires_grad=True)
         lif_sequence(x, LifConfig()).sum().backward()
         assert np.any(x.grad != 0.0)
+
+
+class TestFusedParity:
+    """The fused one-node unroll against the per-step composition it replaced."""
+
+    @pytest.mark.parametrize("surrogate", ["atan", "triangle"])
+    @pytest.mark.parametrize("detach_reset", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_unfused_oracle(self, surrogate, detach_reset, dtype):
+        cfg = LifConfig(surrogate=surrogate, detach_reset=detach_reset)
+        rng = np.random.default_rng(11)
+        inputs = rng.uniform(-1, 3, size=(9, 3, 4)).astype(dtype)
+        probe = rng.standard_normal(inputs.shape).astype(dtype)
+        results = []
+        for run in (lif_sequence, oracles.lif_sequence_unfused):
+            x = Tensor(inputs.copy(), requires_grad=True)
+            trace = LifTrace()
+            out = run(x, cfg, trace=trace)
+            (out * Tensor(probe)).sum().backward()
+            results.append((out.data, x.grad, trace))
+        (fused, g_fused, tr_fused), (unfused, g_unfused, tr_unfused) = results
+        assert fused.dtype == dtype and g_fused.dtype == dtype
+        assert 0.0 < fused.mean() < 1.0  # both spiking and silent steps occur
+        np.testing.assert_array_equal(fused, unfused)
+        for field in ("v", "s", "h"):
+            np.testing.assert_array_equal(getattr(tr_fused, field), getattr(tr_unfused, field))
+        if dtype == np.float64:
+            np.testing.assert_allclose(g_fused, g_unfused, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(g_fused, g_unfused, rtol=1e-5, atol=1e-6)
+
+    def test_builds_one_node(self):
+        x = Tensor(np.full((6, 2), 0.9), requires_grad=True)
+        out = lif_sequence(x, LifConfig())
+        assert out._parents == (x,)
+        assert len(out._topo_order()) == 2

@@ -8,7 +8,6 @@ from tcja_snn.tensor import (
     conv2d,
     fully_connected,
     pool2d,
-    stack,
 )
 
 import oracles
@@ -108,6 +107,19 @@ class TestConv2d:
         np.testing.assert_allclose(
             out.data, oracles.conv2d_loops(x, k, stride, padding), atol=1e-12
         )
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("ksize", [3, 1])  # k=1 with padding > 0 crops the spread gradient
+    def test_input_grad_matches_scatter(self, stride, padding, ksize):
+        rng = np.random.default_rng(stride * 10 + padding)
+        x = Tensor(rng.standard_normal((2, 3, 7, 6)), requires_grad=True)
+        k = rng.standard_normal((4, 3, ksize, ksize))
+        out = conv2d(x, Tensor(k), stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        want = oracles.conv2d_input_grad_scatter(g, k, x.shape, stride, padding)
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
 
     def test_output_underflow_rejected(self):
         with pytest.raises(ShapeError, match="underflow|exceeds"):
@@ -266,7 +278,7 @@ class TestBackward:
 
     def test_take0_and_stack_roundtrip_grads(self):
         x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
-        restacked = stack([x.take0(t) * (t + 1.0) for t in range(3)])
+        restacked = oracles.stack([oracles.take0(x, t) * (t + 1.0) for t in range(3)])
         restacked.sum().backward()
         expected = np.repeat(np.array([[1.0], [2.0], [3.0]]), 4, axis=1)
         np.testing.assert_array_equal(x.grad, expected)

@@ -260,6 +260,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             restore_network(broken)
 
+    @pytest.mark.parametrize("dropped", ["opt.step", "meta.rng", "meta.epoch", "meta.config"])
+    def test_missing_record_rejected(self, dropped):
+        ckpt = make_checkpoint(tiny_net(), TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        records = [(name, arr) for name, arr in ckpt.records if name != dropped]
+        with pytest.raises(CheckpointError, match=dropped):
+            restore_network(Checkpoint(arch=ckpt.arch, records=records))
+
+    @pytest.mark.parametrize(
+        "config",
+        [b"{not json", b"\xff\xfe", b'{"precision": "f32"}', b"[]"],
+    )
+    def test_corrupt_config_record_rejected(self, config):
+        ckpt = make_checkpoint(tiny_net(), TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        records = [
+            (name, np.frombuffer(config, dtype=np.uint8) if name == "meta.config" else arr)
+            for name, arr in ckpt.records
+        ]
+        with pytest.raises(CheckpointError):
+            restore_network(Checkpoint(arch=ckpt.arch, records=records))
+
     def test_rng_state_roundtrips(self, tmp_path):
         net = tiny_net()
         rng = np.random.default_rng(9)
