@@ -10,6 +10,7 @@ from .attention import (
     cla,
     param_count,
     recalibrate,
+    score_maps,
     squeeze,
     tcja_forward,
     tla,
@@ -31,6 +32,7 @@ __all__ = [
     "cla",
     "param_count",
     "recalibrate",
+    "score_maps",
     "squeeze",
     "tcja_forward",
     "tla",

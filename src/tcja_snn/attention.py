@@ -142,18 +142,17 @@ def recalibrate(x: Tensor, f_map: Tensor) -> Tensor:
     return x * factor
 
 
-def tcja_forward(
-    x: Tensor, params: TcjaParams, return_maps: bool = False
-) -> Tensor | tuple[Tensor, AttentionMaps]:
-    """Full attention pass: squeeze, score both axes, fuse, rescale frames."""
+def score_maps(x: Tensor, params: TcjaParams) -> AttentionMaps:
+    """Squeeze the frames, score both axes and fuse the scores."""
     z = squeeze(x)
     t_map = tla(z, params.w)
     c_map = cla(z, params.e)
-    f_map = ccf(t_map, c_map, params.fusion)
-    out = recalibrate(x, f_map)
-    if return_maps:
-        return out, AttentionMaps(t_map=t_map, c_map=c_map, f_map=f_map)
-    return out
+    return AttentionMaps(t_map=t_map, c_map=c_map, f_map=ccf(t_map, c_map, params.fusion))
+
+
+def tcja_forward(x: Tensor, params: TcjaParams) -> Tensor:
+    """Full attention pass: squeeze, score both axes, fuse, rescale frames."""
+    return recalibrate(x, score_maps(x, params).f_map)
 
 
 def param_count(c: int, t: int, k_t: int, k_c: int) -> tuple[int, int, int]:

@@ -1,4 +1,4 @@
-"""Command-line interface: train, eval, inspect-attention, bench, gen-synthetic.
+"""Command-line interface: train, eval, inspect-attention, gen-synthetic.
 
 Runs are configured by a JSON file plus ``--dotted.key value`` overrides;
 unknown keys are rejected and the fully resolved config is echoed into
@@ -15,14 +15,13 @@ import copy
 import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
-from .attention import TcjaConfig, ccf, cla, param_count, tla
-from .network import ArchParseError, TcjaLayer, build_network, parse_arch
+from .attention import AttentionMaps, TcjaConfig, score_maps
+from .network import ArchParseError, Network, TcjaLayer, build_network, parse_arch
 from .neuron import LifConfig
 from .tensor import Tensor
 from .training import (
@@ -209,46 +208,36 @@ def cmd_train(args, overrides: list[str]) -> int:
     dims = tuple(train_samples[0].frames.shape[1:])
     net, train_cfg = _build_from_config(config, dims, rng)
     _echo_config(config, out_dir)
-    augment_fn = None
-    if train_cfg.augment:
-        policy = data_mod.AugmentPolicy()
-        augment_fn = lambda s, r, partner: data_mod.augment(s, r, policy, partner)
-    result = train(
-        net,
-        train_samples,
-        test_samples,
-        train_cfg,
-        rng,
-        out_dir=out_dir,
-        augment_fn=augment_fn,
-        log=print,
-    )
+    result = train(net, train_samples, test_samples, train_cfg, rng, out_dir=out_dir, log=print)
     print(f"best test accuracy: {result.best_accuracy:.4f}")
     print(f"artifacts written to {out_dir}")
     return 0
 
 
-def cmd_eval(args, overrides: list[str]) -> int:
-    config = load_config(args.config, overrides)
-    ckpt = load_checkpoint(args.checkpoint)
-    net, _, _, _, _ = restore_network(ckpt)
-    meta = json.loads(dict(ckpt.records)["meta.config"].tobytes().decode())
+def _matching_test_samples(net: Network, config: dict) -> list[data_mod.FrameSample]:
+    """The config's test samples, once T, classes and input dims fit the network."""
     if net.arch.time_steps != config["time_steps"]:
         raise CheckpointError(
             f"checkpoint trained with T={net.arch.time_steps},"
             f" config asks for T={config['time_steps']}"
         )
-    if meta["num_classes"] != config["num_classes"]:
+    if net.num_classes != config["num_classes"]:
         raise CheckpointError(
-            f"checkpoint has {meta['num_classes']} classes,"
+            f"checkpoint has {net.num_classes} classes,"
             f" config asks for {config['num_classes']}"
         )
     _, test_samples = _load_samples(config)
-    data_dims = list(test_samples[0].frames.shape[1:]) if test_samples else None
-    if data_dims is not None and data_dims != meta["input_dims"]:
-        raise CheckpointError(
-            f"checkpoint expects input dims {meta['input_dims']}, dataset has {data_dims}"
-        )
+    expected = list(net.arch.input_dims)
+    data_dims = list(test_samples[0].frames.shape[1:]) if test_samples else expected
+    if data_dims != expected:
+        raise CheckpointError(f"checkpoint expects input dims {expected}, dataset has {data_dims}")
+    return test_samples
+
+
+def cmd_eval(args, overrides: list[str]) -> int:
+    config = load_config(args.config, overrides)
+    net, _, _, _, _ = restore_network(load_checkpoint(args.checkpoint))
+    test_samples = _matching_test_samples(net, config)
     result = evaluate(net, test_samples)
     print(f"accuracy: {result.accuracy:.4f}")
     print("class  accuracy")
@@ -290,71 +279,32 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 def cmd_inspect_attention(args, overrides: list[str]) -> int:
     config = load_config(args.config, overrides)
-    ckpt = load_checkpoint(args.checkpoint)
-    net, _, _, _, _ = restore_network(ckpt)
+    net, _, _, _, _ = restore_network(load_checkpoint(args.checkpoint))
     if not any(isinstance(layer, TcjaLayer) for layer in net.layers):
         print("error: this network has no attention blocks to inspect", file=sys.stderr)
         return 5
-    _, test_samples = _load_samples(config)
+    test_samples = _matching_test_samples(net, config)
     if not 0 <= args.sample < len(test_samples):
         raise data_mod.DataError(
             f"sample index {args.sample} out of range [0, {len(test_samples)})"
         )
     sample = test_samples[args.sample]
-    stats: dict = {}
-    net.forward(Tensor(sample.frames.astype(net.dtype)), training=False, stats=stats)
+    blocks: list[AttentionMaps] = []
+
+    def observe(layer, x_in: Tensor, out: Tensor) -> None:
+        if isinstance(layer, TcjaLayer):
+            blocks.append(score_maps(x_in, layer.params))
+
+    net.forward(Tensor(sample.frames.astype(net.dtype)), observe=observe)
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, maps in enumerate(stats.get("attention_maps", [])):
+    for i, maps in enumerate(blocks):
         for tag, tensor in (("tla", maps.t_map), ("cla", maps.c_map), ("ccf", maps.f_map)):
             matrix = tensor.data
             _write_matrix_csv(out_dir / f"block{i}_{tag}.csv", matrix)
             write_pgm(out_dir / f"block{i}_{tag}.pgm", matrix, absolute=(tag == "ccf"))
-    n_blocks = len(stats.get("attention_maps", []))
-    print(f"wrote score maps for {n_blocks} attention block(s) to {out_dir}")
+    print(f"wrote score maps for {len(blocks)} attention block(s) to {out_dir}")
     return 0
-
-
-def cmd_bench(args, overrides: list[str]) -> int:
-    c_values = [int(v) for v in args.c.split(",")]
-    t_values = [int(v) for v in args.t.split(",")]
-    k_values = [int(v) for v in args.k.split(",")]
-    rng = np.random.default_rng(args.seed)
-    rows = [("c", "t", "k", "op", "nanos", "params")]
-    for c in c_values:
-        for t in t_values:
-            for k in k_values:
-                if k >= t or k >= c:
-                    continue
-                z = Tensor(rng.standard_normal((c, t)))
-                w = Tensor(rng.standard_normal((c, c, k)))
-                e = Tensor(rng.standard_normal((t, t, k)))
-                tla_n, cla_n, _ = param_count(c, t, k, k)
-                t_map = tla(z, w)
-                c_map = cla(z, e)
-                for op_name, fn, params in (
-                    ("tla", lambda: tla(z, w), tla_n),
-                    ("cla", lambda: cla(z, e), cla_n),
-                    ("ccf", lambda: ccf(t_map, c_map), 0),
-                ):
-                    best = min(_time_ns(fn) for _ in range(3))
-                    rows.append((c, t, k, op_name, best, params))
-    lines = [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(f"wrote {len(rows) - 1} timing rows to {out}")
-    else:
-        print(text, end="")
-    return 0
-
-
-def _time_ns(fn) -> int:
-    tic = time.perf_counter_ns()
-    fn()
-    return time.perf_counter_ns() - tic
 
 
 def cmd_gen_synthetic(args, overrides: list[str]) -> int:
@@ -394,13 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_insp.add_argument("--sample", type=int, default=0)
     p_insp.add_argument("--out", help="output directory")
 
-    p_bench = sub.add_parser("bench", help="time attention ops over a size grid")
-    p_bench.add_argument("--c", default="16,32,64")
-    p_bench.add_argument("--t", default="8,16")
-    p_bench.add_argument("--k", default="1,2,4")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", help="CSV path (default: stdout)")
-
     p_gen = sub.add_parser("gen-synthetic", help="write a synthetic event dataset")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--kind", default="moving-bar")
@@ -419,7 +362,6 @@ _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "inspect-attention": cmd_inspect_attention,
-    "bench": cmd_bench,
     "gen-synthetic": cmd_gen_synthetic,
 }
 

@@ -63,11 +63,7 @@ class VotingSpec:
 
 @dataclass(frozen=True)
 class TcjaSpec:
-    """Insertion marker; kernel sizes and fusion resolve from run config."""
-
-    k_t: int | None = None
-    k_c: int | None = None
-    fusion: str | None = None
+    """Insertion marker; kernel sizes and fusion come from the run config."""
 
 
 LayerSpec = ConvSpec | LifSpec | PoolSpec | DropoutSpec | FcSpec | VotingSpec | TcjaSpec
@@ -80,10 +76,11 @@ class ArchSpec:
     time_steps: int | None = None
 
 
-_CONV_RE = re.compile(r"^(\d+)C(\d+)$")
-_POOL_RE = re.compile(r"^(MP|AP)(\d+)$")
+# Sizes are positive integers: a zero-width layer or pool is no layer.
+_CONV_RE = re.compile(r"^([1-9]\d*)C([1-9]\d*)$")
+_POOL_RE = re.compile(r"^(MP|AP)([1-9]\d*)$")
 _DP_RE = re.compile(r"^(\d+(?:\.\d+)?|\.\d+)DP$")
-_FC_RE = re.compile(r"^(\d+)FC$")
+_FC_RE = re.compile(r"^([1-9]\d*)FC$")
 
 
 def parse_arch(
@@ -195,10 +192,7 @@ class LifLayer:
         self.name = name
 
     def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
-        spikes = lif_sequence(x, self.cfg)
-        if ctx.stats is not None:
-            ctx.stats.setdefault("firing_rates", {})[self.name] = float(spikes.data.mean())
-        return spikes
+        return lif_sequence(x, self.cfg)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return []
@@ -267,10 +261,6 @@ class TcjaLayer:
         self.params = params
 
     def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
-        if ctx.stats is not None:
-            out, maps = attention.tcja_forward(x, self.params, return_maps=True)
-            ctx.stats.setdefault("attention_maps", []).append(maps)
-            return out
         return attention.tcja_forward(x, self.params)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -294,7 +284,6 @@ def voting_layer(spikes: Tensor, num_classes: int) -> Tensor:
 class ForwardContext:
     training: bool = False
     rng: np.random.Generator | None = None
-    stats: dict | None = None
 
 
 @dataclass
@@ -327,18 +316,26 @@ class Network:
         x: Tensor,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        stats: dict | None = None,
+        observe=None,
     ) -> Tensor:
+        """Run the stack on one (T, C, H, W) sample.
+
+        If given, `observe(layer, x_in, out)` is called after each layer:
+        the one seam for reading firing rates, attention maps and the like.
+        """
         expected = (self.arch.time_steps, *self.arch.input_dims)
         if x.shape != expected:
             raise ShapeError(f"input shape {x.shape} does not match spec {expected}")
-        ctx = ForwardContext(training=training, rng=rng, stats=stats)
+        ctx = ForwardContext(training=training, rng=rng)
         h = x
         for i, layer in enumerate(self.layers):
             try:
-                h = layer.apply(h, ctx)
+                out = layer.apply(h, ctx)
             except ShapeError as err:
                 raise ShapeError(f"layer {i} ({type(layer).__name__}): {err}") from err
+            if observe is not None:
+                observe(layer, h, out)
+            h = out
         return h
 
 
@@ -367,6 +364,11 @@ def _walk_dims(arch: ArchSpec, num_classes: int):
     """Yield (kind, dims) per parameterized layer while tracking shapes."""
     if arch.input_dims is None or arch.time_steps is None:
         raise ValueError("arch spec needs input_dims and time_steps to build")
+    if min(*arch.input_dims, arch.time_steps, num_classes) < 1:
+        raise ValueError(
+            f"input dims {arch.input_dims}, T={arch.time_steps} and"
+            f" {num_classes} classes must be positive"
+        )
     c, h, w = arch.input_dims
     t = arch.time_steps
     flat: int | None = None
@@ -459,12 +461,7 @@ def build_network(
             net.layers.append(VotingLayer(num_classes))
         elif isinstance(layer, TcjaSpec):
             c, t = next(dim_iter)[1]
-            block_cfg = TcjaConfig(
-                k_t=layer.k_t if layer.k_t is not None else tcja_cfg.k_t,
-                k_c=layer.k_c if layer.k_c is not None else tcja_cfg.k_c,
-                fusion=layer.fusion if layer.fusion is not None else tcja_cfg.fusion,
-            )
-            params = attention.init_tcja_params(c, t, block_cfg, rng, dtype=dtype)
+            params = attention.init_tcja_params(c, t, tcja_cfg, rng, dtype=dtype)
             net.layers.append(TcjaLayer(params))
     return net
 

@@ -72,8 +72,10 @@ class Tensor:
 
     def _accumulate(self, contribution: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += contribution
+            # A copy, never a view: contributions may be read-only broadcasts.
+            self.grad = np.array(contribution, dtype=self.data.dtype)
+        else:
+            self.grad += contribution
 
     def _coerce(self, other) -> "Tensor":
         if isinstance(other, Tensor):

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data as data_mod
 from .data import FrameSample
-from .network import Network, build_network, parse_arch, render
+from .network import LifLayer, Network, build_network, parse_arch, render
 from .neuron import LifConfig
 from .attention import TcjaConfig
 from .tensor import ShapeError, Tensor
@@ -87,7 +88,6 @@ def predict_label(outputs: Tensor | np.ndarray) -> int:
 
 @dataclass
 class OptimizerState:
-    kind: str = "adam"
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -140,10 +140,14 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
     per_class_hit: dict[int, int] = {}
     rate_sums: dict[str, float] = {}
     predictions = []
+
+    def observe(layer, x_in: Tensor, out: Tensor) -> None:
+        if isinstance(layer, LifLayer):
+            rate_sums[layer.name] = rate_sums.get(layer.name, 0.0) + float(out.data.mean())
+
     for idx, sample in enumerate(samples):
-        stats: dict = {}
         x = Tensor(sample.frames.astype(net.dtype))
-        out = net.forward(x, training=False, stats=stats)
+        out = net.forward(x, training=False, observe=observe)
         pred = predict_label(out)
         true = sample.class_index
         rates = out.data.mean(axis=0)
@@ -152,8 +156,6 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
         if pred == true:
             correct += 1
             per_class_hit[true] = per_class_hit.get(true, 0) + 1
-        for name, rate in stats.get("firing_rates", {}).items():
-            rate_sums[name] = rate_sums.get(name, 0.0) + rate
     n = len(samples)
     return EvalResult(
         accuracy=correct / n if n else 0.0,
@@ -301,8 +303,8 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerSt
         tcja_cfg = TcjaConfig(**meta["tcja"])
         cfg = TrainConfig(precision=meta["precision"], surrogate=lif_cfg.surrogate,
                           detach_reset=lif_cfg.detach_reset)
-        input_dims, time_steps = tuple(meta["input_dims"]), meta["time_steps"]
-        num_classes = meta["num_classes"]
+        input_dims = tuple(int(d) for d in meta["input_dims"])
+        time_steps, num_classes = int(meta["time_steps"]), int(meta["num_classes"])
         opt_state = OptimizerState(step=int(named["opt.step"][0]))
         rng_state = json.loads(named["meta.rng"].tobytes().decode())
         epoch = int(named["meta.epoch"][0])
@@ -310,15 +312,18 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerSt
         raise CheckpointError(f"checkpoint is missing record or key {err}") from err
     except (IndexError, TypeError, ValueError) as err:
         raise CheckpointError(f"corrupt checkpoint metadata: {err}") from err
-    arch = parse_arch(ckpt.arch, input_dims=input_dims, time_steps=time_steps)
-    net = build_network(
-        arch,
-        num_classes=num_classes,
-        lif_cfg=lif_cfg,
-        tcja_cfg=tcja_cfg,
-        rng=np.random.default_rng(0),
-        dtype=cfg.dtype,
-    )
+    try:
+        arch = parse_arch(ckpt.arch, input_dims=input_dims, time_steps=time_steps)
+        net = build_network(
+            arch,
+            num_classes=num_classes,
+            lif_cfg=lif_cfg,
+            tcja_cfg=tcja_cfg,
+            rng=np.random.default_rng(0),
+            dtype=cfg.dtype,
+        )
+    except ValueError as err:
+        raise CheckpointError(f"checkpoint arch {ckpt.arch!r} cannot be built: {err}") from err
     for name, p in net.parameters():
         key = f"param.{name}"
         if key not in named:
@@ -354,7 +359,6 @@ def train(
     cfg: TrainConfig,
     rng: np.random.Generator,
     out_dir: str | Path | None = None,
-    augment_fn=None,
     log=None,
 ) -> TrainResult:
     """Run the full loop; optionally persist metrics and checkpoints to `out_dir`.
@@ -365,7 +369,7 @@ def train(
     """
     if not train_samples:
         raise ValueError("training set is empty")
-    opt_state = OptimizerState(kind=cfg.optimizer)
+    opt_state = OptimizerState()
     history: list[dict] = []
     best_acc = -1.0
     best_ckpt: Checkpoint | None = None
@@ -385,9 +389,9 @@ def train(
             batch_loss = 0.0
             for sample_pos in batch:
                 sample = train_samples[int(sample_pos)]
-                if cfg.augment and augment_fn is not None:
+                if cfg.augment:
                     partner = train_samples[int(rng.integers(0, len(train_samples)))]
-                    sample = augment_fn(sample, rng, partner)
+                    sample = data_mod.augment(sample, rng, partner=partner)
                 x = Tensor(sample.frames.astype(dtype))
                 out = net.forward(x, training=True, rng=rng)
                 loss = smse_loss(out, sample.label)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcja_snn.cli import DEFAULT_CONFIG, load_config, main, write_pgm
+from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
 
 import oracles
 
@@ -147,12 +148,13 @@ class TestEvalCommand:
         ckpt.write_bytes(blob)
         assert main(["eval", "--checkpoint", str(ckpt), "--config", str(path)]) == 4
 
-    def test_input_dims_mismatch_exits_4(self, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+    def test_input_dims_mismatch_exits_4(self, tmp_path, command):
         path, out_dir = quick_config(tmp_path, epochs=0)
         assert main(["train", "--config", str(path)]) == 0
         code = main(
             [
-                "eval",
+                command,
                 "--checkpoint",
                 str(out_dir / "best.ckpt"),
                 "--config",
@@ -165,21 +167,31 @@ class TestEvalCommand:
         )
         assert code == 4
 
-    def test_time_step_mismatch_exits_4(self, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+    def test_time_step_mismatch_exits_4(self, tmp_path, command):
         path, out_dir = quick_config(tmp_path, epochs=0)
         assert main(["train", "--config", str(path)]) == 0
-        code = main(
-            [
-                "eval",
-                "--checkpoint",
-                str(out_dir / "best.ckpt"),
-                "--config",
-                str(path),
-                "--time_steps",
-                "6",
-            ]
-        )
-        assert code == 4
+        ckpt_args = [command, "--checkpoint", str(out_dir / "best.ckpt"), "--config", str(path)]
+        assert main(ckpt_args + ["--time_steps", "6"]) == 4
+        # A class-count mismatch is refused the same way.
+        assert main(ckpt_args + ["--num_classes", "2", "--data.synthetic.classes", "2"]) == 4
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            "4C3-LIFXMP2-TCJA-16FC-LIF-Voting",  # unparseable token
+            "4C3-LIF-MP2-TCJA-15FC-LIF-Voting",  # 15 voters cannot split into 4 classes
+            "4C3-LIF-MP0-TCJA-16FC-LIF-Voting",  # zero-width pool
+        ],
+    )
+    def test_corrupt_or_ill_fitting_arch_exits_4(self, tmp_path, arch):
+        from tcja_snn.training import Checkpoint, load_checkpoint, save_checkpoint
+
+        path, out_dir = quick_config(tmp_path, epochs=0)
+        assert main(["train", "--config", str(path)]) == 0
+        ckpt = load_checkpoint(out_dir / "best.ckpt")
+        save_checkpoint(out_dir / "bad.ckpt", Checkpoint(arch=arch, records=ckpt.records))
+        assert main(["eval", "--checkpoint", str(out_dir / "bad.ckpt"), "--config", str(path)]) == 4
 
 
 class TestInspectAttention:
@@ -246,8 +258,6 @@ class TestInspectAttention:
         net, _, _, _, _ = restore_network(load_checkpoint(out_dir / "best.ckpt"))
         _, test_samples = _load_samples(config)
         sample = test_samples[2]
-        stats = {}
-        net.forward(Tensor(sample.frames.astype(net.dtype)), stats=stats)
         pre_attn = None  # recompute the attention input by replaying the prefix
         h = Tensor(sample.frames.astype(net.dtype))
         for layer in net.layers:
@@ -311,32 +321,6 @@ class TestInspectAttention:
         assert code == 5
 
 
-class TestBench:
-    def test_params_column_matches_formulas(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--c", "8,16", "--t", "6", "--k", "1,2", "--out", str(out)])
-        assert code == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows
-        from tcja_snn.attention import param_count
-
-        for row in rows:
-            c, t, k = int(row["c"]), int(row["t"]), int(row["k"])
-            tla_n, cla_n, _ = param_count(c, t, k, k)
-            expected = {"tla": tla_n, "cla": cla_n, "ccf": 0}[row["op"]]
-            assert int(row["params"]) == expected
-            assert int(row["nanos"]) > 0
-
-    def test_doubling_c_quadruples_tla_params(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--c", "8,16", "--t", "6", "--k", "2", "--out", str(out)]) == 0
-        with open(out, newline="") as fh:
-            rows = [r for r in csv.DictReader(fh) if r["op"] == "tla"]
-        by_c = {int(r["c"]): int(r["params"]) for r in rows}
-        assert by_c[16] == 4 * by_c[8]
-
-
 class TestGenSynthetic:
     def test_writes_manifest_and_samples(self, tmp_path):
         out = tmp_path / "data"
@@ -376,6 +360,17 @@ class TestGenSynthetic:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["train", "--config", str(path)]) == 0
+
+
+class TestReadme:
+    def test_cli_block_lists_exactly_the_parser_subcommands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        documented = {line.split()[1] for line in block.splitlines() if line.startswith("tcja-snn ")}
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert documented == set(subparsers.choices)
 
 
 class TestPgm:

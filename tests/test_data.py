@@ -102,6 +102,37 @@ class TestEventIo:
             read_events("/nonexistent/events.bin")
 
 
+def _read_or_data_error(path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    try:
+        read_events(path)
+    except DataError:
+        pass
+
+
+class TestEventFuzz:
+    """Any .bin file either reads as a valid stream or raises DataError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200), st.booleans())
+    def test_arbitrary_bytes(self, tmp_path_factory, tail, with_header):
+        blob = b"TCJAEVT0" + tail if with_header else tail
+        _read_or_data_error(tmp_path_factory.getbasetemp() / "fuzz_events.bin", blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz_events.bin"
+        write_events(path, toy_stream(n=6))
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans()):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3)):
+                blob[bit // 8] ^= 1 << (bit % 8)
+        _read_or_data_error(path, bytes(blob))
+
+
 class TestIntegration:
     def test_reference_slices(self):
         assert slice_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]

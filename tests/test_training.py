@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcja_snn.data import FrameSample, frames_dataset, gen_synthetic, one_hot
 from tcja_snn.network import build_network, parse_arch
 from tcja_snn.tensor import Tensor
 from tcja_snn.training import (
+    CHECKPOINT_MAGIC,
     Checkpoint,
     CheckpointError,
     NumericsError,
@@ -139,7 +144,7 @@ class TestOptimizer:
     def test_sgd_step(self):
         params = self.scalar_param()
         params[0][1].grad = np.array([2.0])
-        optimizer_step(params, OptimizerState(kind="sgd"), TrainConfig(lr=0.1, optimizer="sgd"))
+        optimizer_step(params, OptimizerState(), TrainConfig(lr=0.1, optimizer="sgd"))
         assert params[0][1].data == pytest.approx([0.8])
 
     def test_missing_gradient_signals_broken_graph(self):
@@ -164,7 +169,7 @@ class TestDescent:
         out = net.forward(x)
         loss = smse_loss(out, sample.label)
         loss.backward()
-        optimizer_step(net.parameters(), OptimizerState(kind="sgd"), cfg)
+        optimizer_step(net.parameters(), OptimizerState(), cfg)
         assert loss_value() < before
 
 
@@ -280,6 +285,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             restore_network(Checkpoint(arch=ckpt.arch, records=records))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_classes", 0),
+            ("num_classes", None),
+            ("time_steps", 0),
+            ("input_dims", [0, 8, 8]),
+            ("input_dims", ["a", 8, 8]),
+        ],
+    )
+    def test_bad_stored_size_rejected(self, key, value):
+        ckpt = make_checkpoint(tiny_net(), TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        records = []
+        for name, arr in ckpt.records:
+            if name == "meta.config":
+                meta = {**json.loads(arr.tobytes()), key: value}
+                arr = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            records.append((name, arr))
+        with pytest.raises(CheckpointError):
+            restore_network(Checkpoint(arch=ckpt.arch, records=records))
+
     def test_rng_state_roundtrips(self, tmp_path):
         net = tiny_net()
         rng = np.random.default_rng(9)
@@ -290,6 +316,49 @@ class TestCheckpoint:
         fresh.bit_generator.state = rng_state
         np.testing.assert_array_equal(fresh.random(5), rng.random(5))
         assert epoch == 2
+
+
+def _restore_or_checkpoint_error(blob: bytes) -> None:
+    try:
+        restore_network(Checkpoint.from_bytes(blob))
+    except CheckpointError:
+        pass
+
+
+_FUZZ_BLOB = make_checkpoint(
+    build_network(
+        parse_arch("2C3-LIF-TCJA-4FC-LIF-Voting", input_dims=(2, 4, 4), time_steps=3),
+        num_classes=4,
+        rng=np.random.default_rng(0),
+    ),
+    TrainConfig(),
+    OptimizerState(),
+    np.random.default_rng(0),
+    epoch=0,
+).to_bytes()
+
+
+class TestCheckpointFuzz:
+    """Any blob either restores or raises CheckpointError, never another error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200), st.booleans())
+    def test_arbitrary_bytes(self, tail, with_header):
+        _restore_or_checkpoint_error(CHECKPOINT_MAGIC + b"\x01\x00" + tail if with_header else tail)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, len(_FUZZ_BLOB) - 1))
+    def test_truncated_blob(self, cut):
+        with pytest.raises(CheckpointError):
+            restore_network(Checkpoint.from_bytes(_FUZZ_BLOB[:cut]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(0, 8 * len(_FUZZ_BLOB) - 1), min_size=1, max_size=3))
+    def test_bit_flipped_blob(self, bits):
+        blob = bytearray(_FUZZ_BLOB)
+        for bit in bits:
+            blob[bit // 8] ^= 1 << (bit % 8)
+        _restore_or_checkpoint_error(bytes(blob))
 
 
 class TestTrainLoop:
@@ -339,23 +408,14 @@ class TestTrainLoop:
             train(tiny_net(), [], [], TrainConfig(), np.random.default_rng(0))
 
     def test_augmented_training_runs_and_is_deterministic(self):
-        from tcja_snn.data import AugmentPolicy, augment
-
-        policy = AugmentPolicy(roll_max=2, cutout_max=3)
-        augment_fn = lambda s, r, partner: augment(s, r, policy, partner)
         losses = []
-        for _ in range(2):
+        for augment in (True, True, False):
             train_samples, test_samples = tiny_dataset()
             net = tiny_net(seed=4)
-            cfg = TrainConfig(epochs=2, batch_size=8, augment=True)
-            result = train(
-                net,
-                train_samples,
-                test_samples,
-                cfg,
-                np.random.default_rng(cfg.seed),
-                augment_fn=augment_fn,
-            )
+            cfg = TrainConfig(epochs=2, batch_size=8, augment=augment)
+            result = train(net, train_samples, test_samples, cfg, np.random.default_rng(cfg.seed))
             losses.append([row["train_loss"] for row in result.history])
         assert losses[0] == losses[1]
         assert all(np.isfinite(v) for v in losses[0])
+        # The config flag alone switches augmentation on.
+        assert losses[0] != losses[2]
