@@ -321,6 +321,16 @@ class TestInspectAttention:
         assert code == 5
 
 
+class TestBench:
+    """The parameter figures the retired bench CSV reported, read from their source."""
+
+    def test_doubling_c_quadruples_tla_params(self):
+        from tcja_snn.attention import param_count
+
+        by_c = {c: param_count(c, 6, 2, 2)[0] for c in (8, 16)}
+        assert by_c[16] == 4 * by_c[8]
+
+
 class TestGenSynthetic:
     def test_writes_manifest_and_samples(self, tmp_path):
         out = tmp_path / "data"
