@@ -45,8 +45,6 @@ class TcjaParams:
 
     w: Tensor
     e: Tensor
-    k_t: int
-    k_c: int
     fusion: str = "multiply"
 
 
@@ -84,8 +82,6 @@ def init_tcja_params(
     return TcjaParams(
         w=Tensor(w.astype(dtype), requires_grad=True),
         e=Tensor(e.astype(dtype), requires_grad=True),
-        k_t=k_t,
-        k_c=k_c,
         fusion=cfg.fusion,
     )
 
@@ -104,7 +100,7 @@ def tla(z: Tensor, w: Tensor) -> Tensor:
     k = w.shape[2]
     if k >= z.shape[1]:
         raise ShapeError(f"time kernel size {k} must be < T = {z.shape[1]}")
-    return conv1d_multichannel(z, w, padding_right=k - 1)
+    return conv1d_multichannel(z, w)
 
 
 def cla(z: Tensor, e: Tensor) -> Tensor:
@@ -112,8 +108,7 @@ def cla(z: Tensor, e: Tensor) -> Tensor:
     k = e.shape[2]
     if k >= z.shape[0]:
         raise ShapeError(f"channel kernel size {k} must be < C = {z.shape[0]}")
-    out = conv1d_multichannel(z.transpose(), e, padding_right=k - 1)
-    return out.transpose()
+    return conv1d_multichannel(z.transpose(), e).transpose()
 
 
 def ccf(t_map: Tensor, c_map: Tensor, fusion: str = "multiply") -> Tensor:

@@ -1,8 +1,8 @@
 """Command-line interface: train, eval, inspect-attention, gen-synthetic.
 
 Runs are configured by a JSON file plus ``--dotted.key value`` overrides;
-unknown keys are rejected and the fully resolved config is echoed into
-the output directory so any run can be reproduced from its artifacts.
+unknown keys and mistyped values are rejected, and the fully resolved config
+is echoed into the output directory so any run can be reproduced from it.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric abort,
 4 checkpoint mismatch, 5 network has no attention blocks.
@@ -82,14 +82,11 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _merge_strict(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge_strict(base[key], value, where)
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            out[key] = _merge(base[key], value)
         else:
             out[key] = value
     return out
@@ -108,16 +105,48 @@ def _apply_overrides(config: dict, pairs: list[str]) -> dict:
     for flag, raw in zip(pairs[::2], pairs[1::2]):
         if not flag.startswith("--"):
             raise ConfigError(f"expected --key, got {flag!r}")
-        keys = flag[2:].split(".")
+        *sections, leaf = flag[2:].split(".")
         node = config
-        for key in keys[:-1]:
-            if key not in node or not isinstance(node[key], dict):
+        for key in sections:
+            node = node.get(key)
+            if not isinstance(node, dict):
                 raise ConfigError(f"unknown config key {flag[2:]!r}")
-            node = node[key]
-        if keys[-1] not in node:
-            raise ConfigError(f"unknown config key {flag[2:]!r}")
-        node[keys[-1]] = _parse_literal(raw)
+        node[leaf] = _parse_literal(raw)
     return config
+
+
+# Leaves whose default is None take a value of this type when set.
+_OPTIONAL_TYPES = {"data.dir": str, "data.width": int, "data.height": int}
+_POSITIVE = ("time_steps", "num_classes", "train.batch_size")
+
+
+def _type_ok(value, want: type) -> bool:
+    """A bool is not an int, and an int stands in for a float."""
+    if isinstance(value, bool) or want is bool:
+        return isinstance(value, bool) and want is bool
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _check_config(config: dict, default: dict, path: str = "") -> None:
+    """Raise ConfigError unless `config` has `default`'s keys and leaf types."""
+    unknown = sorted(config.keys() - default.keys())
+    if unknown:
+        raise ConfigError(f"unknown config key {path + unknown[0]!r}")
+    for key, want in default.items():
+        where = path + key
+        if key not in config:
+            raise ConfigError(f"missing config key {where!r}")
+        value = config[key]
+        if isinstance(want, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be an object, got {value!r}")
+            _check_config(value, want, where + ".")
+            continue
+        kind = type(want) if want is not None else _OPTIONAL_TYPES[where]
+        if not (value is None and want is None or _type_ok(value, kind)):
+            raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
+        if where in _POSITIVE and value < 1:
+            raise ConfigError(f"{where} must be >= 1, got {value!r}")
 
 
 def load_config(config_path: str | None, overrides: list[str]) -> dict:
@@ -132,8 +161,10 @@ def load_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"invalid JSON in {path}: {err}") from err
         if not isinstance(loaded, dict):
             raise ConfigError(f"config root must be an object, got {type(loaded).__name__}")
-        config = _merge_strict(config, loaded)
-    return _apply_overrides(config, overrides)
+        config = _merge(config, loaded)
+    config = _apply_overrides(config, overrides)
+    _check_config(config, DEFAULT_CONFIG)
+    return config
 
 
 def _echo_config(config: dict, out_dir: Path) -> None:
@@ -181,12 +212,11 @@ def _load_samples(config: dict) -> tuple[list[data_mod.FrameSample], list[data_m
 
 
 def _build_from_config(config: dict, dims: tuple[int, int, int], rng: np.random.Generator):
-    train_cfg = TrainConfig(**config["train"])
-    lif_cfg = LifConfig(
-        surrogate=train_cfg.surrogate,
-        detach_reset=train_cfg.detach_reset,
-        **config["lif"],
-    )
+    # The train section carries two LIF settings: the surrogate and the reset mode.
+    train_kw = dict(config["train"])
+    lif_kw = {key: train_kw.pop(key) for key in ("surrogate", "detach_reset")}
+    train_cfg = TrainConfig(**train_kw)
+    lif_cfg = LifConfig(**lif_kw, **config["lif"])
     tcja_cfg = TcjaConfig(**config["tcja"])
     arch = parse_arch(config["arch"], input_dims=dims, time_steps=config["time_steps"])
     net = build_network(
@@ -308,6 +338,8 @@ def cmd_inspect_attention(args, overrides: list[str]) -> int:
 
 
 def cmd_gen_synthetic(args, overrides: list[str]) -> int:
+    if overrides:
+        raise ConfigError(f"unrecognized arguments: {' '.join(overrides)}")
     dataset = data_mod.gen_synthetic(
         kind=args.kind,
         classes=args.classes,

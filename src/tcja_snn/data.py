@@ -83,12 +83,9 @@ def one_hot(num_classes: int, index: int) -> np.ndarray:
 
 
 def read_events(
-    path: str | Path,
-    fmt: str | None = None,
-    width: int | None = None,
-    height: int | None = None,
+    path: str | Path, width: int | None = None, height: int | None = None
 ) -> EventStream:
-    """Load a CSV ("t,x,y,p" lines) or binary event file.
+    """Load a CSV ("t,x,y,p" lines) file if the suffix is .csv, else a binary one.
 
     Binary files carry their resolution in the header; CSV files take it
     from the arguments, falling back to the tight bounding box.
@@ -96,12 +93,9 @@ def read_events(
     path = Path(path)
     if not path.exists():
         raise DataError(f"event file not found: {path}")
-    fmt = fmt or ("csv" if path.suffix == ".csv" else "bin")
-    if fmt == "csv":
+    if path.suffix == ".csv":
         return _read_csv(path, width, height)
-    if fmt == "bin":
-        return _read_bin(path)
-    raise DataError(f"unknown event format {fmt!r}")
+    return _read_bin(path)
 
 
 def _read_csv(path: Path, width: int | None, height: int | None) -> EventStream:
@@ -160,21 +154,19 @@ def _read_bin(path: Path) -> EventStream:
     return stream
 
 
-def write_events(path: str | Path, stream: EventStream, fmt: str | None = None) -> None:
+def write_events(path: str | Path, stream: EventStream) -> None:
+    """Write CSV if the suffix is .csv, else the binary format."""
     path = Path(path)
-    fmt = fmt or ("csv" if path.suffix == ".csv" else "bin")
     stream.validate()
-    if fmt == "csv":
+    if path.suffix == ".csv":
         with open(path, "w", newline="") as fh:
             for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
                 fh.write(f"{t},{x},{y},{p}\n")
-    elif fmt == "bin":
+    else:
         parts = [EVENT_MAGIC, _HEADER.pack(stream.width, stream.height, len(stream))]
         for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
             parts.append(_RECORD.pack(int(t), int(x), int(y), int(p)))
         path.write_bytes(b"".join(parts))
-    else:
-        raise DataError(f"unknown event format {fmt!r}")
 
 
 # -- frame integration -----------------------------------------------------------
@@ -206,23 +198,15 @@ def integrate_frames(
     return FrameSample(frames=frames.astype(np.float64), label=label)
 
 
-def replicate_static(image: np.ndarray, t_steps: int) -> np.ndarray:
-    """Repeat a static (C, H, W) image T times for constant-current encoding."""
-    return np.broadcast_to(image, (t_steps, *image.shape)).copy()
-
-
 # -- augmentation -----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class AugmentPolicy:
-    flip_prob: float = 0.5
-    mixup: bool = True
-    mixup_alpha: float = 0.5
-    roll_max: int = 5
-    rotate_deg: float = 15.0
-    cutout_max: int = 8
-    shear_deg: float = 8.0
+# The fixed policy `augment` applies.
+FLIP_PROB = 0.5
+MIXUP_ALPHA = 0.5
+ROLL_MAX = 5
+ROTATE_DEG = 15.0
+CUTOUT_MAX = 8
+SHEAR_DEG = 8.0
 
 
 def _scatter_transform(frames: np.ndarray, map_xy) -> np.ndarray:
@@ -291,33 +275,30 @@ def mixup(
 
 
 def augment(
-    sample: FrameSample,
-    rng: np.random.Generator,
-    policy: AugmentPolicy | None = None,
-    partner: FrameSample | None = None,
+    sample: FrameSample, rng: np.random.Generator, partner: FrameSample | None = None
 ) -> FrameSample:
-    """Training-time pipeline: maybe flip, maybe mixup, then one geometry op."""
-    policy = policy or AugmentPolicy()
+    """Training-time pipeline: maybe flip, mix up with `partner` if one is given,
+    then one geometry op."""
     out = FrameSample(frames=sample.frames, label=sample.label)
-    if rng.random() < policy.flip_prob:
+    if rng.random() < FLIP_PROB:
         out = FrameSample(frames=hflip(out.frames), label=out.label)
-    if policy.mixup and partner is not None:
-        lam = float(rng.beta(policy.mixup_alpha, policy.mixup_alpha))
+    if partner is not None:
+        lam = float(rng.beta(MIXUP_ALPHA, MIXUP_ALPHA))
         out = mixup(out, partner, lam)
     choice = rng.integers(0, 4)
     if choice == 0:
-        dy = int(rng.integers(-policy.roll_max, policy.roll_max + 1))
-        dx = int(rng.integers(-policy.roll_max, policy.roll_max + 1))
+        dy = int(rng.integers(-ROLL_MAX, ROLL_MAX + 1))
+        dx = int(rng.integers(-ROLL_MAX, ROLL_MAX + 1))
         frames = roll(out.frames, dy, dx)
     elif choice == 1:
-        frames = rotate(out.frames, float(rng.uniform(-policy.rotate_deg, policy.rotate_deg)))
+        frames = rotate(out.frames, float(rng.uniform(-ROTATE_DEG, ROTATE_DEG)))
     elif choice == 2:
-        side = int(rng.integers(1, policy.cutout_max + 1))
+        side = int(rng.integers(1, CUTOUT_MAX + 1))
         cy = int(rng.integers(0, out.frames.shape[2]))
         cx = int(rng.integers(0, out.frames.shape[3]))
         frames = cutout(out.frames, side, cy, cx)
     else:
-        frames = shear(out.frames, float(rng.uniform(-policy.shear_deg, policy.shear_deg)))
+        frames = shear(out.frames, float(rng.uniform(-SHEAR_DEG, SHEAR_DEG)))
     return FrameSample(frames=frames, label=out.label)
 
 
@@ -352,6 +333,8 @@ def split_train_test(
 # -- synthetic moving-bar dataset ---------------------------------------------------
 
 
+_EVENTS_PER_CELL = 3
+
 _DIRECTIONS = (
     (1, 0),  # east
     (-1, 0),  # west
@@ -373,13 +356,12 @@ def gen_synthetic(
     n: int = 100,
     seed: int = 0,
     noise_per_tick: int = 1,
-    events_per_cell: int = 3,
 ) -> list[tuple[EventStream, int]]:
     """Labeled event streams of a bright bar sweeping in one of `classes` directions.
 
-    Each bar cell emits `events_per_cell` events per tick, mimicking the
-    burst a sensor produces per brightness change; this keeps integrated
-    count frames strong enough to drive spiking layers.
+    Each bar cell emits three events per tick, mimicking the burst a sensor
+    produces per brightness change; this keeps integrated count frames
+    strong enough to drive spiking layers.
     """
     if kind != "moving-bar":
         raise DataError(f"unknown synthetic kind {kind!r}")
@@ -391,12 +373,7 @@ def gen_synthetic(
     for i in range(n):
         label = i % classes
         dataset.append(
-            (
-                _moving_bar_stream(
-                    label, height, width, ticks, rng, noise_per_tick, events_per_cell
-                ),
-                label,
-            )
+            (_moving_bar_stream(label, height, width, ticks, rng, noise_per_tick), label)
         )
     return dataset
 
@@ -408,7 +385,6 @@ def _moving_bar_stream(
     ticks: int,
     rng: np.random.Generator,
     noise_per_tick: int,
-    events_per_cell: int = 3,
 ) -> EventStream:
     dx, dy = _DIRECTIONS[direction]
     span = max(height, width) - 1
@@ -433,14 +409,14 @@ def _moving_bar_stream(
         base = tick * 1000
         seq = 0
         for px, py in sorted(cells):  # ON where the bar is now
-            for _ in range(events_per_cell):
+            for _ in range(_EVENTS_PER_CELL):
                 ts.append(base + seq)
                 xs.append(px)
                 ys.append(py)
                 ps.append(1)
                 seq += 1
         for px, py in sorted(prev_cells - cells):  # OFF where it just left
-            for _ in range(events_per_cell):
+            for _ in range(_EVENTS_PER_CELL):
                 ts.append(base + seq)
                 xs.append(px)
                 ys.append(py)
@@ -480,7 +456,7 @@ def write_dataset(
         writer = csv.writer(fh)
         for i, (stream, label) in enumerate(dataset):
             name = f"sample_{i:05d}.{ext}"
-            write_events(out_dir / name, stream, fmt=fmt)
+            write_events(out_dir / name, stream)
             writer.writerow([name, label])
     return manifest
 

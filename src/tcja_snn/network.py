@@ -180,7 +180,7 @@ class ConvLayer:
         self.padding = padding
 
     def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
-        return conv2d(x, self.kernel, stride=1, padding=self.padding)
+        return conv2d(x, self.kernel, padding=self.padding)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("kernel", self.kernel)]

@@ -260,29 +260,6 @@ class Tensor:
 
         return Tensor._node(data, (src,), backward)
 
-    # -- linear algebra -------------------------------------------------------------
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        other = self._coerce(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeError(
-                f"matmul expects 2-D operands, got {self.shape} and {other.shape}"
-            )
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(
-                f"inner dimensions differ: {self.shape} vs {other.shape}"
-            )
-        a, b = self, other
-        data = a.data @ b.data
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-
-        return Tensor._node(data, (a, b), backward)
-
 
 def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
     if axis is None:
@@ -302,11 +279,11 @@ def _spread(
     return np.broadcast_to(g, shape)
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 2-D cross-correlation.
+def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
+    """Batched 2-D cross-correlation at stride 1.
 
-    `x` is (B, Cin, H, W), `kernel` is (Cout, Cin, k, k). Output spatial
-    size is floor((H + 2p - k) / stride) + 1 per side.
+    `x` is (B, Cin, H, W), `kernel` is (Cout, Cin, k, k) and 0 <= padding < k.
+    Output spatial size is H + 2p - k + 1 per side.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(
@@ -321,19 +298,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if k_h != k_w:
         raise ShapeError(f"square kernels only, got {kernel.shape}")
     k = k_h
+    if not 0 <= padding < k:
+        raise ShapeError(f"padding {padding} outside [0, {k}) for kernel size {k}")
     if k > height + 2 * padding or k > width + 2 * padding:
         raise ShapeError(
             f"kernel {k} exceeds padded input {height + 2 * padding}x{width + 2 * padding}"
         )
-    out_h = (height + 2 * padding - k) // stride + 1
-    out_w = (width + 2 * padding - k) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(
-            f"conv2d output dimension underflow: {out_h}x{out_w} from {x.shape}"
-        )
+    out_h = height + 2 * padding - k + 1
+    out_w = width + 2 * padding - k + 1
 
     padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(padded, k, stride)
+    cols = _im2col(padded, k)
     out = _col2out(cols @ kernel.data.reshape(c_out, -1).T, batch, out_h, out_w)
     xt, kt = x, kernel
 
@@ -342,24 +317,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             gmat = g.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, c_out)
             kt._accumulate((gmat.T @ cols).reshape(kt.shape))
         if xt.requires_grad:
-            # dx is the stride-1 correlation of the output gradient, dilated
-            # by `stride` and padded by k-1-padding (cropped where that is
-            # negative), with the flipped, channel-swapped kernel.
+            # dx is the correlation of the output gradient, padded by
+            # k-1-padding, with the flipped, channel-swapped kernel.
             lead = k - 1 - padding
-            spread = np.zeros((batch, c_out, height + k - 1, width + k - 1), dtype=g.dtype)
-            src_h, dst_h = _dilated(out_h, height + k - 1, lead, stride)
-            src_w, dst_w = _dilated(out_w, width + k - 1, lead, stride)
-            spread[:, :, dst_h, dst_w] = g[:, :, src_h, src_w]
+            spread = np.pad(g, ((0, 0), (0, 0), (lead, lead), (lead, lead)))
             flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-            xt._accumulate(_col2out(_im2col(spread, k, 1) @ flipped.T, batch, height, width))
+            xt._accumulate(_col2out(_im2col(spread, k) @ flipped.T, batch, height, width))
 
     return Tensor._node(np.ascontiguousarray(out), (xt, kt), backward)
 
 
-def _im2col(padded: np.ndarray, k: int, stride: int) -> np.ndarray:
+def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
     """(B, C, H, W) -> (B*out_h*out_w, C*k*k) rows of k x k windows."""
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B, C, out_h, out_w, k, k)
     batch, _, out_h, out_w, _, _ = windows.shape
     return windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w, -1)
 
@@ -369,24 +339,12 @@ def _col2out(mat: np.ndarray, batch: int, out_h: int, out_w: int) -> np.ndarray:
     return mat.reshape(batch, out_h, out_w, -1).transpose(0, 3, 1, 2)
 
 
-def _dilated(n: int, size: int, lead: int, stride: int) -> tuple[slice, slice]:
-    """Slices placing positions 0..n-1 at lead + i*stride inside [0, size)."""
-    first = max(0, -(lead // stride))
-    stop = min(n, (size - 1 - lead) // stride + 1)
-    return (
-        slice(first, stop),
-        slice(lead + first * stride, lead + (stop - 1) * stride + 1, stride),
-    )
-
-
-def conv1d_multichannel(
-    x: Tensor, kernel: Tensor, padding_right: int | None = None
-) -> Tensor:
-    """Multichannel 1-D cross-correlation with right zero-padding, no bias.
+def conv1d_multichannel(x: Tensor, kernel: Tensor) -> Tensor:
+    """Multichannel 1-D cross-correlation, zero-filled past the end, no bias.
 
     `x` is (Cin, L), `kernel` is (Cout, Cin, K). Output is (Cout, L) with
-    out[i, j] = sum_n sum_m kernel[i, n, m] * padded[n, j + m]; reads past
-    the padded buffer contribute zero.
+    out[i, j] = sum_n sum_m kernel[i, n, m] * x[n, j + m], where reads at
+    j + m >= L contribute zero.
     """
     if x.ndim != 2 or kernel.ndim != 3:
         raise ShapeError(
@@ -398,30 +356,21 @@ def conv1d_multichannel(
         raise ShapeError(
             f"kernel channel mismatch: input {x.shape} vs kernel {kernel.shape}"
         )
-    if padding_right is None:
-        padding_right = ksize - 1
-    if ksize > length + padding_right:
-        raise ShapeError(
-            f"kernel length {ksize} exceeds padded length {length + padding_right}"
-        )
 
-    padded = np.pad(x.data, ((0, 0), (0, padding_right)))
-    plen = length + padding_right
+    padded = np.pad(x.data, ((0, 0), (0, ksize - 1)))
     out = np.zeros((c_out, length), dtype=x.data.dtype)
     for m in range(ksize):
-        upper = min(length, plen - m)
-        out[:, :upper] += kernel.data[:, :, m] @ padded[:, m : m + upper]
+        out += kernel.data[:, :, m] @ padded[:, m : m + length]
     xt, kt = x, kernel
 
     def backward(g: np.ndarray) -> None:
         dpadded = np.zeros_like(padded) if xt.requires_grad else None
         dkernel = np.zeros_like(kt.data) if kt.requires_grad else None
         for m in range(ksize):
-            upper = min(length, plen - m)
             if dkernel is not None:
-                dkernel[:, :, m] = g[:, :upper] @ padded[:, m : m + upper].T
+                dkernel[:, :, m] = g @ padded[:, m : m + length].T
             if dpadded is not None:
-                dpadded[:, m : m + upper] += kt.data[:, :, m].T @ g[:, :upper]
+                dpadded[:, m : m + length] += kt.data[:, :, m].T @ g
         if dkernel is not None:
             kt._accumulate(dkernel)
         if dpadded is not None:

@@ -46,8 +46,6 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     precision: str = "f32"
-    surrogate: str = "atan"
-    detach_reset: bool = True
     optimizer: str = "adam"
     augment: bool = False
 
@@ -301,8 +299,7 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerSt
         meta = json.loads(named["meta.config"].tobytes().decode())
         lif_cfg = LifConfig(**meta["lif"])
         tcja_cfg = TcjaConfig(**meta["tcja"])
-        cfg = TrainConfig(precision=meta["precision"], surrogate=lif_cfg.surrogate,
-                          detach_reset=lif_cfg.detach_reset)
+        cfg = TrainConfig(precision=meta["precision"])
         input_dims = tuple(int(d) for d in meta["input_dims"])
         time_steps, num_classes = int(meta["time_steps"]), int(meta["num_classes"])
         opt_state = OptimizerState(step=int(named["opt.step"][0]))

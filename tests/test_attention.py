@@ -28,8 +28,6 @@ def make_params(c, t, k_t, k_c, rng, fusion="multiply"):
     return TcjaParams(
         w=Tensor(w, requires_grad=True),
         e=Tensor(e, requires_grad=True),
-        k_t=k_t,
-        k_c=k_c,
         fusion=fusion,
     )
 
@@ -277,8 +275,6 @@ class TestGradients:
             p = TcjaParams(
                 w=Tensor(w_arr.copy(), requires_grad=True),
                 e=Tensor(e_arr.copy(), requires_grad=True),
-                k_t=2,
-                k_c=2,
             )
             xt = Tensor(x_arr.copy(), requires_grad=True)
             out = (tcja_forward(xt, p) * Tensor(probe)).sum()
@@ -322,9 +318,8 @@ class TestInit:
     def test_kernel_sizes_capped_below_dims(self):
         rng = np.random.default_rng(18)
         params = init_tcja_params(3, 2, TcjaConfig(k_t=4, k_c=4), rng)
-        assert params.k_t == 1 and params.k_c == 2
-        assert params.w.shape == (3, 3, 1)
-        assert params.e.shape == (2, 2, 2)
+        assert params.w.shape == (3, 3, 1)  # k_t capped at T - 1
+        assert params.e.shape == (2, 2, 2)  # k_c capped at C - 1
 
     def test_init_bounds(self):
         rng = np.random.default_rng(19)

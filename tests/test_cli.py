@@ -67,6 +67,35 @@ class TestConfig:
         path, _ = quick_config(tmp_path)
         assert main(["train", "--config", str(path), "--train.warmup", "3"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--train.lr", "abc"),  # str for a float
+            ("--lif.tau", "abc"),
+            ("--train.epochs", "abc"),  # str for an int
+            ("--train.epochs", "1.5"),  # float for an int
+            ("--train.epochs", "true"),  # bool is not an int
+            ("--train.augment", "1"),  # int is not a bool
+            ("--data", "5"),  # a section must stay an object
+            ("--data.synthetic", '{"kind": "moving-bar"}'),  # section missing keys
+            ("--data.dir", "5"),  # null default takes a str
+            ("--data.width", '"8"'),  # null default takes an int
+            ("--time_steps", "0"),
+            ("--num_classes", "0"),
+            ("--train.batch_size", "0"),
+        ],
+    )
+    def test_bad_value_type_or_range_exits_1(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "run"
+        code = main(["train", "--train.epochs", "0", "--out_dir", str(out_dir), flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_int_accepted_for_float(self):
+        assert load_config(None, ["--train.lr", "1"])["train"]["lr"] == 1
+
 
 class TestTrainCommand:
     def test_zero_epochs_writes_artifacts(self, tmp_path):
@@ -354,6 +383,12 @@ class TestGenSynthetic:
         assert len(manifest) == 8
         name, label = manifest[0].split(",")
         assert (out / name).exists() and label == "0"
+
+    def test_unknown_flag_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(out), "--n", "4", "--bogus", "1"]) == 1
+        assert "--bogus" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generated_dir_trains(self, tmp_path):
         out = tmp_path / "data"

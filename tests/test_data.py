@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcja_snn.data import (
-    AugmentPolicy,
     DataError,
     EventStream,
     FrameSample,
@@ -18,7 +17,6 @@ from tcja_snn.data import (
     mixup,
     one_hot,
     read_events,
-    replicate_static,
     roll,
     rotate,
     shear,
@@ -192,13 +190,6 @@ class TestIntegration:
         assert sample.frames[0, 1, 2, 1] == 2
         assert sample.frames[0, 0, 0, 0] == 1
 
-    def test_replicate_static(self):
-        img = np.arange(12, dtype=float).reshape(3, 2, 2)
-        out = replicate_static(img, 5)
-        assert out.shape == (5, 3, 2, 2)
-        for t in range(5):
-            np.testing.assert_array_equal(out[t], img)
-
 
 class TestAugment:
     def frames(self, seed=0, t=3, c=2, h=10, w=10):
@@ -260,11 +251,10 @@ class TestAugment:
 
     def test_pipeline_keeps_frames_non_negative(self):
         rng = np.random.default_rng(11)
-        policy = AugmentPolicy()
         for seed in range(20):
             a = FrameSample(self.frames(seed), one_hot(4, seed % 4))
             b = FrameSample(self.frames(seed + 100), one_hot(4, (seed + 1) % 4))
-            out = augment(a, rng, policy, partner=b)
+            out = augment(a, rng, partner=b)
             assert np.all(out.frames >= 0)
             assert out.label.sum() == pytest.approx(1.0)
 
