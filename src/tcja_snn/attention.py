@@ -6,7 +6,8 @@ channel axes, the two score maps are fused through a sigmoid, and the
 fused map rescales the original frames. Every output position draws on a
 cross-shaped region of the average matrix: its kernel-wide time window
 across all channels plus its kernel-wide channel window across all time
-steps.
+steps. The steps work on plain arrays; `tcja_forward` runs them as one
+graph node with a closed-form backward.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, conv1d_multichannel
+from .tensor import ShapeError, Tensor, _unbroadcast
 
 _FUSIONS = ("multiply", "add")
 
@@ -50,11 +51,11 @@ class TcjaParams:
 
 @dataclass
 class AttentionMaps:
-    """Score matrices of one forward pass, each C x T."""
+    """Score matrices of one forward pass, each a C x T array."""
 
-    t_map: Tensor
-    c_map: Tensor
-    f_map: Tensor
+    t_map: np.ndarray
+    c_map: np.ndarray
+    f_map: np.ndarray
 
 
 def init_tcja_params(
@@ -86,45 +87,81 @@ def init_tcja_params(
     )
 
 
-def squeeze(x: Tensor) -> Tensor:
+def squeeze(x: np.ndarray) -> np.ndarray:
     """Average each (channel, step) frame over space: (T, C, H, W) -> (C, T)."""
     if x.ndim != 4:
         raise ShapeError(f"squeeze expects (T, C, H, W), got {x.shape}")
     if x.shape[2] < 1 or x.shape[3] < 1:
         raise ShapeError(f"empty spatial dimensions in {x.shape}")
-    return x.mean(axis=(2, 3)).transpose()
+    return x.mean(axis=(2, 3)).T
 
 
-def tla(z: Tensor, w: Tensor) -> Tensor:
+def _conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Multichannel 1-D cross-correlation, zero-filled past the end, no bias.
+
+    `x` is (Cin, L), `kernel` is (Cout, Cin, K). Output is (Cout, L) with
+    out[i, j] = sum_n sum_m kernel[i, n, m] * x[n, j + m], where reads at
+    j + m >= L contribute zero.
+    """
+    if x.ndim != 2 or kernel.ndim != 3:
+        raise ShapeError(
+            f"conv1d expects 2-D input and 3-D kernel, got {x.shape} and {kernel.shape}"
+        )
+    if kernel.shape[1] != x.shape[0]:
+        raise ShapeError(f"kernel channel mismatch: input {x.shape} vs kernel {kernel.shape}")
+    length, ksize = x.shape[1], kernel.shape[2]
+    padded = np.pad(x, ((0, 0), (0, ksize - 1)))
+    out = np.zeros((kernel.shape[0], length), dtype=x.dtype)
+    for m in range(ksize):
+        out += kernel[:, :, m] @ padded[:, m : m + length]
+    return out
+
+
+def _conv1d_vjp(g: np.ndarray, x: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of `_conv1d(x, kernel)` for the output gradient `g`: (dx, dkernel)."""
+    length, ksize = x.shape[1], kernel.shape[2]
+    padded = np.pad(x, ((0, 0), (0, ksize - 1)))
+    dpadded = np.zeros_like(padded)
+    dkernel = np.zeros_like(kernel)
+    for m in range(ksize):
+        dkernel[:, :, m] = g @ padded[:, m : m + length].T
+        dpadded[:, m : m + length] += kernel[:, :, m].T @ g
+    return dpadded[:, :length], dkernel
+
+
+def tla(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Time-axis local attention scores: rows of `z` convolved along time."""
     k = w.shape[2]
     if k >= z.shape[1]:
         raise ShapeError(f"time kernel size {k} must be < T = {z.shape[1]}")
-    return conv1d_multichannel(z, w)
+    return _conv1d(z, w)
 
 
-def cla(z: Tensor, e: Tensor) -> Tensor:
+def cla(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Channel-axis local attention scores: columns of `z` convolved along channels."""
     k = e.shape[2]
     if k >= z.shape[0]:
         raise ShapeError(f"channel kernel size {k} must be < C = {z.shape[0]}")
-    return conv1d_multichannel(z.transpose(), e).transpose()
+    return _conv1d(z.T, e).T
 
 
-def ccf(t_map: Tensor, c_map: Tensor, fusion: str = "multiply") -> Tensor:
+def ccf(t_map: np.ndarray, c_map: np.ndarray, fusion: str = "multiply") -> np.ndarray:
     """Fuse the two score maps into sigmoid attention weights in (0, 1)."""
     if t_map.shape != c_map.shape:
         raise ShapeError(f"score map shapes differ: {t_map.shape} vs {c_map.shape}")
-    if fusion == "multiply":
-        pre = t_map * c_map
-    elif fusion == "add":
-        pre = t_map + c_map
-    else:
+    if fusion not in _FUSIONS:
         raise ValueError(f"fusion must be one of {_FUSIONS}, got {fusion!r}")
-    return pre.sigmoid()
+    pre = t_map * c_map if fusion == "multiply" else t_map + c_map
+    # Split by sign so neither branch of the logistic overflows.
+    f_map = np.empty_like(pre)
+    pos = pre >= 0
+    f_map[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
+    ex = np.exp(pre[~pos])
+    f_map[~pos] = ex / (1.0 + ex)
+    return f_map
 
 
-def recalibrate(x: Tensor, f_map: Tensor) -> Tensor:
+def recalibrate(x: np.ndarray, f_map: np.ndarray) -> np.ndarray:
     """Scale each (channel, step) frame of `x` by its attention weight."""
     if x.ndim != 4 or f_map.ndim != 2:
         raise ShapeError(f"expected (T, C, H, W) and (C, T), got {x.shape} and {f_map.shape}")
@@ -133,21 +170,51 @@ def recalibrate(x: Tensor, f_map: Tensor) -> Tensor:
         raise ShapeError(
             f"attention map {f_map.shape} does not match frames {x.shape}"
         )
-    factor = f_map.transpose().reshape(t_steps, channels, 1, 1)
-    return x * factor
+    return x * f_map.T.reshape(t_steps, channels, 1, 1)
 
 
-def score_maps(x: Tensor, params: TcjaParams) -> AttentionMaps:
+def score_maps(x: np.ndarray, params: TcjaParams) -> AttentionMaps:
     """Squeeze the frames, score both axes and fuse the scores."""
     z = squeeze(x)
-    t_map = tla(z, params.w)
-    c_map = cla(z, params.e)
+    t_map = tla(z, params.w.data)
+    c_map = cla(z, params.e.data)
     return AttentionMaps(t_map=t_map, c_map=c_map, f_map=ccf(t_map, c_map, params.fusion))
 
 
 def tcja_forward(x: Tensor, params: TcjaParams) -> Tensor:
-    """Full attention pass: squeeze, score both axes, fuse, rescale frames."""
-    return recalibrate(x, score_maps(x, params).f_map)
+    """Full attention pass: squeeze, score both axes, fuse, rescale frames.
+
+    The pass is one graph node. With f the fused map, p its pre-sigmoid
+    map (t*c or t+c) and z the squeezed frames, the backward is:
+    g_f = sum_hw g_y*x, g_p = g_f*f*(1-f), g_t = g_p*c and g_c = g_p*t
+    (both g_p under add fusion), the two 1-D conv VJPs give g_w, g_e and
+    g_z, and g_x = g_y*f + spread(g_z)/(H*W).
+    """
+    maps = score_maps(x.data, params)
+    out = recalibrate(x.data, maps.f_map)
+    w, e = params.w, params.e
+    t_steps, channels, height, width = x.shape
+
+    def backward(g: np.ndarray) -> None:
+        factor = maps.f_map.T.reshape(t_steps, channels, 1, 1)
+        g_f = _unbroadcast(g * x.data, factor.shape).reshape(t_steps, channels).T
+        g_p = g_f * maps.f_map * (1.0 - maps.f_map)
+        if params.fusion == "multiply":
+            g_t, g_c = g_p * maps.c_map, g_p * maps.t_map
+        else:
+            g_t, g_c = g_p, g_p
+        z = squeeze(x.data)
+        g_zt, g_w = _conv1d_vjp(g_t, z, w.data)
+        g_zc, g_e = _conv1d_vjp(g_c.T, z.T, e.data)
+        if w.requires_grad:
+            w._accumulate(g_w)
+        if e.requires_grad:
+            e._accumulate(g_e)
+        if x.requires_grad:
+            g_z = g_zt + g_zc.T
+            x._accumulate(g * factor + g_z.T[:, :, None, None] / (height * width))
+
+    return Tensor._node(out, (x, w, e), backward)
 
 
 def param_count(c: int, t: int, k_t: int, k_c: int) -> tuple[int, int, int]:

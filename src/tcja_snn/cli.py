@@ -117,7 +117,12 @@ def _apply_overrides(config: dict, pairs: list[str]) -> dict:
 
 # Leaves whose default is None take a value of this type when set.
 _OPTIONAL_TYPES = {"data.dir": str, "data.width": int, "data.height": int}
-_POSITIVE = ("time_steps", "num_classes", "train.batch_size")
+# Smallest accepted value of each integer leaf that has one.
+_MINIMUMS = {
+    "time_steps": 1, "num_classes": 1, "train.batch_size": 1, "train.epochs": 0, "train.seed": 0,
+    **{f"data.synthetic.{key}": 1 for key in ("height", "width", "n_train")},
+    **{f"data.synthetic.{key}": 0 for key in ("n_test", "seed", "noise_per_tick")},
+}
 
 
 def _type_ok(value, want: type) -> bool:
@@ -145,8 +150,8 @@ def _check_config(config: dict, default: dict, path: str = "") -> None:
         kind = type(want) if want is not None else _OPTIONAL_TYPES[where]
         if not (value is None and want is None or _type_ok(value, kind)):
             raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
-        if where in _POSITIVE and value < 1:
-            raise ConfigError(f"{where} must be >= 1, got {value!r}")
+        if where in _MINIMUMS and value < _MINIMUMS[where]:
+            raise ConfigError(f"{where} must be >= {_MINIMUMS[where]}, got {value!r}")
 
 
 def load_config(config_path: str | None, overrides: list[str]) -> dict:
@@ -323,14 +328,13 @@ def cmd_inspect_attention(args, overrides: list[str]) -> int:
 
     def observe(layer, x_in: Tensor, out: Tensor) -> None:
         if isinstance(layer, TcjaLayer):
-            blocks.append(score_maps(x_in, layer.params))
+            blocks.append(score_maps(x_in.data, layer.params))
 
     net.forward(Tensor(sample.frames.astype(net.dtype)), observe=observe)
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, maps in enumerate(blocks):
-        for tag, tensor in (("tla", maps.t_map), ("cla", maps.c_map), ("ccf", maps.f_map)):
-            matrix = tensor.data
+        for tag, matrix in (("tla", maps.t_map), ("cla", maps.c_map), ("ccf", maps.f_map)):
             _write_matrix_csv(out_dir / f"block{i}_{tag}.csv", matrix)
             write_pgm(out_dir / f"block{i}_{tag}.pgm", matrix, absolute=(tag == "ccf"))
     print(f"wrote score maps for {len(blocks)} attention block(s) to {out_dir}")

@@ -168,8 +168,6 @@ class Tensor:
             lambda g, x, y: g,
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Tensor":
         return self._binary(
             other,
@@ -188,25 +186,6 @@ class Tensor:
             lambda g, x, y: g * y,
             lambda g, x, y: g * x,
         )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def sigmoid(self) -> "Tensor":
-        x = self.data
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        s[~pos] = ex / (1.0 + ex)
-        src = self
-
-        def backward(g: np.ndarray) -> None:
-            src._accumulate(g * s * (1.0 - s))
-
-        return Tensor._node(s, (src,), backward)
 
     # -- reductions and reshaping -------------------------------------------------
 
@@ -241,22 +220,6 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             src._accumulate(g.reshape(src.shape))
-
-        return Tensor._node(data, (src,), backward)
-
-    def transpose(self, *axes) -> "Tensor":
-        if not axes:
-            perm = tuple(reversed(range(self.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            perm = tuple(axes[0])
-        else:
-            perm = tuple(axes)
-        data = self.data.transpose(perm)
-        src = self
-        inverse = tuple(np.argsort(perm))
-
-        def backward(g: np.ndarray) -> None:
-            src._accumulate(g.transpose(inverse))
 
         return Tensor._node(data, (src,), backward)
 
@@ -337,46 +300,6 @@ def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
 def _col2out(mat: np.ndarray, batch: int, out_h: int, out_w: int) -> np.ndarray:
     """(B*out_h*out_w, C) GEMM result -> (B, C, out_h, out_w)."""
     return mat.reshape(batch, out_h, out_w, -1).transpose(0, 3, 1, 2)
-
-
-def conv1d_multichannel(x: Tensor, kernel: Tensor) -> Tensor:
-    """Multichannel 1-D cross-correlation, zero-filled past the end, no bias.
-
-    `x` is (Cin, L), `kernel` is (Cout, Cin, K). Output is (Cout, L) with
-    out[i, j] = sum_n sum_m kernel[i, n, m] * x[n, j + m], where reads at
-    j + m >= L contribute zero.
-    """
-    if x.ndim != 2 or kernel.ndim != 3:
-        raise ShapeError(
-            f"conv1d expects 2-D input and 3-D kernel, got {x.shape} and {kernel.shape}"
-        )
-    c_in, length = x.shape
-    c_out, kc_in, ksize = kernel.shape
-    if kc_in != c_in:
-        raise ShapeError(
-            f"kernel channel mismatch: input {x.shape} vs kernel {kernel.shape}"
-        )
-
-    padded = np.pad(x.data, ((0, 0), (0, ksize - 1)))
-    out = np.zeros((c_out, length), dtype=x.data.dtype)
-    for m in range(ksize):
-        out += kernel.data[:, :, m] @ padded[:, m : m + length]
-    xt, kt = x, kernel
-
-    def backward(g: np.ndarray) -> None:
-        dpadded = np.zeros_like(padded) if xt.requires_grad else None
-        dkernel = np.zeros_like(kt.data) if kt.requires_grad else None
-        for m in range(ksize):
-            if dkernel is not None:
-                dkernel[:, :, m] = g @ padded[:, m : m + length].T
-            if dpadded is not None:
-                dpadded[:, m : m + length] += kt.data[:, :, m].T @ g
-        if dkernel is not None:
-            kt._accumulate(dkernel)
-        if dpadded is not None:
-            xt._accumulate(dpadded[:, :length])
-
-    return Tensor._node(out, (xt, kt), backward)
 
 
 def pool2d(x: Tensor, kind: str, k: int) -> Tensor:

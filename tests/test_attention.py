@@ -34,137 +34,144 @@ def make_params(c, t, k_t, k_c, rng, fusion="multiply"):
 
 class TestSqueeze:
     def test_zero_frames(self):
-        out = squeeze(Tensor(np.zeros((3, 2, 4, 4))))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
+        out = squeeze(np.zeros((3, 2, 4, 4)))
+        np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_constant_frames(self):
-        out = squeeze(Tensor(np.full((2, 3, 5, 5), 2.5)))
-        np.testing.assert_array_equal(out.data, np.full((3, 2), 2.5))
+        out = squeeze(np.full((2, 3, 5, 5), 2.5))
+        np.testing.assert_array_equal(out, np.full((3, 2), 2.5))
 
     def test_matches_loop_oracle(self):
         x = np.random.default_rng(0).standard_normal((3, 2, 4, 4))
-        out = squeeze(Tensor(x))
-        np.testing.assert_allclose(out.data, oracles.squeeze_loops(x), atol=1e-12)
+        out = squeeze(x)
+        np.testing.assert_allclose(out, oracles.squeeze_loops(x), atol=1e-12)
 
     def test_gradient_spreads_uniformly(self):
-        x = Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
-        squeeze(x).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full(x.shape, 1 / 16), atol=0)
+        # Under a frame-constant output gradient the block's input gradient,
+        # g_y*f + spread(g_z)/(H*W), is constant over each frame.
+        rng = np.random.default_rng(21)
+        x_data = rng.standard_normal((3, 4, 4, 4))
+        params = make_params(4, 3, 2, 2, rng)
+        grads = []
+        for forward in (tcja_forward, oracles.tcja_forward_unfused):
+            x = Tensor(x_data, requires_grad=True)
+            forward(x, params).sum().backward()
+            grads.append(x.grad)
+        per_frame = np.broadcast_to(grads[0][:, :, :1, :1], x_data.shape)
+        np.testing.assert_array_equal(grads[0], per_frame)
+        np.testing.assert_array_equal(grads[0], grads[1])
 
     def test_empty_spatial_rejected(self):
         with pytest.raises(ShapeError):
-            squeeze(Tensor(np.zeros((2, 3, 0, 4))))
+            squeeze(np.zeros((2, 3, 0, 4)))
 
 
 class TestTla:
     def test_zero_kernel(self):
-        z = Tensor(np.random.default_rng(1).standard_normal((4, 5)))
-        out = tla(z, Tensor(np.zeros((4, 4, 2))))
-        np.testing.assert_array_equal(out.data, np.zeros((4, 5)))
+        z = np.random.default_rng(1).standard_normal((4, 5))
+        out = tla(z, np.zeros((4, 4, 2)))
+        np.testing.assert_array_equal(out, np.zeros((4, 5)))
 
     def test_channel_identity_is_passthrough(self):
         z = np.random.default_rng(2).standard_normal((4, 5))
         w = np.eye(4)[:, :, None]  # K_T = 1, W[(n,i)] = 1 iff n == i
-        out = tla(Tensor(z), Tensor(w))
-        np.testing.assert_allclose(out.data, z, atol=0)
+        out = tla(z, w)
+        np.testing.assert_allclose(out, z, atol=0)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((5, 4))
         w = rng.standard_normal((5, 5, 2))
-        out = tla(Tensor(z), Tensor(w))
-        np.testing.assert_allclose(out.data, oracles.tla_loops(z, w), atol=0)
+        out = tla(z, w)
+        np.testing.assert_allclose(out, oracles.tla_loops(z, w), atol=0)
 
     def test_kernel_size_violation(self):
         with pytest.raises(ShapeError, match="kernel size"):
-            tla(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 3, 4))))
+            tla(np.ones((3, 4)), np.ones((3, 3, 4)))
 
 
 class TestCla:
     def test_zero_kernel(self):
-        z = Tensor(np.random.default_rng(4).standard_normal((6, 5)))
-        out = cla(z, Tensor(np.zeros((5, 5, 3))))
-        np.testing.assert_array_equal(out.data, np.zeros((6, 5)))
+        z = np.random.default_rng(4).standard_normal((6, 5))
+        out = cla(z, np.zeros((5, 5, 3)))
+        np.testing.assert_array_equal(out, np.zeros((6, 5)))
 
     def test_time_identity_is_passthrough(self):
         z = np.random.default_rng(5).standard_normal((6, 5))
         e = np.eye(5)[:, :, None]  # K_C = 1
-        out = cla(Tensor(z), Tensor(e))
-        np.testing.assert_allclose(out.data, z, atol=0)
+        out = cla(z, e)
+        np.testing.assert_allclose(out, z, atol=0)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal((6, 5))
         e = rng.standard_normal((5, 5, 3))
-        out = cla(Tensor(z), Tensor(e))
-        np.testing.assert_allclose(out.data, oracles.cla_loops(z, e), atol=0)
+        out = cla(z, e)
+        np.testing.assert_allclose(out, oracles.cla_loops(z, e), atol=0)
 
     def test_kernel_size_violation(self):
         with pytest.raises(ShapeError, match="kernel size"):
-            cla(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 4, 3))))
+            cla(np.ones((3, 4)), np.ones((4, 4, 3)))
 
 
 class TestCcf:
     def test_zero_maps_give_half(self):
-        z = Tensor(np.zeros((3, 4)))
+        z = np.zeros((3, 4))
         out = ccf(z, z)
-        np.testing.assert_allclose(out.data, np.full((3, 4), 0.5), atol=0)
+        np.testing.assert_allclose(out, np.full((3, 4), 0.5), atol=0)
 
     def test_multiply_fusion_value(self):
-        out = ccf(Tensor(np.full((2, 2), 2.0)), Tensor(np.full((2, 2), 3.0)), "multiply")
-        np.testing.assert_allclose(out.data, np.full((2, 2), 1 / (1 + np.exp(-6.0))), atol=1e-12)
-        assert out.data[0, 0] == pytest.approx(0.997527, abs=1e-6)
+        out = ccf(np.full((2, 2), 2.0), np.full((2, 2), 3.0), "multiply")
+        np.testing.assert_allclose(out, np.full((2, 2), 1 / (1 + np.exp(-6.0))), atol=1e-12)
+        assert out[0, 0] == pytest.approx(0.997527, abs=1e-6)
 
     def test_add_fusion_value(self):
-        out = ccf(Tensor(np.full((2, 2), 2.0)), Tensor(np.full((2, 2), 3.0)), "add")
-        np.testing.assert_allclose(out.data, np.full((2, 2), 1 / (1 + np.exp(-5.0))), atol=1e-12)
-        assert out.data[0, 0] == pytest.approx(0.993307, abs=1e-6)
+        out = ccf(np.full((2, 2), 2.0), np.full((2, 2), 3.0), "add")
+        np.testing.assert_allclose(out, np.full((2, 2), 1 / (1 + np.exp(-5.0))), atol=1e-12)
+        assert out[0, 0] == pytest.approx(0.993307, abs=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ccf(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+            ccf(np.ones((2, 3)), np.ones((3, 2)))
 
     def test_constant_second_map_degenerates_to_scaled_sigmoid(self):
         rng = np.random.default_rng(7)
         t_map = rng.standard_normal((4, 5))
         k = 1.7
-        out = ccf(Tensor(t_map), Tensor(np.full((4, 5), k)), "multiply")
-        np.testing.assert_allclose(out.data, oracles.sigmoid(k * t_map), atol=1e-15)
+        out = ccf(t_map, np.full((4, 5), k), "multiply")
+        np.testing.assert_allclose(out, oracles.logistic(k * t_map), atol=1e-15)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_output_strictly_inside_unit_interval(self, seed):
         # Strict at unit scale; float64 sigmoid saturates only past |x| ~ 37.
         rng = np.random.default_rng(seed)
-        out = ccf(
-            Tensor(rng.standard_normal((3, 4))),
-            Tensor(rng.standard_normal((3, 4))),
-        )
-        assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
+        out = ccf(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+        assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 class TestRecalibrate:
     def test_half_map_halves_input(self):
         x = np.random.default_rng(8).standard_normal((3, 2, 4, 4))
-        out = recalibrate(Tensor(x), Tensor(np.full((2, 3), 0.5)))
-        np.testing.assert_allclose(out.data, x / 2, atol=0)
+        out = recalibrate(x, np.full((2, 3), 0.5))
+        np.testing.assert_allclose(out, x / 2, atol=0)
 
     def test_near_one_map_preserves_pattern(self):
         x = np.random.default_rng(9).standard_normal((2, 2, 3, 3))
         f = np.full((2, 2), 1.0 - 1e-9)
-        out = recalibrate(Tensor(x), Tensor(f))
-        np.testing.assert_allclose(out.data, x, rtol=1e-8)
+        out = recalibrate(x, f)
+        np.testing.assert_allclose(out, x, rtol=1e-8)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 4, 2, 2))
         f = rng.uniform(0, 1, size=(4, 3))
-        out = recalibrate(Tensor(x), Tensor(f))
-        np.testing.assert_allclose(out.data, oracles.recalibrate_loops(x, f), atol=0)
+        out = recalibrate(x, f)
+        np.testing.assert_allclose(out, oracles.recalibrate_loops(x, f), atol=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            recalibrate(Tensor(np.ones((3, 2, 4, 4))), Tensor(np.ones((3, 2))))
+            recalibrate(np.ones((3, 2, 4, 4)), np.ones((3, 2)))
 
 
 class TestForward:
@@ -200,14 +207,19 @@ class TestForward:
         assert tcja_forward(Tensor(x), params).shape == x.shape
 
 
-def fused_map_gradient(z_data, w_data, e_data, i, j, fusion="multiply"):
-    """d f_map[i, j] / d z via reverse mode, as a (C, T) array."""
-    z = Tensor(z_data.copy(), requires_grad=True)
-    f_map = ccf(tla(z, Tensor(w_data)), cla(z, Tensor(e_data)), fusion)
-    mask = np.zeros(f_map.shape)
-    mask[i, j] = 1.0
-    (f_map * Tensor(mask)).sum().backward()
-    return z.grad
+def cross_gradient(z_data, w_data, e_data, i, j, fusion="multiply"):
+    """Input gradient of the block's output at (step j, channel i), as (C, T).
+
+    The input is H = W = 1 frames holding `z_data`, so the squeeze is the
+    identity and the gradient is x[j, i] * d f_map[i, j] / d z plus f_map[i, j]
+    at (i, j) itself.
+    """
+    x = Tensor(z_data.T[:, :, None, None].copy(), requires_grad=True)
+    params = TcjaParams(w=Tensor(w_data), e=Tensor(e_data), fusion=fusion)
+    probe = np.zeros(x.shape)
+    probe[j, i] = 1.0
+    (tcja_forward(x, params) * Tensor(probe)).sum().backward()
+    return x.grad[:, :, 0, 0].T
 
 
 class TestCrossReceptiveField:
@@ -218,7 +230,7 @@ class TestCrossReceptiveField:
         rng = np.random.default_rng(15)
         c_dim, t_dim, k_t, k_c = 6, 5, 2, 2
         i, j = 3, 2
-        grad = fused_map_gradient(
+        grad = cross_gradient(
             rng.standard_normal((c_dim, t_dim)),
             rng.standard_normal((c_dim, c_dim, k_t)),
             rng.standard_normal((t_dim, t_dim, k_c)),
@@ -243,7 +255,7 @@ class TestCrossReceptiveField:
             k_c = int(rng.integers(1, min(4, c_dim)))
             i = int(rng.integers(0, c_dim - k_c + 1))
             j = int(rng.integers(0, t_dim - k_t + 1))
-            grad = fused_map_gradient(
+            grad = cross_gradient(
                 rng.standard_normal((c_dim, t_dim)),
                 rng.standard_normal((c_dim, c_dim, k_t)),
                 rng.standard_normal((t_dim, t_dim, k_c)),
@@ -290,6 +302,33 @@ class TestGradients:
             fd = oracles.finite_difference_grad(lambda a: pick(a).item(), arr.copy())
             err = oracles.relative_error(tensor.grad, fd)
             assert err < 1e-4, f"{label}: {err}"
+
+
+class TestFusedParity:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fusion", ["multiply", "add"])
+    @pytest.mark.parametrize(
+        "shape", [(8, 16, 8, 8), (14, 64, 16, 16), (3, 4, 2, 2), (5, 7, 1, 3), (4, 5, 3, 1)]
+    )
+    def test_matches_unfused_composition_exactly(self, dtype, fusion, shape):
+        rng = np.random.default_rng(22)
+        t, c = shape[:2]
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((c, c, min(4, t - 1))).astype(dtype)
+        e = rng.standard_normal((t, t, min(4, c - 1))).astype(dtype)
+        probe = rng.standard_normal(shape).astype(dtype)
+        results = []
+        for forward in (tcja_forward, oracles.tcja_forward_unfused):
+            xt = Tensor(x, requires_grad=True)
+            params = TcjaParams(
+                w=Tensor(w, requires_grad=True), e=Tensor(e, requires_grad=True), fusion=fusion
+            )
+            out = forward(xt, params)
+            (out * Tensor(probe)).sum().backward()
+            results.append((out.data, xt.grad, params.w.grad, params.e.grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestParamCount:
@@ -340,8 +379,8 @@ class TestComplexityTrend:
         t_dim = 32
 
         def best_time(c_dim, k):
-            z = Tensor(rng.standard_normal((c_dim, t_dim)))
-            w = Tensor(rng.standard_normal((c_dim, c_dim, k)))
+            z = rng.standard_normal((c_dim, t_dim))
+            w = rng.standard_normal((c_dim, c_dim, k))
             tla(z, w)  # warm up
             best = np.inf
             for _ in range(5):

@@ -83,6 +83,14 @@ class TestConfig:
             ("--time_steps", "0"),
             ("--num_classes", "0"),
             ("--train.batch_size", "0"),
+            ("--data.synthetic.n_train", "0"),
+            ("--data.synthetic.height", "0"),
+            ("--data.synthetic.width", "0"),
+            ("--train.epochs", "-1"),
+            ("--train.seed", "-1"),
+            ("--data.synthetic.n_test", "-1"),
+            ("--data.synthetic.seed", "-1"),
+            ("--data.synthetic.noise_per_tick", "-1"),
         ],
     )
     def test_bad_value_type_or_range_exits_1(self, tmp_path, capsys, flag, value):

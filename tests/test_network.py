@@ -21,6 +21,7 @@ from tcja_snn.network import (
     voting_layer,
 )
 from tcja_snn.tensor import ShapeError, Tensor
+from tcja_snn.training import smse_loss
 
 import oracles
 
@@ -247,6 +248,15 @@ class TestForward:
         spikes_plain = net.layers[1].apply(net.layers[0].apply(x, _ctx()), _ctx())
         half = net_attn.layers[2].apply(spikes_plain, _ctx())
         np.testing.assert_allclose(half.data, spikes_plain.data * 0.5, atol=1e-12)
+
+    def test_desk_training_sample_builds_15_graph_nodes(self):
+        # One node per conv, LIF, pool, TCJA and FC layer (10), the flatten
+        # before FC, the voting reshape and mean, and the loss's sub, mul, mean.
+        net = self._desk_net(dtype=np.float32)
+        x = Tensor(np.random.default_rng(6).random((8, 2, 16, 16)).astype(np.float32))
+        out = net.forward(x, training=True, rng=np.random.default_rng(1))
+        loss = smse_loss(out, np.eye(4)[0])
+        assert sum(1 for node in loss._topo_order() if node._parents) == 15
 
     def test_output_spikes_binary_when_final_layer_is_lif(self):
         net = self._desk_net(arch_text="8C3-LIF-MP2-16FC-LIF")
