@@ -250,7 +250,7 @@ class TestForward:
         np.testing.assert_allclose(half.data, spikes_plain.data * 0.5, atol=1e-12)
 
     def test_desk_training_sample_builds_15_graph_nodes(self):
-        # One node per conv, LIF, pool, TCJA and FC layer (10), the flatten
+        # One node per conv, LIF, pool, TCJA and FC layer (9), the flatten
         # before FC, the voting reshape and mean, and the loss's sub, mul, mean.
         net = self._desk_net(dtype=np.float32)
         x = Tensor(np.random.default_rng(6).random((8, 2, 16, 16)).astype(np.float32))
