@@ -120,6 +120,7 @@ _OPTIONAL_TYPES = {"data.dir": str, "data.width": int, "data.height": int}
 # Smallest accepted value of each integer leaf that has one.
 _MINIMUMS = {
     "time_steps": 1, "num_classes": 1, "train.batch_size": 1, "train.epochs": 0, "train.seed": 0,
+    "data.width": 1, "data.height": 1,
     **{f"data.synthetic.{key}": 1 for key in ("height", "width", "n_train")},
     **{f"data.synthetic.{key}": 0 for key in ("n_test", "seed", "noise_per_tick")},
 }
@@ -150,7 +151,7 @@ def _check_config(config: dict, default: dict, path: str = "") -> None:
         kind = type(want) if want is not None else _OPTIONAL_TYPES[where]
         if not (value is None and want is None or _type_ok(value, kind)):
             raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
-        if where in _MINIMUMS and value < _MINIMUMS[where]:
+        if where in _MINIMUMS and value is not None and value < _MINIMUMS[where]:
             raise ConfigError(f"{where} must be >= {_MINIMUMS[where]}, got {value!r}")
 
 
@@ -217,9 +218,11 @@ def _load_samples(config: dict) -> tuple[list[data_mod.FrameSample], list[data_m
 
 
 def _build_from_config(config: dict, dims: tuple[int, int, int], rng: np.random.Generator):
-    # The train section carries two LIF settings: the surrogate and the reset mode.
+    # The train section carries two LIF settings, the surrogate and the reset mode,
+    # and the seed, which reaches training only as `rng`.
     train_kw = dict(config["train"])
     lif_kw = {key: train_kw.pop(key) for key in ("surrogate", "detach_reset")}
+    del train_kw["seed"]
     train_cfg = TrainConfig(**train_kw)
     lif_cfg = LifConfig(**lif_kw, **config["lif"])
     tcja_cfg = TcjaConfig(**config["tcja"])

@@ -21,7 +21,7 @@ import numpy as np
 
 EVENT_MAGIC = b"TCJAEVT0"
 _HEADER = struct.Struct("<HHI")  # width, height, count (after the 8-byte magic)
-_RECORD = struct.Struct("<IHHB")  # t (us), x, y, p
+_RECORD = np.dtype([("t", "<u4"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])  # packed, 9 bytes
 
 
 class DataError(ValueError):
@@ -87,18 +87,28 @@ def read_events(
 ) -> EventStream:
     """Load a CSV ("t,x,y,p" lines) file if the suffix is .csv, else a binary one.
 
-    Binary files carry their resolution in the header; CSV files take it
-    from the arguments, falling back to the tight bounding box.
+    A binary file is `EVENT_MAGIC`, one `_HEADER` (width, height, count) and
+    `count` packed `_RECORD`s. CSV lines carry no sensor size, so `width`
+    and `height` are required for them; a binary header must agree with
+    whichever of the two are given.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"event file not found: {path}")
     if path.suffix == ".csv":
-        return _read_csv(path, width, height)
-    return _read_bin(path)
+        if width is None or height is None:
+            raise DataError(f"{path}: CSV events need the sensor size; set data.width and data.height")
+        stream = _read_csv(path, width, height)
+    else:
+        stream = _read_bin(path)
+        for key, want, got in (("width", width, stream.width), ("height", height, stream.height)):
+            if want is not None and want != got:
+                raise DataError(f"{path}: header {key} {got} differs from data.{key}={want}")
+    stream.validate()
+    return stream
 
 
-def _read_csv(path: Path, width: int | None, height: int | None) -> EventStream:
+def _read_csv(path: Path, width: int, height: int) -> EventStream:
     rows = []
     with open(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -112,21 +122,8 @@ def _read_csv(path: Path, width: int | None, height: int | None) -> EventStream:
                 rows.append(tuple(int(v) for v in parts))
             except ValueError:
                 raise DataError(f"{path}: malformed line {lineno}: {line!r}") from None
-    if rows:
-        arr = np.asarray(rows, dtype=np.int64)
-        t, x, y, p = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    else:
-        t = x = y = p = np.zeros(0, dtype=np.int64)
-    stream = EventStream(
-        t=t,
-        x=x,
-        y=y,
-        p=p,
-        width=width if width is not None else (int(x.max()) + 1 if len(x) else 1),
-        height=height if height is not None else (int(y.max()) + 1 if len(y) else 1),
-    )
-    stream.validate()
-    return stream
+    arr = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+    return EventStream(*arr.T, width=width, height=height)
 
 
 def _read_bin(path: Path) -> EventStream:
@@ -137,21 +134,14 @@ def _read_bin(path: Path) -> EventStream:
         raise DataError(f"{path}: bad magic {blob[:8]!r} at byte 0")
     width, height, count = _HEADER.unpack_from(blob, 8)
     offset = 8 + _HEADER.size
-    expected = offset + count * _RECORD.size
+    expected = offset + count * _RECORD.itemsize
     if len(blob) != expected:
         raise DataError(
             f"{path}: expected {expected} bytes for {count} records, got {len(blob)}"
             f" (payload starts at byte {offset})"
         )
-    raw = np.frombuffer(blob, dtype=np.uint8, count=count * _RECORD.size, offset=offset)
-    rec = raw.reshape(count, _RECORD.size) if count else raw.reshape(0, _RECORD.size)
-    t = rec[:, 0:4].copy().view("<u4").reshape(count).astype(np.int64)
-    x = rec[:, 4:6].copy().view("<u2").reshape(count).astype(np.int64)
-    y = rec[:, 6:8].copy().view("<u2").reshape(count).astype(np.int64)
-    p = rec[:, 8].astype(np.int64)
-    stream = EventStream(t=t, x=x, y=y, p=p, width=width, height=height)
-    stream.validate()
-    return stream
+    rec = np.frombuffer(blob, dtype=_RECORD, count=count, offset=offset)
+    return EventStream(*(rec[f].astype(np.int64) for f in _RECORD.names), width=width, height=height)
 
 
 def write_events(path: str | Path, stream: EventStream) -> None:
@@ -160,13 +150,17 @@ def write_events(path: str | Path, stream: EventStream) -> None:
     stream.validate()
     if path.suffix == ".csv":
         with open(path, "w", newline="") as fh:
-            for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
-                fh.write(f"{t},{x},{y},{p}\n")
-    else:
-        parts = [EVENT_MAGIC, _HEADER.pack(stream.width, stream.height, len(stream))]
-        for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
-            parts.append(_RECORD.pack(int(t), int(x), int(y), int(p)))
-        path.write_bytes(b"".join(parts))
+            columns = np.column_stack((stream.t, stream.x, stream.y, stream.p))
+            np.savetxt(fh, columns, fmt="%d", delimiter=",")
+        return
+    # Timestamps are non-decreasing, so the ends bound them; numpy would wrap.
+    if len(stream) and not (0 <= stream.t[0] and stream.t[-1] < 2**32):
+        raise DataError(f"timestamps must lie in [0, 2**32), got {stream.t[0]}..{stream.t[-1]}")
+    rec = np.empty(len(stream), dtype=_RECORD)
+    for name in _RECORD.names:
+        rec[name] = getattr(stream, name)
+    header = _HEADER.pack(stream.width, stream.height, len(stream))
+    path.write_bytes(EVENT_MAGIC + header + rec.tobytes())
 
 
 # -- frame integration -----------------------------------------------------------
@@ -191,11 +185,12 @@ def integrate_frames(
     stream: EventStream, t_steps: int, label: np.ndarray | None = None
 ) -> FrameSample:
     """Count events per (polarity, x, y) cell within each time slice."""
-    bounds = slice_bounds(len(stream), t_steps)
-    frames = np.zeros((t_steps, 2, stream.height, stream.width), dtype=np.int64)
-    for j, (lo, hi) in enumerate(bounds):
-        np.add.at(frames[j], (stream.p[lo:hi], stream.y[lo:hi], stream.x[lo:hi]), 1)
-    return FrameSample(frames=frames.astype(np.float64), label=label)
+    sizes = [hi - lo for lo, hi in slice_bounds(len(stream), t_steps)]
+    step = np.repeat(np.arange(t_steps), sizes)
+    shape = (t_steps, 2, stream.height, stream.width)
+    cells = np.ravel_multi_index((step, stream.p, stream.y, stream.x), shape)
+    counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
+    return FrameSample(frames=counts.astype(np.float64), label=label)
 
 
 # -- augmentation -----------------------------------------------------------------
@@ -466,12 +461,13 @@ def load_dataset(
     width: int | None = None,
     height: int | None = None,
 ) -> list[tuple[EventStream, int]]:
-    """Read a manifest directory back into labeled streams."""
+    """Read a manifest directory back into labeled streams on one sensor grid."""
     root = Path(root)
     manifest = root / "manifest.csv"
     if not manifest.exists():
         raise DataError(f"manifest not found: {manifest}")
     dataset = []
+    grid = None
     with open(manifest, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -480,6 +476,12 @@ def load_dataset(
                 raise DataError(f"{manifest}: malformed line {lineno}: {row!r}")
             path, label = row[0], row[1]
             stream = read_events(root / path, width=width, height=height)
+            grid = grid or (stream.width, stream.height)
+            if (stream.width, stream.height) != grid:
+                raise DataError(
+                    f"{root / path}: sensor grid {stream.width}x{stream.height} differs from"
+                    f" the first file's {grid[0]}x{grid[1]}"
+                )
             dataset.append((stream, int(label)))
     return dataset
 

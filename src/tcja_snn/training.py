@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,6 @@ class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 16
     epochs: int = 10
-    seed: int = 0
     precision: str = "f32"
     optimizer: str = "adam"
     augment: bool = False
@@ -242,21 +241,8 @@ def _meta_dict(net: Network, cfg: TrainConfig) -> dict:
         "time_steps": net.arch.time_steps,
         "num_classes": net.num_classes,
         "precision": cfg.precision,
-        "lif": {
-            "tau": net.lif_cfg.tau,
-            "v_reset": net.lif_cfg.v_reset,
-            "v_threshold": net.lif_cfg.v_threshold,
-            "surrogate": net.lif_cfg.surrogate,
-            "alpha": net.lif_cfg.alpha,
-            "gamma": net.lif_cfg.gamma,
-            "detach_reset": net.lif_cfg.detach_reset,
-            "strict_eq2": net.lif_cfg.strict_eq2,
-        },
-        "tcja": {
-            "k_t": net.tcja_cfg.k_t,
-            "k_c": net.tcja_cfg.k_c,
-            "fusion": net.tcja_cfg.fusion,
-        },
+        "lif": asdict(net.lif_cfg),
+        "tcja": asdict(net.tcja_cfg),
     }
 
 
@@ -267,13 +253,14 @@ def make_checkpoint(
     rng: np.random.Generator,
     epoch: int,
 ) -> Checkpoint:
+    """Snapshot the run; arrays are copied, since training updates them in place."""
     records: list[tuple[str, np.ndarray]] = []
     for name, p in net.parameters():
-        records.append((f"param.{name}", p.data))
+        records.append((f"param.{name}", p.data.copy()))
     for name in sorted(opt_state.m):
-        records.append((f"adam.m.{name}", opt_state.m[name]))
+        records.append((f"adam.m.{name}", opt_state.m[name].copy()))
     for name in sorted(opt_state.v):
-        records.append((f"adam.v.{name}", opt_state.v[name]))
+        records.append((f"adam.v.{name}", opt_state.v[name].copy()))
     records.append(("opt.step", np.asarray([opt_state.step], dtype=np.int64)))
     records.append(("meta.epoch", np.asarray([epoch], dtype=np.int64)))
     records.append(("meta.rng", _json_blob(rng.bit_generator.state)))
@@ -345,8 +332,6 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerSt
 class TrainResult:
     history: list[dict]
     best_accuracy: float
-    best_checkpoint: Checkpoint | None
-    final_checkpoint: Checkpoint
 
 
 def train(
@@ -431,9 +416,4 @@ def train(
         (out_dir / "timing.csv").write_text("\n".join(timing_rows) + "\n")
         save_checkpoint(out_dir / "best.ckpt", best_ckpt)
         save_checkpoint(out_dir / "last.ckpt", final_ckpt)
-    return TrainResult(
-        history=history,
-        best_accuracy=max(best_acc, 0.0),
-        best_checkpoint=best_ckpt,
-        final_checkpoint=final_ckpt,
-    )
+    return TrainResult(history=history, best_accuracy=best_acc)

@@ -375,6 +375,18 @@ def smse_loops(outputs: np.ndarray, target: np.ndarray) -> float:
     return total / t_steps
 
 
+def integrate_frames_loops(
+    t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray, width: int, height: int,
+    t_steps: int,
+) -> np.ndarray:
+    """Event i of N lands in slice min(i // floor(N/T), T - 1)."""
+    base = len(t) // t_steps
+    frames = np.zeros((t_steps, 2, height, width))
+    for i in range(len(t)):
+        frames[min(i // base, t_steps - 1), p[i], y[i], x[i]] += 1
+    return frames
+
+
 def finite_difference_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central differences of a scalar function of a dense array."""
     grad = np.zeros_like(x, dtype=np.float64)

@@ -273,8 +273,8 @@ def _acceptance_dataset():
 
 def _train_arch(arch_text, train_samples, test_samples, epochs=14):
     arch = parse_arch(arch_text, input_dims=(2, 16, 16), time_steps=8)
-    cfg = TrainConfig(epochs=epochs, batch_size=16, seed=0, lr=1e-3)
-    rng = np.random.default_rng(cfg.seed)
+    cfg = TrainConfig(epochs=epochs, batch_size=16, lr=1e-3)
+    rng = np.random.default_rng(0)
     net = build_network(arch, 4, rng=rng, dtype=cfg.dtype)
     return train(net, train_samples, test_samples, cfg, rng)
 
@@ -306,8 +306,8 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
             arch = parse_arch(
                 "4C3-LIF-MP2-TCJA-16FC-LIF-Voting", input_dims=(2, 8, 8), time_steps=4
             )
-            cfg = TrainConfig(epochs=2, batch_size=8, seed=3)
-            rng = np.random.default_rng(cfg.seed)
+            cfg = TrainConfig(epochs=2, batch_size=8)
+            rng = np.random.default_rng(3)
             net = build_network(arch, 4, rng=rng, dtype=cfg.dtype)
             result = train(net, train_samples, test_samples, cfg, rng, out_dir=out)
             return result, net, test_samples

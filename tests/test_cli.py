@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
+from tcja_snn.data import gen_synthetic, write_dataset
 
 import oracles
 
@@ -80,6 +81,8 @@ class TestConfig:
             ("--data.synthetic", '{"kind": "moving-bar"}'),  # section missing keys
             ("--data.dir", "5"),  # null default takes a str
             ("--data.width", '"8"'),  # null default takes an int
+            ("--data.width", "0"),
+            ("--data.height", "-3"),
             ("--time_steps", "0"),
             ("--num_classes", "0"),
             ("--train.batch_size", "0"),
@@ -397,6 +400,30 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--out", str(out), "--n", "4", "--bogus", "1"]) == 1
         assert "--bogus" in capsys.readouterr().err
         assert not out.exists()
+
+    def _train_on(self, tmp_path, data_dir, *flags):
+        return main(["train", "--arch", "4C3-LIF-MP2-16FC-LIF-Voting", "--train.epochs", "0",
+                     "--out_dir", str(tmp_path / "run"), "--data.dir", str(data_dir), *flags])
+
+    def test_csv_dir_needs_sensor_size(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(out), "--n", "48", "--format", "csv"]) == 0
+        assert self._train_on(tmp_path, out) == 2
+        assert "data.width and data.height" in capsys.readouterr().err
+        assert self._train_on(tmp_path, out, "--data.width", "16", "--data.height", "16") == 0
+
+    def test_bin_dir_rejects_contradicting_size(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(out), "--n", "40"]) == 0
+        assert self._train_on(tmp_path, out, "--data.width", "8") == 2
+        assert "header width 16 differs from data.width=8" in capsys.readouterr().err
+
+    def test_mixed_grid_dir_names_the_file(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        dataset = gen_synthetic(n=40) + gen_synthetic(height=12, width=12, n=1)
+        write_dataset(out, dataset)
+        assert self._train_on(tmp_path, out) == 2
+        assert "sample_00040.bin: sensor grid 12x12 differs" in capsys.readouterr().err
 
     def test_generated_dir_trains(self, tmp_path):
         out = tmp_path / "data"

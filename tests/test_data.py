@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,8 @@ from tcja_snn.data import (
     write_dataset,
     write_events,
 )
+
+import oracles
 
 
 def toy_stream(n=12, width=8, height=6, seed=0):
@@ -98,6 +103,46 @@ class TestEventIo:
     def test_missing_file(self):
         with pytest.raises(DataError, match="not found"):
             read_events("/nonexistent/events.bin")
+
+    def test_binary_layout_golden_bytes(self, tmp_path):
+        stream = EventStream(
+            t=np.array([7, 4_000_000_000]), x=np.array([1, 300]), y=np.array([2, 0]),
+            p=np.array([1, 0]), width=320, height=240,
+        )
+        path = tmp_path / "two.bin"
+        write_events(path, stream)
+        assert path.read_bytes() == (
+            b"TCJAEVT0"
+            + struct.pack("<HHI", 320, 240, 2)
+            + struct.pack("<IHHB", 7, 1, 2, 1)
+            + struct.pack("<IHHB", 4_000_000_000, 300, 0, 0)
+        )
+        back = read_events(path)
+        np.testing.assert_array_equal(back.t, stream.t)
+        np.testing.assert_array_equal(back.x, stream.x)
+
+    @pytest.mark.parametrize("t", [[-1, 5], [0, 2**32]])
+    def test_timestamp_outside_u32_rejected(self, tmp_path, t):
+        zeros = np.zeros(2, dtype=np.int64)
+        stream = EventStream(t=np.array(t), x=zeros, y=zeros, p=zeros, width=1, height=1)
+        with pytest.raises(DataError, match="timestamps"):
+            write_events(tmp_path / "t.bin", stream)
+
+    def test_csv_needs_both_sizes(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("100,1,2,1\n")
+        for sizes in ({}, {"width": 8}, {"height": 6}):
+            with pytest.raises(DataError, match="data.width and data.height"):
+                read_events(path, **sizes)
+
+    def test_binary_header_must_match_given_size(self, tmp_path):
+        path = tmp_path / "events.bin"
+        write_events(path, toy_stream(width=8, height=6))
+        assert read_events(path, width=8, height=6).width == 8
+        with pytest.raises(DataError, match="header width 8 differs from data.width=9"):
+            read_events(path, width=9)
+        with pytest.raises(DataError, match="header height 6 differs from data.height=5"):
+            read_events(path, height=5)
 
 
 def _read_or_data_error(path, blob: bytes) -> None:
@@ -176,6 +221,19 @@ class TestIntegration:
         assert sample.frames.shape == (t, 2, stream.height, stream.width)
         assert sample.frames.sum() == n
         assert np.all(sample.frames >= 0)
+
+    @pytest.mark.parametrize(
+        "n, t_steps, silent",
+        [(23, 4, None), (5, 5, None), (40, 3, 0), (17, 6, 1)],  # N % T != 0, N == T, one polarity
+    )
+    def test_matches_per_event_loop(self, n, t_steps, silent):
+        stream = toy_stream(n=n, seed=n)
+        if silent is not None:
+            stream.p[:] = 1 - silent
+        expected = oracles.integrate_frames_loops(
+            stream.t, stream.x, stream.y, stream.p, stream.width, stream.height, t_steps
+        )
+        np.testing.assert_array_equal(integrate_frames(stream, t_steps).frames, expected)
 
     def test_counts_land_in_correct_cells(self):
         stream = EventStream(
@@ -326,6 +384,20 @@ class TestSynthetic:
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
 
+    def test_written_bytes_match_recorded_digest(self, tmp_path):
+        # Guards both on-disk event formats: the digest was taken when the
+        # binary writer still packed one struct per record.
+        digest = hashlib.sha256()
+        for fmt in ("bin", "csv"):
+            out = tmp_path / fmt
+            write_dataset(out, gen_synthetic(n=8, seed=0), fmt=fmt)
+            for f in sorted(out.iterdir()):
+                digest.update(f"{fmt}/{f.name}\n".encode())
+                digest.update(f.read_bytes())
+        assert digest.hexdigest() == (
+            "fbf3ae9a750538b136af5a41e73d85e12082ac76395203979dbb1e2cc54a3cce"
+        )
+
     def test_generated_streams_conserve_count_through_integration(self):
         for stream, _ in gen_synthetic(classes=8, height=10, width=10, t_steps=5, n=8, seed=1):
             sample = integrate_frames(stream, 5)
@@ -357,6 +429,12 @@ class TestDatasetDir:
         back = load_dataset(tmp_path, width=8, height=8)
         for (s1, _), (s2, _) in zip(dataset, back):
             np.testing.assert_array_equal(s1.t, s2.t)
+
+    def test_mixed_grid_dataset_names_the_file(self, tmp_path):
+        small = gen_synthetic(classes=2, height=6, width=6, t_steps=4, n=1, seed=0)
+        write_dataset(tmp_path, gen_synthetic(classes=2, height=8, width=8, t_steps=4, n=2) + small)
+        with pytest.raises(DataError, match="sample_00002.bin: sensor grid 6x6 differs"):
+            load_dataset(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):

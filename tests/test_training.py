@@ -241,7 +241,7 @@ class TestCheckpoint:
         train_samples, test_samples = tiny_dataset()
         net = tiny_net(seed=5)
         cfg = TrainConfig(epochs=1, batch_size=8)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(0)
         train(net, train_samples, test_samples, cfg, rng)
         before = evaluate(net, test_samples).accuracy
         ckpt = make_checkpoint(net, cfg, OptimizerState(), rng, epoch=1)
@@ -250,6 +250,37 @@ class TestCheckpoint:
         restored, _, _, _, _ = restore_network(load_checkpoint(path))
         after = evaluate(restored, test_samples).accuracy
         assert before == after
+
+    def test_records_survive_later_in_place_updates(self):
+        net = tiny_net()
+        cfg = TrainConfig(lr=0.1)
+        state = OptimizerState()
+
+        def step():
+            for _, p in net.parameters():
+                p.grad = np.ones_like(p.data)
+            optimizer_step(net.parameters(), state, cfg)
+
+        step()  # so the Adam moments exist and are nonzero
+        ckpt = make_checkpoint(net, cfg, state, np.random.default_rng(0), epoch=0)
+        kept = [(name, arr.copy()) for name, arr in ckpt.records]
+        for _, p in net.parameters():
+            p.data += 1.0
+        step()
+        for (name, arr), (_, before) in zip(ckpt.records, kept):
+            np.testing.assert_array_equal(arr, before, err_msg=name)
+
+    def test_best_checkpoint_scores_the_best_epoch(self, tmp_path):
+        train_samples, test_samples = tiny_dataset()
+        cfg = TrainConfig(epochs=3, batch_size=8, lr=0.05)
+        result = train(tiny_net(seed=3), train_samples, test_samples, cfg,
+                       np.random.default_rng(3), out_dir=tmp_path)
+        accs = [row["test_acc"] for row in result.history]
+        best_epoch = accs.index(result.best_accuracy)
+        assert accs[-1] < result.best_accuracy  # the best epoch precedes the last
+        restored, _, _, _, epoch = restore_network(load_checkpoint(tmp_path / "best.ckpt"))
+        assert epoch == best_epoch
+        assert evaluate(restored, test_samples).accuracy == result.best_accuracy
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -385,8 +416,8 @@ class TestTrainLoop:
         for run in ("a", "b"):
             train_samples, test_samples = tiny_dataset()
             net = tiny_net(seed=2)
-            cfg = TrainConfig(epochs=2, batch_size=8, seed=3)
-            train(net, train_samples, test_samples, cfg, np.random.default_rng(cfg.seed),
+            cfg = TrainConfig(epochs=2, batch_size=8)
+            train(net, train_samples, test_samples, cfg, np.random.default_rng(3),
                   out_dir=tmp_path / run)
             outs.append(tmp_path / run)
         a, b = outs
@@ -413,7 +444,7 @@ class TestTrainLoop:
             train_samples, test_samples = tiny_dataset()
             net = tiny_net(seed=4)
             cfg = TrainConfig(epochs=2, batch_size=8, augment=augment)
-            result = train(net, train_samples, test_samples, cfg, np.random.default_rng(cfg.seed))
+            result = train(net, train_samples, test_samples, cfg, np.random.default_rng(0))
             losses.append([row["train_loss"] for row in result.history])
         assert losses[0] == losses[1]
         assert all(np.isfinite(v) for v in losses[0])
