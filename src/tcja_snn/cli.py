@@ -178,8 +178,15 @@ def _echo_config(config: dict, out_dir: Path) -> None:
     (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
 
-def _load_samples(config: dict) -> tuple[list[data_mod.FrameSample], list[data_mod.FrameSample]]:
-    """Build train/test frame sets from a dataset directory or the generator."""
+def _load_samples(
+    config: dict, test_only: bool = False
+) -> tuple[list[data_mod.FrameSample], list[data_mod.FrameSample]]:
+    """Build train/test frame sets from a dataset directory or the generator.
+
+    With `test_only` the training set comes back empty: a dataset directory
+    is still read whole, so its split and grid checks still run, but the
+    training streams are neither generated nor integrated.
+    """
     t_steps = config["time_steps"]
     num_classes = config["num_classes"]
     data_cfg = config["data"]
@@ -192,27 +199,26 @@ def _load_samples(config: dict) -> tuple[list[data_mod.FrameSample], list[data_m
         train_streams, test_streams = data_mod.split_train_test(
             streams, labels, seed=config["train"]["seed"]
         )
-        return (
-            data_mod.frames_dataset(train_streams, t_steps, num_classes),
-            data_mod.frames_dataset(test_streams, t_steps, num_classes),
+    else:
+        syn = data_cfg["synthetic"]
+        if syn["classes"] != num_classes:
+            raise ConfigError(
+                f"num_classes={num_classes} does not match synthetic classes={syn['classes']}"
+            )
+        common = dict(
+            kind=syn["kind"],
+            classes=syn["classes"],
+            height=syn["height"],
+            width=syn["width"],
+            t_steps=t_steps,
+            noise_per_tick=syn["noise_per_tick"],
         )
-    syn = data_cfg["synthetic"]
-    if syn["classes"] != num_classes:
-        raise ConfigError(
-            f"num_classes={num_classes} does not match synthetic classes={syn['classes']}"
+        train_streams = [] if test_only else data_mod.gen_synthetic(
+            n=syn["n_train"], seed=syn["seed"], **common
         )
-    common = dict(
-        kind=syn["kind"],
-        classes=syn["classes"],
-        height=syn["height"],
-        width=syn["width"],
-        t_steps=t_steps,
-        noise_per_tick=syn["noise_per_tick"],
-    )
-    train_streams = data_mod.gen_synthetic(n=syn["n_train"], seed=syn["seed"], **common)
-    test_streams = data_mod.gen_synthetic(n=syn["n_test"], seed=syn["seed"] + 1, **common)
+        test_streams = data_mod.gen_synthetic(n=syn["n_test"], seed=syn["seed"] + 1, **common)
     return (
-        data_mod.frames_dataset(train_streams, t_steps, num_classes),
+        [] if test_only else data_mod.frames_dataset(train_streams, t_steps, num_classes),
         data_mod.frames_dataset(test_streams, t_steps, num_classes),
     )
 
@@ -264,7 +270,7 @@ def _matching_test_samples(net: Network, config: dict) -> list[data_mod.FrameSam
             f"checkpoint has {net.num_classes} classes,"
             f" config asks for {config['num_classes']}"
         )
-    _, test_samples = _load_samples(config)
+    _, test_samples = _load_samples(config, test_only=True)
     expected = list(net.arch.input_dims)
     data_dims = list(test_samples[0].frames.shape[1:]) if test_samples else expected
     if data_dims != expected:

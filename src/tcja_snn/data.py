@@ -153,9 +153,14 @@ def write_events(path: str | Path, stream: EventStream) -> None:
             columns = np.column_stack((stream.t, stream.x, stream.y, stream.p))
             np.savetxt(fh, columns, fmt="%d", delimiter=",")
         return
+    for key in ("width", "height"):
+        if not 0 <= getattr(stream, key) < 2**16:
+            raise DataError(f"{path}: {key} {getattr(stream, key)} does not fit the u16 header")
     # Timestamps are non-decreasing, so the ends bound them; numpy would wrap.
     if len(stream) and not (0 <= stream.t[0] and stream.t[-1] < 2**32):
-        raise DataError(f"timestamps must lie in [0, 2**32), got {stream.t[0]}..{stream.t[-1]}")
+        raise DataError(
+            f"{path}: timestamps must lie in [0, 2**32), got {stream.t[0]}..{stream.t[-1]}"
+        )
     rec = np.empty(len(stream), dtype=_RECORD)
     for name in _RECORD.names:
         rec[name] = getattr(stream, name)

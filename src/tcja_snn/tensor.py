@@ -3,8 +3,8 @@
 Values live in numpy arrays; the computation graph is a web of parent
 links and backward closures built as ops execute, and walked in reverse
 topological order by ``Tensor.backward()``. Gradients accumulate
-additively across fan-out. Each forward pass builds a fresh graph, so
-there is no tape to reset between iterations.
+additively across fan-out. Each forward pass builds a fresh graph, which
+backward frees as it goes, so there is no tape to reset between iterations.
 """
 
 from __future__ import annotations
@@ -113,14 +113,23 @@ class Tensor:
         return Tensor(self.data)
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar; fills grads of every reachable leaf."""
+        """Reverse-mode pass from a scalar; fills grads of every reachable leaf.
+
+        Once its closure has run, a node drops the closure, its parents and,
+        unless it is this root, its grad, so the graph is freed as it is used.
+        """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
         order = self._topo_order()
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents = None, ()
+            if node is not self:
+                node.grad = None
 
     def _topo_order(self) -> list["Tensor"]:
         order: list[Tensor] = []
@@ -305,47 +314,43 @@ def _col2out(mat: np.ndarray, batch: int, out_h: int, out_w: int) -> np.ndarray:
 def pool2d(x: Tensor, kind: str, k: int) -> Tensor:
     """Non-overlapping pooling over the two trailing axes.
 
-    Max pooling routes its gradient to the window argmax, ties broken by
-    the first element in row-major scan order.
+    Works on the k² strided taps x[..., i::k, j::k], one per window
+    position. Max pooling routes its gradient to the first tap in
+    row-major scan order that holds the window max.
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"unknown pooling kind {kind!r}")
     if x.ndim < 2:
         raise ShapeError(f"pool2d needs at least 2 dims, got {x.shape}")
-    *lead, height, width = x.shape
+    height, width = x.shape[-2:]
     if height % k or width % k:
         raise ShapeError(
             f"spatial dims {height}x{width} not divisible by pooling size {k}"
         )
-    out_h, out_w = height // k, width // k
-    n_lead = len(lead)
-    blocked = x.data.reshape(*lead, out_h, k, out_w, k)
-    perm = tuple(range(n_lead)) + (n_lead, n_lead + 2, n_lead + 1, n_lead + 3)
-    windows = blocked.transpose(perm)  # (*lead, out_h, out_w, k, k)
-    flat = windows.reshape(*lead, out_h, out_w, k * k)
-    src = x
-
+    taps = [(..., slice(i, None, k), slice(j, None, k)) for i in range(k) for j in range(k)]
+    combine = np.maximum if kind == "max" else np.add
+    out = x.data[taps[0]].copy()
+    for tap in taps[1:]:
+        combine(out, x.data[tap], out=out)
     if kind == "avg":
-        out = flat.mean(axis=-1)
+        out /= k * k
 
-        def backward(g: np.ndarray) -> None:
-            dflat = np.broadcast_to(
-                (g / (k * k))[..., None], (*lead, out_h, out_w, k * k)
-            )
-            dwin = dflat.reshape(*lead, out_h, out_w, k, k).transpose(perm)
-            src._accumulate(dwin.reshape(src.shape))
+    def backward(g: np.ndarray) -> None:
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        if kind == "avg":
+            share = g / (k * k)
+            for tap in taps:
+                dx[tap] = share
+        else:
+            # np.where, not g * hit, so a negative g leaves +0.0 off the max.
+            taken = np.zeros(out.shape, dtype=bool)
+            for tap in taps:
+                hit = (x.data[tap] == out) & ~taken
+                dx[tap] = np.where(hit, g, 0)
+                taken |= hit
+        x._accumulate(dx)
 
-    else:
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-
-        def backward(g: np.ndarray) -> None:
-            dflat = np.zeros((*lead, out_h, out_w, k * k), dtype=g.dtype)
-            np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-            dwin = dflat.reshape(*lead, out_h, out_w, k, k).transpose(perm)
-            src._accumulate(dwin.reshape(src.shape))
-
-    return Tensor._node(np.ascontiguousarray(out), (src,), backward)
+    return Tensor._node(out, (x,), backward)
 
 
 def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

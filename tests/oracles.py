@@ -60,16 +60,52 @@ def conv1d_loops(x: np.ndarray, kernel: np.ndarray, padding_right: int | None = 
     return out
 
 
-def pool2d_loops(x: np.ndarray, kind: str, k: int) -> np.ndarray:
-    *lead, h, w = x.shape
-    flat = x.reshape(-1, h, w)
-    out = np.zeros((flat.shape[0], h // k, w // k))
+def _pool_windows(x: np.ndarray, k: int):
+    """Yield (n, i, j, window) over every k x k window of x flattened to (N, H, W)."""
+    flat = x.reshape(-1, *x.shape[-2:])
     for n in range(flat.shape[0]):
-        for i in range(h // k):
-            for j in range(w // k):
-                window = flat[n, i * k : (i + 1) * k, j * k : (j + 1) * k]
-                out[n, i, j] = window.max() if kind == "max" else window.mean()
+        for i in range(flat.shape[1] // k):
+            for j in range(flat.shape[2] // k):
+                yield n, i, j, flat[n, i * k : (i + 1) * k, j * k : (j + 1) * k]
+
+
+def _first_max(window: np.ndarray) -> tuple[int, int]:
+    """Position of the first largest entry in row-major scan order."""
+    best = (0, 0)
+    for a in range(window.shape[0]):
+        for b in range(window.shape[1]):
+            if window[a, b] > window[best]:
+                best = (a, b)
+    return best
+
+
+def pool2d_loops(x: np.ndarray, kind: str, k: int) -> np.ndarray:
+    """Window max, or the row-major running sum over k² (in x's dtype)."""
+    *lead, h, w = x.shape
+    out = np.zeros((int(np.prod(lead)), h // k, w // k), dtype=x.dtype)
+    for n, i, j, window in _pool_windows(x, k):
+        if kind == "max":
+            out[n, i, j] = window[_first_max(window)]
+        else:
+            acc = window[0, 0]
+            for value in window.reshape(-1)[1:]:
+                acc = acc + value
+            out[n, i, j] = acc / (k * k)
     return out.reshape(*lead, h // k, w // k)
+
+
+def pool2d_grad_loops(x: np.ndarray, g: np.ndarray, kind: str, k: int) -> np.ndarray:
+    """Input gradient of pool2d: g/k² over each window, or g at its first max."""
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    flat_dx = dx.reshape(-1, *x.shape[-2:])
+    flat_g = g.reshape(-1, *g.shape[-2:])
+    for n, i, j, window in _pool_windows(x, k):
+        if kind == "max":
+            a, b = _first_max(window)
+            flat_dx[n, i * k + a, j * k + b] = flat_g[n, i, j]
+        else:
+            flat_dx[n, i * k : (i + 1) * k, j * k : (j + 1) * k] = flat_g[n, i, j] / (k * k)
+    return dx
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:

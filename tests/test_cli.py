@@ -361,6 +361,49 @@ class TestInspectAttention:
         assert code == 5
 
 
+class TestHeldOutSplitOnly:
+    """`eval` and `inspect-attention` build the test split and nothing else."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "dir"])
+    def test_outputs_unchanged_and_no_training_sample_integrated(
+        self, tmp_path, monkeypatch, source
+    ):
+        from tcja_snn import cli, data
+
+        path, out_dir = quick_config(tmp_path, epochs=1)
+        flags = []
+        if source == "dir":
+            assert main(["gen-synthetic", "--out", str(tmp_path / "data"), "--n", "40",
+                         "--height", "8", "--width", "8", "--t-steps", "4"]) == 0
+            flags = ["--data.dir", str(tmp_path / "data")]
+        assert main(["train", "--config", str(path), *flags]) == 0
+        n_test = len(cli._load_samples(load_config(str(path), flags))[1])
+        ckpt = str(out_dir / "last.ckpt")
+
+        def run(tag: str) -> dict[str, bytes]:
+            out = tmp_path / tag
+            for command in ("eval", "inspect-attention"):
+                assert main([command, "--checkpoint", ckpt, "--config", str(path),
+                             "--out", str(out), *flags]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        load_both = cli._load_samples
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_load_samples", lambda config, test_only=False: load_both(config))
+            reference = run("both_splits")
+        integrated = []
+        real_integrate = data.integrate_frames
+
+        def integrate(*args, **kwargs):
+            integrated.append(len(args[0]))  # events in the stream
+            return real_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(data, "integrate_frames", integrate)
+        assert run("test_split") == reference
+        assert "predictions.csv" in reference and "block0_ccf.pgm" in reference
+        assert len(integrated) == 2 * n_test  # one test split for each command
+
+
 class TestBench:
     """The parameter figures the retired bench CSV reported, read from their source."""
 

@@ -128,6 +128,15 @@ class TestEventIo:
         with pytest.raises(DataError, match="timestamps"):
             write_events(tmp_path / "t.bin", stream)
 
+    @pytest.mark.parametrize("sizes", [{"width": 70000, "height": 1}, {"width": 1, "height": 65536}])
+    def test_sensor_size_outside_u16_rejected(self, tmp_path, sizes):
+        empty = np.zeros(0, dtype=np.int64)
+        stream = EventStream(t=empty, x=empty, y=empty, p=empty, **sizes)
+        key = "width" if sizes["width"] > 1 else "height"
+        with pytest.raises(DataError, match=rf"big\.bin: {key} {sizes[key]} does not fit"):
+            write_events(tmp_path / "big.bin", stream)
+        assert not (tmp_path / "big.bin").exists()
+
     def test_csv_needs_both_sizes(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("100,1,2,1\n")

@@ -258,6 +258,17 @@ class TestForward:
         loss = smse_loss(out, np.eye(4)[0])
         assert sum(1 for node in loss._topo_order() if node._parents) == 15
 
+    def test_backward_frees_the_sample_graph(self):
+        net = self._desk_net(dtype=np.float32)
+        x = Tensor(np.random.default_rng(6).random((8, 2, 16, 16)).astype(np.float32))
+        loss = smse_loss(net.forward(x, training=True, rng=np.random.default_rng(1)), np.eye(4)[0])
+        interior = [node for node in loss._topo_order() if node._parents and node is not loss]
+        loss.backward()
+        assert interior
+        for node in interior:
+            assert node._backward is None and node._parents == () and node.grad is None
+        assert all(p.grad is not None for _, p in net.parameters())
+
     def test_output_spikes_binary_when_final_layer_is_lif(self):
         net = self._desk_net(arch_text="8C3-LIF-MP2-16FC-LIF")
         x = Tensor(np.random.default_rng(4).random((8, 2, 16, 16)) * 3)

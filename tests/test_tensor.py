@@ -34,6 +34,13 @@ def grad_check(build_inputs, forward, n_cases=5, seed=0, tol=1e-4):
             assert err < tol, f"input {idx}: relative error {err}"
 
 
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and bytes, so -0.0 and +0.0 differ."""
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert oracles.sigmoid(Tensor(np.zeros(3))).data == pytest.approx([0.5, 0.5, 0.5])
@@ -175,6 +182,32 @@ class TestPool:
         out = pool2d(Tensor(x), kind, 2)
         np.testing.assert_allclose(out.data, oracles.pool2d_loops(x, kind, 2), atol=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("inputs", ["spikes", "gaussian"])
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_loop_oracle_forward_and_backward(self, k, kind, inputs, dtype):
+        # Binary spikes tie within most windows; the first in row-major scan wins.
+        rng = np.random.default_rng(100 * k + len(inputs))
+        for n_lead in range(4):
+            shape = (2, 3, 2)[:n_lead] + (2 * k, 3 * k)
+            if inputs == "spikes":
+                x = (rng.random(shape) < 0.3).astype(dtype)
+            else:
+                x = rng.standard_normal(shape).astype(dtype)
+            g = rng.standard_normal(shape[:-2] + (2, 3)).astype(dtype)
+            xt = Tensor(x, requires_grad=True)
+            out = pool2d(xt, kind, k)
+            (out * Tensor(g)).sum().backward()
+            want = oracles.pool2d_loops(x, kind, k)
+            if kind == "avg" and k >= 3:
+                # Only the order in which the k² terms are summed may differ.
+                tol = k * k * np.finfo(dtype).eps * np.abs(x).max()
+                np.testing.assert_allclose(out.data, want, rtol=0, atol=tol)
+            else:
+                assert_same_bits(out.data, want)
+            assert_same_bits(xt.grad, oracles.pool2d_grad_loops(x, g, kind, k))
+
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError, match="not divisible"):
             pool2d(Tensor(np.ones((5, 5))), "avg", 2)
@@ -270,6 +303,27 @@ class TestBackward:
         restacked.sum().backward()
         expected = np.repeat(np.array([[1.0], [2.0], [3.0]]), 4, axis=1)
         np.testing.assert_array_equal(x.grad, expected)
+
+    def test_interior_nodes_released_and_leaf_grads_kept(self):
+        # Dyadic values keep every product and sum exact.
+        xv, wv = np.array([1.0, -2.0, 0.5]), np.array([0.25, 4.0, -1.5])
+        x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+        y = x * w
+        yx = y * x
+        z = y + yx
+        loss = z.sum()
+        loss.backward()
+        for node in (y, yx, z):
+            assert node._backward is None and node._parents == () and node.grad is None
+        assert loss._backward is None and loss._parents == ()
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        # z = xw + x²w: dz/dx = w + 2xw, dz/dw = x + x².
+        np.testing.assert_array_equal(x.grad, wv + 2 * xv * wv)
+        np.testing.assert_array_equal(w.grad, xv + xv * xv)
+        # A second graph over the same leaves accumulates into their grads.
+        (x * w).sum().backward()
+        np.testing.assert_array_equal(x.grad, 2 * wv + 2 * xv * wv)
+        np.testing.assert_array_equal(w.grad, 2 * xv + xv * xv)
 
 
 class TestDeterminism:
