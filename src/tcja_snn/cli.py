@@ -23,7 +23,7 @@ from . import data as data_mod
 from .attention import AttentionMaps, TcjaConfig, score_maps
 from .network import ArchParseError, Network, TcjaLayer, build_network, parse_arch
 from .neuron import LifConfig
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .training import (
     CheckpointError,
     NumericsError,
@@ -339,7 +339,8 @@ def cmd_inspect_attention(args, overrides: list[str]) -> int:
         if isinstance(layer, TcjaLayer):
             blocks.append(score_maps(x_in.data, layer.params))
 
-    net.forward(Tensor(sample.frames.astype(net.dtype)), observe=observe)
+    with no_grad():
+        net.forward(Tensor(sample.frames.astype(net.dtype)), observe=observe)
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, maps in enumerate(blocks):

@@ -5,17 +5,37 @@ links and backward closures built as ops execute, and walked in reverse
 topological order by ``Tensor.backward()``. Gradients accumulate
 additively across fan-out. Each forward pass builds a fresh graph, which
 backward frees as it goes, so there is no tape to reset between iterations.
+Inside a ``no_grad()`` block no graph is recorded at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an operation."""
+
+
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block: ops return plain values.
+
+    For forward passes whose result is never differentiated, such as
+    evaluation; nothing is kept alive for a backward that never runs.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -62,9 +82,10 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Build a graph node; records the closure only if a parent needs grad."""
+        """Build a graph node; records the closure only if a parent needs grad
+        and no `no_grad` block is active."""
         out = cls(data)
-        if any(p.requires_grad for p in parents):
+        if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -280,35 +301,34 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     out_w = width + 2 * padding - k + 1
 
     padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(padded, k)
-    out = _col2out(cols @ kernel.data.reshape(c_out, -1).T, batch, out_h, out_w)
+    cols = _im2col(padded, k, out_h, out_w)
+    out = np.matmul(kernel.data.reshape(c_out, -1), cols).reshape(batch, c_out, out_h, out_w)
     xt, kt = x, kernel
 
     def backward(g: np.ndarray) -> None:
         if kt.requires_grad:
-            gmat = g.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, c_out)
-            kt._accumulate((gmat.T @ cols).reshape(kt.shape))
+            g3 = g.reshape(batch, c_out, out_h * out_w)
+            kt._accumulate(np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kt.shape))
         if xt.requires_grad:
             # dx is the correlation of the output gradient, padded by
             # k-1-padding, with the flipped, channel-swapped kernel.
             lead = k - 1 - padding
             spread = np.pad(g, ((0, 0), (0, 0), (lead, lead), (lead, lead)))
             flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-            xt._accumulate(_col2out(_im2col(spread, k) @ flipped.T, batch, height, width))
+            dx = np.matmul(flipped, _im2col(spread, k, height, width))
+            xt._accumulate(dx.reshape(xt.shape))
 
-    return Tensor._node(np.ascontiguousarray(out), (xt, kt), backward)
-
-
-def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, H, W) -> (B*out_h*out_w, C*k*k) rows of k x k windows."""
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    batch, _, out_h, out_w, _, _ = windows.shape
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w, -1)
+    return Tensor._node(out, (xt, kt), backward)
 
 
-def _col2out(mat: np.ndarray, batch: int, out_h: int, out_w: int) -> np.ndarray:
-    """(B*out_h*out_w, C) GEMM result -> (B, C, out_h, out_w)."""
-    return mat.reshape(batch, out_h, out_w, -1).transpose(0, 3, 1, 2)
+def _im2col(padded: np.ndarray, k: int, out_h: int, out_w: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, C*k*k, out_h*out_w): one slab copy per kernel tap."""
+    batch, channels = padded.shape[:2]
+    cols = np.empty((batch, channels, k, k, out_h, out_w), dtype=padded.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = padded[:, :, i : i + out_h, j : j + out_w]
+    return cols.reshape(batch, channels * k * k, out_h * out_w)
 
 
 def pool2d(x: Tensor, kind: str, k: int) -> Tensor:
@@ -342,11 +362,14 @@ def pool2d(x: Tensor, kind: str, k: int) -> Tensor:
             for tap in taps:
                 dx[tap] = share
         else:
-            # np.where, not g * hit, so a negative g leaves +0.0 off the max.
+            # AND g's bits with an all-ones or all-zeros mask, not g * hit,
+            # so a negative g leaves +0.0, not -0.0, off the max.
+            uint = np.dtype(f"u{g.itemsize}")
+            bits = g.view(uint)
             taken = np.zeros(out.shape, dtype=bool)
             for tap in taps:
                 hit = (x.data[tap] == out) & ~taken
-                dx[tap] = np.where(hit, g, 0)
+                dx[tap] = (bits & -hit.astype(uint)).view(g.dtype)
                 taken |= hit
         x._accumulate(dx)
 

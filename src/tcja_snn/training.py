@@ -14,6 +14,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .data import FrameSample
 from .network import LifLayer, Network, build_network, parse_arch, render
 from .neuron import LifConfig
 from .attention import TcjaConfig
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"TCJACKPT"
 CHECKPOINT_VERSION = 1
@@ -144,7 +145,8 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
 
     for idx, sample in enumerate(samples):
         x = Tensor(sample.frames.astype(net.dtype))
-        out = net.forward(x, training=False, observe=observe)
+        with no_grad():
+            out = net.forward(x, training=False, observe=observe)
         pred = predict_label(out)
         true = sample.class_index
         rates = out.data.mean(axis=0)
@@ -175,21 +177,22 @@ class Checkpoint:
     records: list[tuple[str, np.ndarray]]
     version: int = CHECKPOINT_VERSION
 
-    def to_bytes(self) -> bytes:
-        parts = [CHECKPOINT_MAGIC, struct.pack("<H", self.version)]
+    def _pieces(self) -> Iterator[bytes | memoryview]:
+        """The encoded file in order: header fields, then each record's
+        header and its little-endian array bytes, viewed rather than copied."""
         arch_b = self.arch.encode()
-        parts.append(struct.pack("<I", len(arch_b)))
-        parts.append(arch_b)
-        parts.append(struct.pack("<I", len(self.records)))
+        yield CHECKPOINT_MAGIC + struct.pack("<H", self.version)
+        yield struct.pack("<I", len(arch_b)) + arch_b
+        yield struct.pack("<I", len(self.records))
         for name, arr in self.records:
             name_b = name.encode()
             dtype_code = _DTYPE_CODES[arr.dtype.newbyteorder("<").str.lstrip("=")]
-            parts.append(struct.pack("<H", len(name_b)))
-            parts.append(name_b)
-            parts.append(struct.pack("<BB", dtype_code, arr.ndim))
-            parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-        return b"".join(parts)
+            yield struct.pack("<H", len(name_b)) + name_b
+            yield struct.pack(f"<BB{arr.ndim}I", dtype_code, arr.ndim, *arr.shape)
+            yield np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).data
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self._pieces())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
@@ -269,7 +272,9 @@ def make_checkpoint(
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    Path(path).write_bytes(ckpt.to_bytes())
+    with open(path, "wb") as f:
+        for piece in ckpt._pieces():
+            f.write(piece)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

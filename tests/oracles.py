@@ -42,6 +42,42 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: in
     return out
 
 
+def conv2d_kernel_grad_loops(
+    x: np.ndarray, g: np.ndarray, k: int, padding: int = 0
+) -> np.ndarray:
+    """Kernel gradient of conv2d, one kernel tap at a time: dK[co, ci, di, dj]
+    is the sum over batch and output pixels of g[b, co, i, j] times the input
+    pixel that tap saw, xp[b, ci, i + di, j + dj]. Accumulates in float64."""
+    x, g = np.asarray(x, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    batch, c_in, _, _ = x.shape
+    _, c_out, out_h, out_w = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    grad = np.zeros((c_out, c_in, k, k))
+    for co in range(c_out):
+        for ci in range(c_in):
+            for di in range(k):
+                for dj in range(k):
+                    seen = xp[:, ci, di : di + out_h, dj : dj + out_w]
+                    grad[co, ci, di, dj] = (g[:, co] * seen).sum()
+    return grad
+
+
+def conv2d_taps(x: np.ndarray, kernel: np.ndarray, padding: int = 0) -> np.ndarray:
+    """conv2d as a sum over kernel taps of channel-mixed shifted inputs, in
+    float64; the loop oracle's arithmetic at shapes too large for it."""
+    x, kernel = np.asarray(x, dtype=np.float64), np.asarray(kernel, dtype=np.float64)
+    _, _, height, width = x.shape
+    k = kernel.shape[-1]
+    out_h, out_w = height + 2 * padding - k + 1, width + 2 * padding - k + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = 0.0
+    for di in range(k):
+        for dj in range(k):
+            shifted = xp[:, :, di : di + out_h, dj : dj + out_w]
+            out = out + np.einsum("oi,bihw->bohw", kernel[:, :, di, dj], shifted)
+    return out
+
+
 def conv1d_loops(x: np.ndarray, kernel: np.ndarray, padding_right: int | None = None) -> np.ndarray:
     c_in, length = x.shape
     c_out, _, ksize = kernel.shape

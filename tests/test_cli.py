@@ -404,6 +404,30 @@ class TestHeldOutSplitOnly:
         assert len(integrated) == 2 * n_test  # one test split for each command
 
 
+class TestNoGradOutputs:
+    def test_eval_and_inspect_files_equal_with_graph_recorded(self, tmp_path, monkeypatch):
+        import contextlib
+
+        from tcja_snn import cli, training
+
+        path, out_dir = quick_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(path)]) == 0
+        ckpt = str(out_dir / "last.ckpt")
+
+        def run(tag: str) -> dict[str, bytes]:
+            out = tmp_path / tag
+            for command in ("eval", "inspect-attention"):
+                assert main([command, "--checkpoint", ckpt, "--config", str(path),
+                             "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        free = run("no_grad")
+        monkeypatch.setattr(cli, "no_grad", contextlib.nullcontext)
+        monkeypatch.setattr(training, "no_grad", contextlib.nullcontext)
+        assert run("recorded") == free
+        assert "predictions.csv" in free and "block0_ccf.pgm" in free
+
+
 class TestBench:
     """The parameter figures the retired bench CSV reported, read from their source."""
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcja_snn.tensor import ShapeError, Tensor, conv2d, fully_connected, pool2d
+from tcja_snn.tensor import ShapeError, Tensor, conv2d, fully_connected, no_grad, pool2d
 
 import oracles
 
@@ -121,6 +121,53 @@ class TestConv2d:
         (out * Tensor(g)).sum().backward()
         want = oracles.conv2d_input_grad_scatter(g, k, x.shape, stride, padding)
         np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c_in,c_out", [(2, 5), (5, 2)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("ksize,padding", [(k, p) for k in (1, 3, 5) for p in range(k)])
+    def test_all_three_match_loop_oracles(self, ksize, padding, batch, c_in, c_out):
+        rng = np.random.default_rng(100 * ksize + 10 * padding + batch)
+        x = Tensor(rng.standard_normal((batch, c_in, 7, 6)), requires_grad=True)
+        k = Tensor(rng.standard_normal((c_out, c_in, ksize, ksize)), requires_grad=True)
+        out = conv2d(x, k, padding=padding)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        tol = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, oracles.conv2d_loops(x.data, k.data, 1, padding), **tol)
+        np.testing.assert_allclose(
+            k.grad, oracles.conv2d_kernel_grad_loops(x.data, g, ksize, padding), **tol
+        )
+        np.testing.assert_allclose(
+            x.grad, oracles.conv2d_input_grad_scatter(g, k.data, x.shape, 1, padding), **tol
+        )
+
+    def test_taps_oracle_matches_loop_oracle(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 3, 6, 5))
+        k = rng.standard_normal((4, 3, 3, 3))
+        np.testing.assert_allclose(
+            oracles.conv2d_taps(x, k, 1), oracles.conv2d_loops(x, k, 1, 1), rtol=0, atol=1e-12
+        )
+
+    def test_f32_scaled_train_layer_matches_f64_oracles(self):
+        # The 64 -> 64 conv of the scaled-train preset: 20%-dense spikes in,
+        # T = 14 as the batch. Every figure is held to 1e-5 of the largest
+        # magnitude of its f64 reference (each output sums 576 products).
+        rng = np.random.default_rng(64)
+        x64 = (rng.random((14, 64, 16, 16)) < 0.2).astype(np.float64)
+        k64 = rng.standard_normal((64, 64, 3, 3)) * 0.1
+        g64 = rng.standard_normal((14, 64, 16, 16))
+        x = Tensor(x64.astype(np.float32), requires_grad=True)
+        k = Tensor(k64.astype(np.float32), requires_grad=True)
+        out = conv2d(x, k, padding=1)
+        (out * Tensor(g64.astype(np.float32))).sum().backward()
+        for got, want in (
+            (out.data, oracles.conv2d_taps(x64, k64, 1)),
+            (k.grad, oracles.conv2d_kernel_grad_loops(x64, g64, 3, 1)),
+            (x.grad, oracles.conv2d_input_grad_scatter(g64, k64, x64.shape, 1, 1)),
+        ):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
     @pytest.mark.parametrize("ksize,padding", [(1, 1), (3, 3), (3, -1)])
     def test_padding_outside_kernel_rejected(self, ksize, padding):
@@ -324,6 +371,29 @@ class TestBackward:
         (x * w).sum().backward()
         np.testing.assert_array_equal(x.grad, 2 * wv + 2 * xv * wv)
         np.testing.assert_array_equal(w.grad, 2 * xv + xv * xv)
+
+
+class TestNoGrad:
+    def test_records_no_graph_and_restores_on_exit(self):
+        w = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        x = Tensor(np.ones((1, 1, 4, 4)))
+        with no_grad():
+            out = (conv2d(x, w, padding=1) * 2.0).sum()
+            assert not out.requires_grad and out._backward is None and out._parents == ()
+            with no_grad():
+                pass
+            assert not conv2d(x, w).requires_grad
+        recorded = conv2d(x, w).sum()
+        assert recorded.requires_grad and recorded._parents
+        recorded.backward()
+        np.testing.assert_array_equal(w.grad, 4.0)
+
+    def test_restores_recording_after_an_error(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError
+        assert (w * 2.0).requires_grad
 
 
 class TestDeterminism:

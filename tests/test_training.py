@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import json
 
 import numpy as np
@@ -225,7 +227,70 @@ class TestEvaluate:
         assert accs[0] == accs[1]
 
 
+class TestEvaluateRecordsNoGraph:
+    ARCH = "4C3-LIF-MP2-TCJA-0.5DP-16FC-LIF-Voting"
+
+    def test_forward_output_has_no_graph(self, monkeypatch):
+        net = tiny_net(arch_text=self.ARCH)
+        _, test_samples = tiny_dataset()
+        outputs = []
+        forward = net.forward
+
+        def keep(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(net, "forward", keep)
+        evaluate(net, test_samples)
+        assert len(outputs) == len(test_samples)
+        for out in outputs:
+            assert out._backward is None and out._parents == () and not out.requires_grad
+
+    def test_results_equal_with_graph_recorded(self, monkeypatch):
+        from tcja_snn import training
+
+        net = tiny_net(seed=3, arch_text=self.ARCH)
+        _, test_samples = tiny_dataset()
+        free = evaluate(net, test_samples)
+        monkeypatch.setattr(training, "no_grad", contextlib.nullcontext)
+        recorded = evaluate(net, test_samples)
+        assert (free.accuracy, free.per_class, free.firing_rates) == (
+            recorded.accuracy, recorded.per_class, recorded.firing_rates
+        )
+        for a, b in zip(free.predictions, recorded.predictions):
+            assert a[:3] == b[:3] and a[3].tobytes() == b[3].tobytes()
+
+
 class TestCheckpoint:
+    # sha256 of the desk preset's freshly built, untrained checkpoint, as
+    # the one-join encoder wrote it before writes were streamed.
+    DESK_UNTRAINED_SHA256 = "e49ee748e046b64c944f6d0632b3799443a96e5b1ade061468dc1e7a6395cee8"
+
+    def test_file_bytes_pinned(self, tmp_path):
+        from tcja_snn.network import PRESETS
+
+        arch = parse_arch(PRESETS["desk"], input_dims=(2, 16, 16), time_steps=8)
+        net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
+        ckpt = make_checkpoint(net, TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        save_checkpoint(tmp_path / "desk.ckpt", ckpt)
+        blob = (tmp_path / "desk.ckpt").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.DESK_UNTRAINED_SHA256
+        assert ckpt.to_bytes() == blob
+
+    def test_non_contiguous_and_big_endian_records_written_as_encoded(self, tmp_path):
+        records = [
+            ("a", np.arange(12, dtype=">f8").reshape(3, 4)[:, ::2]),
+            ("b", np.zeros((2, 0, 3), dtype=np.float32)),
+            ("c", np.arange(6, dtype=np.int64).reshape(2, 3).T),
+        ]
+        ckpt = Checkpoint(arch="x", records=records)
+        save_checkpoint(tmp_path / "x.ckpt", ckpt)
+        blob = (tmp_path / "x.ckpt").read_bytes()
+        assert blob == ckpt.to_bytes()
+        for (name, want), (got_name, got) in zip(records, Checkpoint.from_bytes(blob).records):
+            assert got_name == name
+            np.testing.assert_array_equal(got, want)
+
     def test_roundtrip_is_byte_identical(self, tmp_path):
         net = tiny_net()
         cfg = TrainConfig()
