@@ -34,7 +34,7 @@ for name, arch_text, fusion in variants:
     arch = parse_arch(arch_text, input_dims=(2, 16, 16), time_steps=8)
     cfg = TrainConfig(epochs=epochs, batch_size=16, lr=1e-3)
     rng = np.random.default_rng(0)
-    net = build_network(arch, 4, tcja_cfg=TcjaConfig(fusion=fusion), rng=rng, dtype=cfg.dtype)
+    net = build_network(arch, 4, tcja_cfg=TcjaConfig(fusion=fusion), rng=rng)
     print(f"=== {name} ({net.param_count()} params) ===")
     result = train(net, train_samples, test_samples, cfg, rng, log=print)
     rows.append((name, net.param_count(), result.best_accuracy))

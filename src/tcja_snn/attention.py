@@ -152,13 +152,9 @@ def ccf(t_map: np.ndarray, c_map: np.ndarray, fusion: str = "multiply") -> np.nd
     if fusion not in _FUSIONS:
         raise ValueError(f"fusion must be one of {_FUSIONS}, got {fusion!r}")
     pre = t_map * c_map if fusion == "multiply" else t_map + c_map
-    # Split by sign so neither branch of the logistic overflows.
-    f_map = np.empty_like(pre)
-    pos = pre >= 0
-    f_map[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
-    ex = np.exp(pre[~pos])
-    f_map[~pos] = ex / (1.0 + ex)
-    return f_map
+    # exp(-|p|) is at most 1, so neither branch of the logistic overflows.
+    ex = np.exp(-np.abs(pre))
+    return np.where(pre >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def recalibrate(x: np.ndarray, f_map: np.ndarray) -> np.ndarray:

@@ -15,13 +15,14 @@ import copy
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
 from .attention import AttentionMaps, TcjaConfig, score_maps
-from .network import ArchParseError, Network, TcjaLayer, build_network, parse_arch
+from .network import PRESETS, ArchParseError, Network, TcjaLayer, build_network, parse_arch
 from .neuron import LifConfig
 from .tensor import Tensor, no_grad
 from .training import (
@@ -30,6 +31,7 @@ from .training import (
     TrainConfig,
     evaluate,
     load_checkpoint,
+    precision_dtype,
     restore_network,
     train,
 )
@@ -39,8 +41,12 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or unreadable config files."""
 
 
+# The LIF settings that the config keeps under "train" rather than "lif".
+_LIF_KEYS_IN_TRAIN = ("surrogate", "detach_reset")
+_LIF_DEFAULTS = asdict(LifConfig())
+
 DEFAULT_CONFIG: dict = {
-    "arch": "16C3-LIF-MP2-TCJA-16C3-LIF-MP2-64FC-LIF-Voting",
+    "arch": PRESETS["desk"],
     "time_steps": 8,
     "num_classes": 4,
     "out_dir": "runs/default",
@@ -60,25 +66,13 @@ DEFAULT_CONFIG: dict = {
         },
     },
     "train": {
-        "lr": 1e-3,
-        "batch_size": 16,
-        "epochs": 10,
+        **asdict(TrainConfig()),
         "seed": 0,
         "precision": "f32",
-        "surrogate": "atan",
-        "detach_reset": True,
-        "optimizer": "adam",
-        "augment": False,
+        **{key: _LIF_DEFAULTS[key] for key in _LIF_KEYS_IN_TRAIN},
     },
-    "lif": {
-        "tau": 2.0,
-        "v_reset": 0.0,
-        "v_threshold": 1.0,
-        "alpha": 2.0,
-        "gamma": 1.0,
-        "strict_eq2": True,
-    },
-    "tcja": {"k_t": 4, "k_c": 4, "fusion": "multiply"},
+    "lif": {key: value for key, value in _LIF_DEFAULTS.items() if key not in _LIF_KEYS_IN_TRAIN},
+    "tcja": asdict(TcjaConfig()),
 }
 
 
@@ -196,6 +190,11 @@ def _load_samples(
             root, width=data_cfg["width"], height=data_cfg["height"]
         )
         labels = [label for _, label in streams]
+        if max(labels, default=0) >= num_classes:
+            raise data_mod.DataError(
+                f"{root / 'manifest.csv'}: label {max(labels)} is out of range"
+                f" for num_classes={num_classes}"
+            )
         train_streams, test_streams = data_mod.split_train_test(
             streams, labels, seed=config["train"]["seed"]
         )
@@ -224,12 +223,14 @@ def _load_samples(
 
 
 def _build_from_config(config: dict, dims: tuple[int, int, int], rng: np.random.Generator):
-    # The train section carries two LIF settings, the surrogate and the reset mode,
-    # and the seed, which reaches training only as `rng`.
+    # The train section also carries two LIF settings, the seed, which reaches
+    # training only as `rng`, and the precision, which is the network's dtype.
     train_kw = dict(config["train"])
-    lif_kw = {key: train_kw.pop(key) for key in ("surrogate", "detach_reset")}
+    lif_kw = {key: train_kw.pop(key) for key in _LIF_KEYS_IN_TRAIN}
     del train_kw["seed"]
+    precision = train_kw.pop("precision")
     train_cfg = TrainConfig(**train_kw)
+    dtype = precision_dtype(precision)
     lif_cfg = LifConfig(**lif_kw, **config["lif"])
     tcja_cfg = TcjaConfig(**config["tcja"])
     arch = parse_arch(config["arch"], input_dims=dims, time_steps=config["time_steps"])
@@ -239,7 +240,7 @@ def _build_from_config(config: dict, dims: tuple[int, int, int], rng: np.random.
         lif_cfg=lif_cfg,
         tcja_cfg=tcja_cfg,
         rng=rng,
-        dtype=train_cfg.dtype,
+        dtype=dtype,
     )
     return net, train_cfg
 
@@ -280,7 +281,7 @@ def _matching_test_samples(net: Network, config: dict) -> list[data_mod.FrameSam
 
 def cmd_eval(args, overrides: list[str]) -> int:
     config = load_config(args.config, overrides)
-    net, _, _, _, _ = restore_network(load_checkpoint(args.checkpoint))
+    net = restore_network(load_checkpoint(args.checkpoint))[0]
     test_samples = _matching_test_samples(net, config)
     result = evaluate(net, test_samples)
     print(f"accuracy: {result.accuracy:.4f}")
@@ -323,7 +324,7 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 def cmd_inspect_attention(args, overrides: list[str]) -> int:
     config = load_config(args.config, overrides)
-    net, _, _, _, _ = restore_network(load_checkpoint(args.checkpoint))
+    net = restore_network(load_checkpoint(args.checkpoint))[0]
     if not any(isinstance(layer, TcjaLayer) for layer in net.layers):
         print("error: this network has no attention blocks to inspect", file=sys.stderr)
         return 5
@@ -351,9 +352,21 @@ def cmd_inspect_attention(args, overrides: list[str]) -> int:
     return 0
 
 
+# The config leaf whose minimum each gen-synthetic flag shares.
+_GEN_FLAG_LEAVES = {
+    "t_steps": "time_steps", "n": "data.synthetic.n_train",
+    "noise": "data.synthetic.noise_per_tick",
+    **{flag: f"data.synthetic.{flag}" for flag in ("height", "width", "seed")},
+}
+
+
 def cmd_gen_synthetic(args, overrides: list[str]) -> int:
     if overrides:
         raise ConfigError(f"unrecognized arguments: {' '.join(overrides)}")
+    for dest, leaf in _GEN_FLAG_LEAVES.items():
+        value, least = getattr(args, dest), _MINIMUMS[leaf]
+        if value < least:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be >= {least}, got {value!r}")
     dataset = data_mod.gen_synthetic(
         kind=args.kind,
         classes=args.classes,

@@ -479,7 +479,11 @@ def load_dataset(
                 continue
             if len(row) != 2:
                 raise DataError(f"{manifest}: malformed line {lineno}: {row!r}")
-            path, label = row[0], row[1]
+            path, label = row
+            if not label.strip().isdecimal():
+                raise DataError(
+                    f"{manifest}: line {lineno}: label {label!r} is not a non-negative integer"
+                )
             stream = read_events(root / path, width=width, height=height)
             grid = grid or (stream.width, stream.height)
             if (stream.width, stream.height) != grid:

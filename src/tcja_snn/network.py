@@ -179,7 +179,7 @@ class ConvLayer:
         self.kernel = kernel
         self.padding = padding
 
-    def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return conv2d(x, self.kernel, padding=self.padding)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -191,7 +191,7 @@ class LifLayer:
         self.cfg = cfg
         self.name = name
 
-    def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return lif_sequence(x, self.cfg)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -203,7 +203,7 @@ class PoolLayer:
         self.kind = kind
         self.k = k
 
-    def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return pool2d(x, self.kind, self.k)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -211,20 +211,19 @@ class PoolLayer:
 
 
 class DropoutLayer:
-    """Spiking dropout: one Bernoulli mask per forward pass shared over all T."""
+    """Spiking dropout: one Bernoulli mask per forward pass shared over all T,
+    drawn from `rng`; without one (evaluation) the layer passes its input."""
 
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
 
-    def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
-        if not ctx.training or self.p == 0.0:
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        if rng is None or self.p == 0.0:
             return x
-        if ctx.rng is None:
-            raise ValueError("training-mode dropout needs an rng")
         keep = 1.0 - self.p
-        mask = (ctx.rng.random(x.shape[1:]) < keep).astype(x.dtype) / keep
+        mask = (rng.random(x.shape[1:]) < keep).astype(x.dtype) / keep
         return x * Tensor(mask[None])
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -236,7 +235,7 @@ class FcLayer:
         self.weight = weight
         self.bias = bias
 
-    def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
         return fully_connected(x, self.weight, self.bias)
@@ -249,7 +248,7 @@ class VotingLayer:
     def __init__(self, num_classes: int):
         self.num_classes = num_classes
 
-    def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return voting_layer(x, self.num_classes)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -260,7 +259,7 @@ class TcjaLayer:
     def __init__(self, params: TcjaParams):
         self.params = params
 
-    def apply(self, x: Tensor, ctx: "ForwardContext") -> Tensor:
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return attention.tcja_forward(x, self.params)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -278,12 +277,6 @@ def voting_layer(spikes: Tensor, num_classes: int) -> Tensor:
         )
     window = width // num_classes
     return spikes.reshape(t_steps, num_classes, window).mean(axis=2)
-
-
-@dataclass
-class ForwardContext:
-    training: bool = False
-    rng: np.random.Generator | None = None
 
 
 @dataclass
@@ -311,26 +304,21 @@ class Network:
         for _, t in self.parameters():
             t.grad = None
 
-    def forward(
-        self,
-        x: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        observe=None,
-    ) -> Tensor:
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None, observe=None) -> Tensor:
         """Run the stack on one (T, C, H, W) sample.
 
-        If given, `observe(layer, x_in, out)` is called after each layer:
-        the one seam for reading firing rates, attention maps and the like.
+        Dropout layers draw their masks from `rng`, as in training, and pass
+        their input through when it is None. If given, `observe(layer, x_in,
+        out)` is called after each layer: the one seam for reading firing
+        rates, attention maps and the like.
         """
         expected = (self.arch.time_steps, *self.arch.input_dims)
         if x.shape != expected:
             raise ShapeError(f"input shape {x.shape} does not match spec {expected}")
-        ctx = ForwardContext(training=training, rng=rng)
         h = x
         for i, layer in enumerate(self.layers):
             try:
-                out = layer.apply(h, ctx)
+                out = layer.apply(h, rng)
             except ShapeError as err:
                 raise ShapeError(f"layer {i} ({type(layer).__name__}): {err}") from err
             if observe is not None:

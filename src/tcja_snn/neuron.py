@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, will_record
 
 _SURROGATES = ("atan", "triangle")
 
@@ -78,9 +78,10 @@ def lif_sequence(
     `inputs` is (T, ...); the output has the same shape and holds the
     spike train. State never carries across separate calls.
 
-    The whole unroll is one graph node. The forward keeps the membrane
-    and spike stacks; the backward runs BPTT in closed form from the last
-    step down: with a = 1/tau and s' the surrogate derivative at V - v_th,
+    The whole unroll is one graph node. The forward keeps the spike stack,
+    and the membrane stack too when the node is recorded; the backward
+    runs BPTT in closed form from the last step down: with a = 1/tau and
+    s' the surrogate derivative at V - v_th,
     gV = (gS - [not detach_reset] gH V) s' + gH (1 - S), gI = a gV and
     gH_prev = (1 - a) gV.
     """
@@ -89,14 +90,15 @@ def lif_sequence(
     t_steps = inputs.shape[0]
     x = inputs.data
     rate = 1.0 / cfg.tau
-    v_stack = np.empty_like(x)
+    v_stack = np.empty_like(x) if will_record((inputs,)) else None
     s_stack = np.empty_like(x)
     h = np.full(x.shape[1:], cfg.v_reset, dtype=x.dtype)
     for t in range(t_steps):
         v = h + (x[t] - (h - cfg.v_reset)) * rate
         s = (v - cfg.v_threshold >= 0).astype(x.dtype)
         h = v * (1.0 - s)
-        v_stack[t] = v
+        if v_stack is not None:
+            v_stack[t] = v
         s_stack[t] = s
         if trace is not None:
             trace.v.append(v)

@@ -38,6 +38,12 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
+def will_record(parents: Sequence["Tensor"]) -> bool:
+    """Whether an op on `parents` records a graph node: one of them needs a
+    gradient and no `no_grad` block is active."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -82,10 +88,9 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Build a graph node; records the closure only if a parent needs grad
-        and no `no_grad` block is active."""
+        """Build a graph node; records the closure only if `will_record(parents)`."""
         out = cls(data)
-        if _recording and any(p.requires_grad for p in parents):
+        if will_record(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

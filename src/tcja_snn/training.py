@@ -30,6 +30,8 @@ CHECKPOINT_VERSION = 1
 
 _DTYPE_CODES = {"<f4": 0, "<f8": 1, "|u1": 2, "<i8": 3}
 _CODE_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
+# A network's float type by its name in the config and the checkpoint metadata.
+PRECISIONS = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 
 class NumericsError(RuntimeError):
@@ -40,26 +42,25 @@ class CheckpointError(ValueError):
     """Raised for unreadable or mismatched checkpoint files."""
 
 
+def precision_dtype(name: str) -> np.dtype:
+    if name not in PRECISIONS:
+        raise ValueError(f"precision must be {' or '.join(PRECISIONS)}, got {name!r}")
+    return PRECISIONS[name]
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 16
     epochs: int = 10
-    precision: str = "f32"
     optimizer: str = "adam"
     augment: bool = False
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float32 if self.precision == "f32" else np.float64)
 
 
 def smse_loss(outputs: Tensor, target: np.ndarray) -> Tensor:
@@ -146,7 +147,7 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
     for idx, sample in enumerate(samples):
         x = Tensor(sample.frames.astype(net.dtype))
         with no_grad():
-            out = net.forward(x, training=False, observe=observe)
+            out = net.forward(x, observe=observe)
         pred = predict_label(out)
         true = sample.class_index
         rates = out.data.mean(axis=0)
@@ -238,12 +239,12 @@ def _json_blob(obj) -> np.ndarray:
     return np.frombuffer(json.dumps(obj, sort_keys=True).encode(), dtype=np.uint8).copy()
 
 
-def _meta_dict(net: Network, cfg: TrainConfig) -> dict:
+def _meta_dict(net: Network) -> dict:
     return {
         "input_dims": list(net.arch.input_dims),
         "time_steps": net.arch.time_steps,
         "num_classes": net.num_classes,
-        "precision": cfg.precision,
+        "precision": {dtype: name for name, dtype in PRECISIONS.items()}[net.dtype],
         "lif": asdict(net.lif_cfg),
         "tcja": asdict(net.tcja_cfg),
     }
@@ -251,7 +252,6 @@ def _meta_dict(net: Network, cfg: TrainConfig) -> dict:
 
 def make_checkpoint(
     net: Network,
-    cfg: TrainConfig,
     opt_state: OptimizerState,
     rng: np.random.Generator,
     epoch: int,
@@ -267,7 +267,7 @@ def make_checkpoint(
     records.append(("opt.step", np.asarray([opt_state.step], dtype=np.int64)))
     records.append(("meta.epoch", np.asarray([epoch], dtype=np.int64)))
     records.append(("meta.rng", _json_blob(rng.bit_generator.state)))
-    records.append(("meta.config", _json_blob(_meta_dict(net, cfg))))
+    records.append(("meta.config", _json_blob(_meta_dict(net))))
     return Checkpoint(arch=render(net.arch), records=records)
 
 
@@ -284,14 +284,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint.from_bytes(path.read_bytes())
 
 
-def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerState, dict, int]:
-    """Rebuild the network, optimizer, and RNG state stored in a checkpoint."""
+def restore_network(ckpt: Checkpoint) -> tuple[Network, OptimizerState, dict, int]:
+    """Rebuild the network in its stored float type, the optimizer and RNG state and the epoch."""
     named = dict(ckpt.records)
     try:
         meta = json.loads(named["meta.config"].tobytes().decode())
         lif_cfg = LifConfig(**meta["lif"])
         tcja_cfg = TcjaConfig(**meta["tcja"])
-        cfg = TrainConfig(precision=meta["precision"])
+        dtype = precision_dtype(meta["precision"])
         input_dims = tuple(int(d) for d in meta["input_dims"])
         time_steps, num_classes = int(meta["time_steps"]), int(meta["num_classes"])
         opt_state = OptimizerState(step=int(named["opt.step"][0]))
@@ -309,7 +309,7 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerSt
             lif_cfg=lif_cfg,
             tcja_cfg=tcja_cfg,
             rng=np.random.default_rng(0),
-            dtype=cfg.dtype,
+            dtype=dtype,
         )
     except ValueError as err:
         raise CheckpointError(f"checkpoint arch {ckpt.arch!r} cannot be built: {err}") from err
@@ -321,13 +321,13 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, TrainConfig, OptimizerSt
             raise CheckpointError(
                 f"tensor {key!r} shape {named[key].shape} does not match {p.shape}"
             )
-        p.data = named[key].astype(cfg.dtype)
+        p.data = named[key].astype(dtype)
         m_key, v_key = f"adam.m.{name}", f"adam.v.{name}"
         if m_key in named:
-            opt_state.m[name] = named[m_key].astype(cfg.dtype).copy()
+            opt_state.m[name] = named[m_key].astype(dtype).copy()
         if v_key in named:
-            opt_state.v[name] = named[v_key].astype(cfg.dtype).copy()
-    return net, cfg, opt_state, rng_state, epoch
+            opt_state.v[name] = named[v_key].astype(dtype).copy()
+    return net, opt_state, rng_state, epoch
 
 
 # -- training loop ------------------------------------------------------------------
@@ -360,7 +360,6 @@ def train(
     history: list[dict] = []
     best_acc = -1.0
     best_ckpt: Checkpoint | None = None
-    dtype = cfg.dtype
 
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_rows = ["epoch,train_loss,test_acc"]
@@ -379,8 +378,8 @@ def train(
                 if cfg.augment:
                     partner = train_samples[int(rng.integers(0, len(train_samples)))]
                     sample = data_mod.augment(sample, rng, partner=partner)
-                x = Tensor(sample.frames.astype(dtype))
-                out = net.forward(x, training=True, rng=rng)
+                x = Tensor(sample.frames.astype(net.dtype))
+                out = net.forward(x, rng=rng)
                 loss = smse_loss(out, sample.label)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -408,9 +407,9 @@ def train(
             )
         if result.accuracy > best_acc:
             best_acc = result.accuracy
-            best_ckpt = make_checkpoint(net, cfg, opt_state, rng, epoch)
+            best_ckpt = make_checkpoint(net, opt_state, rng, epoch)
 
-    final_ckpt = make_checkpoint(net, cfg, opt_state, rng, cfg.epochs)
+    final_ckpt = make_checkpoint(net, opt_state, rng, cfg.epochs)
     if best_ckpt is None:
         best_acc = 0.0
         best_ckpt = final_ckpt

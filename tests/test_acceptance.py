@@ -275,7 +275,7 @@ def _train_arch(arch_text, train_samples, test_samples, epochs=14):
     arch = parse_arch(arch_text, input_dims=(2, 16, 16), time_steps=8)
     cfg = TrainConfig(epochs=epochs, batch_size=16, lr=1e-3)
     rng = np.random.default_rng(0)
-    net = build_network(arch, 4, rng=rng, dtype=cfg.dtype)
+    net = build_network(arch, 4, rng=rng)
     return train(net, train_samples, test_samples, cfg, rng)
 
 
@@ -308,7 +308,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
             )
             cfg = TrainConfig(epochs=2, batch_size=8)
             rng = np.random.default_rng(3)
-            net = build_network(arch, 4, rng=rng, dtype=cfg.dtype)
+            net = build_network(arch, 4, rng=rng)
             result = train(net, train_samples, test_samples, cfg, rng, out_dir=out)
             return result, net, test_samples
 
@@ -318,7 +318,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
         final_acc = evaluate(net_a, test_samples).accuracy
-        restored, _, _, _, _ = restore_network(load_checkpoint(tmp_path / "a" / "last.ckpt"))
+        restored, _, _, _ = restore_network(load_checkpoint(tmp_path / "a" / "last.ckpt"))
         assert evaluate(restored, test_samples).accuracy == final_acc
 
         reloaded = load_checkpoint(tmp_path / "a" / "last.ckpt")

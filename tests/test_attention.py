@@ -136,10 +136,17 @@ class TestCcf:
 
     def test_constant_second_map_degenerates_to_scaled_sigmoid(self):
         rng = np.random.default_rng(7)
-        t_map = rng.standard_normal((4, 5))
+        # Two rows of extremes below the random ones: saturating, signed-zero,
+        # infinite and tiny pre-activations.
+        extremes = [[800.0, -800.0, 0.0, -0.0, np.inf], [-np.inf, 1e-30, -1e-30, 40.0, -40.0]]
+        t_map = np.vstack([rng.standard_normal((4, 5)), extremes])
         k = 1.7
-        out = ccf(t_map, np.full((4, 5), k), "multiply")
-        np.testing.assert_allclose(out, oracles.logistic(k * t_map), atol=1e-15)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = ccf(t_map, np.full(t_map.shape, k), "multiply")
+        with np.errstate(over="ignore"):
+            expected = oracles.logistic(k * t_map)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -104,6 +104,12 @@ class TestConfig:
         assert "config error" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_unknown_precision_exits_1(self, tmp_path, capsys):
+        path, out_dir = quick_config(tmp_path, precision="f16")
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: precision must be f32 or f64, got 'f16'\n"
+        assert not out_dir.exists()
+
     def test_int_accepted_for_float(self):
         assert load_config(None, ["--train.lr", "1"])["train"]["lr"] == 1
 
@@ -295,7 +301,7 @@ class TestInspectAttention:
         from tcja_snn.tensor import Tensor
 
         config = load_config(str(path), [])
-        net, _, _, _, _ = restore_network(load_checkpoint(out_dir / "best.ckpt"))
+        net, _, _, _ = restore_network(load_checkpoint(out_dir / "best.ckpt"))
         _, test_samples = _load_samples(config)
         sample = test_samples[2]
         pre_attn = None  # recompute the attention input by replaying the prefix
@@ -311,7 +317,7 @@ class TestInspectAttention:
                     oracles.cla_loops(z, layer.params.e.data.astype(np.float64)),
                 )
                 break
-            h = layer.apply(h, _ctx())
+            h = layer.apply(h, None)
         assert pre_attn is not None
         np.testing.assert_allclose(f_map, expected, atol=1e-6)
 
@@ -468,6 +474,24 @@ class TestGenSynthetic:
         assert "--bogus" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, least",
+        [
+            ("--height", "0", 1),
+            ("--width", "-3", 1),
+            ("--t-steps", "0", 1),
+            ("--n", "-1", 1),
+            ("--seed", "-1", 0),
+            ("--noise", "-1", 0),
+        ],
+    )
+    def test_flag_below_config_minimum_exits_1(self, tmp_path, capsys, flag, value, least):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(out), "--n", "4", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag} must be >= {least}")
+        assert not out.exists()
+
     def _train_on(self, tmp_path, data_dir, *flags):
         return main(["train", "--arch", "4C3-LIF-MP2-16FC-LIF-Voting", "--train.epochs", "0",
                      "--out_dir", str(tmp_path / "run"), "--data.dir", str(data_dir), *flags])
@@ -509,6 +533,55 @@ class TestGenSynthetic:
         assert main(["train", "--config", str(path)]) == 0
 
 
+class TestManifestLabels:
+    """Bad manifest labels are data errors in every command that reads a dataset."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("labels")
+        path, out_dir = quick_config(root, epochs=0)
+        assert main(["train", "--config", str(path)]) == 0
+        return out_dir / "best.ckpt"
+
+    def _relabel(self, data_dir, old, new, count):
+        manifest = data_dir / "manifest.csv"
+        with open(manifest, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in [row for row in rows if row[1] == old][:count]:
+            row[1] = new
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect-attention"])
+    @pytest.mark.parametrize(
+        "new, count, message",
+        [
+            ("4", 10, "label 4 is out of range for num_classes=4"),
+            ("4", 9, "label 4 is out of range for num_classes=4"),
+            ("-1", 10, "label '-1' is not a non-negative integer"),
+            ("abc", 1, "label 'abc' is not a non-negative integer"),
+        ],
+        ids=["ten-too-big", "nine-too-big", "negative", "not-an-integer"],
+    )
+    def test_bad_label_exits_2(self, tmp_path, capsys, checkpoint, command, new, count, message):
+        data_dir = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(data_dir), "--n", "40", "--height", "8",
+                     "--width", "8", "--t-steps", "4"]) == 0
+        self._relabel(data_dir, "3", new, count)
+        capsys.readouterr()
+        if command == "train":
+            path, _ = quick_config(tmp_path)
+            args = ["train", "--config", str(path)]
+        else:
+            args = [command, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")]
+        code = main(args + ["--time_steps", "4", "--data.dir", str(data_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and message in err
+        if new != "4":
+            assert "manifest.csv: line " in err
+
+
 class TestReadme:
     def test_cli_block_lists_exactly_the_parser_subcommands(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -527,9 +600,3 @@ class TestPgm:
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n2 2\n255\n")
         assert list(blob[-4:]) == [0, 128, 255, 64]
-
-
-def _ctx():
-    from tcja_snn.network import ForwardContext
-
-    return ForwardContext()

@@ -8,7 +8,6 @@ from tcja_snn.network import (
     DropoutLayer,
     DropoutSpec,
     FcSpec,
-    ForwardContext,
     LifSpec,
     PoolSpec,
     PRESETS,
@@ -106,12 +105,11 @@ class TestVoting:
 class TestDropout:
     def test_p_zero_is_identity(self):
         x = Tensor(np.ones((3, 4)))
-        ctx = ForwardContext(training=True, rng=np.random.default_rng(0))
-        assert DropoutLayer(0.0).apply(x, ctx) is x
+        assert DropoutLayer(0.0).apply(x, np.random.default_rng(0)) is x
 
     def test_eval_mode_is_identity(self):
         x = Tensor(np.ones((3, 4)))
-        assert DropoutLayer(0.5).apply(x, ForwardContext(training=False)) is x
+        assert DropoutLayer(0.5).apply(x, None) is x
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -121,7 +119,7 @@ class TestDropout:
         arch = parse_arch("4FC-LIF-0.5DP", input_dims=(1, 2, 2), time_steps=6)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
         rng = np.random.default_rng(42)
-        out = net.forward(Tensor(np.ones((6, 1, 2, 2), dtype=np.float32)), training=True, rng=rng)
+        out = net.forward(Tensor(np.ones((6, 1, 2, 2), dtype=np.float32)), rng=rng)
         zero_pattern = out.data == 0.0
         for t in range(1, 6):
             np.testing.assert_array_equal(zero_pattern[t], zero_pattern[0])
@@ -130,8 +128,8 @@ class TestDropout:
         arch = parse_arch("4FC-LIF-0.5DP", input_dims=(1, 2, 2), time_steps=3)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
         x = Tensor(np.ones((3, 1, 2, 2), dtype=np.float32))
-        a = net.forward(x, training=True, rng=np.random.default_rng(7)).data
-        b = net.forward(x, training=True, rng=np.random.default_rng(7)).data
+        a = net.forward(x, rng=np.random.default_rng(7)).data
+        b = net.forward(x, rng=np.random.default_rng(7)).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -245,8 +243,8 @@ class TestForward:
             if name.endswith((".w", ".e")):
                 p.data[...] = 0.0
         x = Tensor(np.random.default_rng(3).random((8, 2, 16, 16)))
-        spikes_plain = net.layers[1].apply(net.layers[0].apply(x, _ctx()), _ctx())
-        half = net_attn.layers[2].apply(spikes_plain, _ctx())
+        spikes_plain = net.layers[1].apply(net.layers[0].apply(x, None), None)
+        half = net_attn.layers[2].apply(spikes_plain, None)
         np.testing.assert_allclose(half.data, spikes_plain.data * 0.5, atol=1e-12)
 
     def test_desk_training_sample_builds_15_graph_nodes(self):
@@ -254,14 +252,14 @@ class TestForward:
         # before FC, the voting reshape and mean, and the loss's sub, mul, mean.
         net = self._desk_net(dtype=np.float32)
         x = Tensor(np.random.default_rng(6).random((8, 2, 16, 16)).astype(np.float32))
-        out = net.forward(x, training=True, rng=np.random.default_rng(1))
+        out = net.forward(x, rng=np.random.default_rng(1))
         loss = smse_loss(out, np.eye(4)[0])
         assert sum(1 for node in loss._topo_order() if node._parents) == 15
 
     def test_backward_frees_the_sample_graph(self):
         net = self._desk_net(dtype=np.float32)
         x = Tensor(np.random.default_rng(6).random((8, 2, 16, 16)).astype(np.float32))
-        loss = smse_loss(net.forward(x, training=True, rng=np.random.default_rng(1)), np.eye(4)[0])
+        loss = smse_loss(net.forward(x, rng=np.random.default_rng(1)), np.eye(4)[0])
         interior = [node for node in loss._topo_order() if node._parents and node is not loss]
         loss.backward()
         assert interior
@@ -278,8 +276,8 @@ class TestForward:
     def test_forward_deterministic_under_seed(self):
         net = self._desk_net(seed=9)
         x = Tensor(np.random.default_rng(5).random((8, 2, 16, 16)))
-        a = net.forward(x, training=True, rng=np.random.default_rng(1)).data
-        b = net.forward(x, training=True, rng=np.random.default_rng(1)).data
+        a = net.forward(x, rng=np.random.default_rng(1)).data
+        b = net.forward(x, rng=np.random.default_rng(1)).data
         np.testing.assert_array_equal(a, b)
 
     def test_dimension_mismatch_reports_layer_index(self):
@@ -294,9 +292,3 @@ class TestForward:
         net.layers[2].k = 3  # sabotage: 16x16 not divisible by 3
         with pytest.raises(ShapeError, match=r"layer 2 \(PoolLayer\)"):
             net.forward(Tensor(np.zeros((2, 2, 16, 16), dtype=np.float32)))
-
-
-def _ctx():
-    from tcja_snn.network import ForwardContext
-
-    return ForwardContext()

@@ -1,10 +1,13 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcja_snn.neuron import LifConfig, LifTrace, lif_sequence, surrogate_derivative
-from tcja_snn.tensor import ShapeError, Tensor
+from tcja_snn.tensor import ShapeError, Tensor, no_grad
 
 import oracles
 from oracles import heaviside_surrogate, lif_init, lif_step
@@ -225,3 +228,33 @@ class TestFusedParity:
         out = lif_sequence(x, LifConfig())
         assert out._parents == (x,)
         assert len(out._topo_order()) == 2
+
+
+class TestNoGrad:
+    def test_keeps_no_membrane_stack(self):
+        # Only the backward reads the membrane stack, so without a graph the
+        # peak is the spike stack plus a few per-step arrays.
+        x = np.random.default_rng(0).random((14, 64, 32, 32), dtype=np.float32) * 2
+        inputs = Tensor(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                lif_sequence(inputs, LifConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
+
+    def test_same_spikes_and_trace_as_with_a_graph(self):
+        x = np.random.default_rng(1).random((6, 3, 4, 4)) * 2
+        runs = []
+        for switch in (no_grad, contextlib.nullcontext):
+            trace = LifTrace()
+            with switch():
+                out = lif_sequence(Tensor(x, requires_grad=True), LifConfig(), trace=trace)
+            runs.append((out, trace))
+        (plain, plain_trace), (recorded, recorded_trace) = runs
+        assert not plain.requires_grad and recorded.requires_grad
+        np.testing.assert_array_equal(plain.data, recorded.data)
+        for field in ("v", "s", "h"):
+            np.testing.assert_array_equal(getattr(plain_trace, field), getattr(recorded_trace, field))

@@ -162,7 +162,7 @@ class TestDescent:
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(1), dtype=np.float64)
         sample = tiny_dataset(n_train=1, n_test=1)[0][0]
         x = Tensor(sample.frames)
-        cfg = TrainConfig(lr=1e-5, optimizer="sgd", precision="f64")
+        cfg = TrainConfig(lr=1e-5, optimizer="sgd")
 
         def loss_value():
             return smse_loss(net.forward(x), sample.label).item()
@@ -271,7 +271,7 @@ class TestCheckpoint:
 
         arch = parse_arch(PRESETS["desk"], input_dims=(2, 16, 16), time_steps=8)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
-        ckpt = make_checkpoint(net, TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        ckpt = make_checkpoint(net, OptimizerState(), np.random.default_rng(0), 0)
         save_checkpoint(tmp_path / "desk.ckpt", ckpt)
         blob = (tmp_path / "desk.ckpt").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == self.DESK_UNTRAINED_SHA256
@@ -293,8 +293,7 @@ class TestCheckpoint:
 
     def test_roundtrip_is_byte_identical(self, tmp_path):
         net = tiny_net()
-        cfg = TrainConfig()
-        ckpt = make_checkpoint(net, cfg, OptimizerState(), np.random.default_rng(0), epoch=3)
+        ckpt = make_checkpoint(net, OptimizerState(), np.random.default_rng(0), epoch=3)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
@@ -309,10 +308,10 @@ class TestCheckpoint:
         rng = np.random.default_rng(0)
         train(net, train_samples, test_samples, cfg, rng)
         before = evaluate(net, test_samples).accuracy
-        ckpt = make_checkpoint(net, cfg, OptimizerState(), rng, epoch=1)
+        ckpt = make_checkpoint(net, OptimizerState(), rng, epoch=1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
-        restored, _, _, _, _ = restore_network(load_checkpoint(path))
+        restored, _, _, _ = restore_network(load_checkpoint(path))
         after = evaluate(restored, test_samples).accuracy
         assert before == after
 
@@ -327,7 +326,7 @@ class TestCheckpoint:
             optimizer_step(net.parameters(), state, cfg)
 
         step()  # so the Adam moments exist and are nonzero
-        ckpt = make_checkpoint(net, cfg, state, np.random.default_rng(0), epoch=0)
+        ckpt = make_checkpoint(net, state, np.random.default_rng(0), epoch=0)
         kept = [(name, arr.copy()) for name, arr in ckpt.records]
         for _, p in net.parameters():
             p.data += 1.0
@@ -343,7 +342,7 @@ class TestCheckpoint:
         accs = [row["test_acc"] for row in result.history]
         best_epoch = accs.index(result.best_accuracy)
         assert accs[-1] < result.best_accuracy  # the best epoch precedes the last
-        restored, _, _, _, epoch = restore_network(load_checkpoint(tmp_path / "best.ckpt"))
+        restored, _, _, epoch = restore_network(load_checkpoint(tmp_path / "best.ckpt"))
         assert epoch == best_epoch
         assert evaluate(restored, test_samples).accuracy == result.best_accuracy
 
@@ -355,7 +354,7 @@ class TestCheckpoint:
 
     def test_arch_mismatch_rejected(self, tmp_path):
         net = tiny_net()
-        ckpt = make_checkpoint(net, TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        ckpt = make_checkpoint(net, OptimizerState(), np.random.default_rng(0), 0)
         # Claim a different architecture than the stored tensors.
         broken = Checkpoint(arch="8C3-LIF-MP2-16FC-LIF-Voting", records=ckpt.records)
         with pytest.raises(CheckpointError):
@@ -363,7 +362,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("dropped", ["opt.step", "meta.rng", "meta.epoch", "meta.config"])
     def test_missing_record_rejected(self, dropped):
-        ckpt = make_checkpoint(tiny_net(), TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        ckpt = make_checkpoint(tiny_net(), OptimizerState(), np.random.default_rng(0), 0)
         records = [(name, arr) for name, arr in ckpt.records if name != dropped]
         with pytest.raises(CheckpointError, match=dropped):
             restore_network(Checkpoint(arch=ckpt.arch, records=records))
@@ -373,7 +372,7 @@ class TestCheckpoint:
         [b"{not json", b"\xff\xfe", b'{"precision": "f32"}', b"[]"],
     )
     def test_corrupt_config_record_rejected(self, config):
-        ckpt = make_checkpoint(tiny_net(), TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        ckpt = make_checkpoint(tiny_net(), OptimizerState(), np.random.default_rng(0), 0)
         records = [
             (name, np.frombuffer(config, dtype=np.uint8) if name == "meta.config" else arr)
             for name, arr in ckpt.records
@@ -392,7 +391,7 @@ class TestCheckpoint:
         ],
     )
     def test_bad_stored_size_rejected(self, key, value):
-        ckpt = make_checkpoint(tiny_net(), TrainConfig(), OptimizerState(), np.random.default_rng(0), 0)
+        ckpt = make_checkpoint(tiny_net(), OptimizerState(), np.random.default_rng(0), 0)
         records = []
         for name, arr in ckpt.records:
             if name == "meta.config":
@@ -406,8 +405,8 @@ class TestCheckpoint:
         net = tiny_net()
         rng = np.random.default_rng(9)
         rng.random(13)  # advance
-        ckpt = make_checkpoint(net, TrainConfig(), OptimizerState(), rng, epoch=2)
-        _, _, _, rng_state, epoch = restore_network(ckpt)
+        ckpt = make_checkpoint(net, OptimizerState(), rng, epoch=2)
+        _, _, rng_state, epoch = restore_network(ckpt)
         fresh = np.random.default_rng(0)
         fresh.bit_generator.state = rng_state
         np.testing.assert_array_equal(fresh.random(5), rng.random(5))
@@ -427,7 +426,6 @@ _FUZZ_BLOB = make_checkpoint(
         num_classes=4,
         rng=np.random.default_rng(0),
     ),
-    TrainConfig(),
     OptimizerState(),
     np.random.default_rng(0),
     epoch=0,
@@ -502,6 +500,28 @@ class TestTrainLoop:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train(tiny_net(), [], [], TrainConfig(), np.random.default_rng(0))
+
+    def test_network_dtype_sets_frames_checkpoint_and_restore(self, tmp_path):
+        # The network is the one source of the float type: a default TrainConfig
+        # trains an f64 network on f64 frames and records it as f64.
+        train_samples, test_samples = tiny_dataset()
+        net = tiny_net(dtype=np.float64)
+        seen = []
+        forward = net.forward
+
+        def spy(x, *args, **kwargs):
+            seen.append(x.dtype)
+            return forward(x, *args, **kwargs)
+
+        net.forward = spy
+        train(net, train_samples, test_samples, TrainConfig(epochs=1, batch_size=8),
+              np.random.default_rng(0), out_dir=tmp_path)
+        assert set(seen) == {np.dtype(np.float64)}
+        ckpt = load_checkpoint(tmp_path / "last.ckpt")
+        assert json.loads(dict(ckpt.records)["meta.config"].tobytes())["precision"] == "f64"
+        restored = restore_network(ckpt)[0]
+        assert restored.dtype == np.float64
+        assert all(p.data.dtype == np.float64 for _, p in restored.parameters())
 
     def test_augmented_training_runs_and_is_deterministic(self):
         losses = []
