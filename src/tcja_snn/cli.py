@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -358,6 +359,10 @@ _GEN_FLAG_LEAVES = {
     "noise": "data.synthetic.noise_per_tick",
     **{flag: f"data.synthetic.{flag}" for flag in ("height", "width", "seed")},
 }
+# gen-synthetic has one flag per `gen_synthetic` parameter, named after it
+# except where listed here, with its default.
+_GEN_PARAMS = inspect.signature(data_mod.gen_synthetic).parameters
+_GEN_FLAG_NAMES = {"noise_per_tick": "noise"}
 
 
 def cmd_gen_synthetic(args, overrides: list[str]) -> int:
@@ -368,14 +373,7 @@ def cmd_gen_synthetic(args, overrides: list[str]) -> int:
         if value < least:
             raise ConfigError(f"--{dest.replace('_', '-')} must be >= {least}, got {value!r}")
     dataset = data_mod.gen_synthetic(
-        kind=args.kind,
-        classes=args.classes,
-        height=args.height,
-        width=args.width,
-        t_steps=args.t_steps,
-        n=args.n,
-        seed=args.seed,
-        noise_per_tick=args.noise,
+        **{name: getattr(args, _GEN_FLAG_NAMES.get(name, name)) for name in _GEN_PARAMS}
     )
     manifest = data_mod.write_dataset(args.out, dataset, fmt=args.format)
     print(f"wrote {len(dataset)} samples, manifest at {manifest}")
@@ -405,15 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-synthetic", help="write a synthetic event dataset")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--kind", default="moving-bar")
-    p_gen.add_argument("--classes", type=int, default=4)
-    p_gen.add_argument("--height", type=int, default=16)
-    p_gen.add_argument("--width", type=int, default=16)
-    p_gen.add_argument("--t-steps", type=int, default=8, dest="t_steps")
-    p_gen.add_argument("--n", type=int, default=100)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--noise", type=int, default=1)
-    p_gen.add_argument("--format", default="bin", choices=["bin", "csv"])
+    for name, param in _GEN_PARAMS.items():
+        dest = _GEN_FLAG_NAMES.get(name, name)
+        p_gen.add_argument(
+            f"--{dest.replace('_', '-')}", dest=dest, type=type(param.default), default=param.default
+        )
+    fmt_default = inspect.signature(data_mod.write_dataset).parameters["fmt"].default
+    p_gen.add_argument("--format", default=fmt_default, choices=["bin", "csv"])
     return parser
 
 

@@ -224,7 +224,7 @@ class DropoutLayer:
             return x
         keep = 1.0 - self.p
         mask = (rng.random(x.shape[1:]) < keep).astype(x.dtype) / keep
-        return x * Tensor(mask[None])
+        return dropout(x, mask)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return []
@@ -236,8 +236,6 @@ class FcLayer:
         self.bias = bias
 
     def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
         return fully_connected(x, self.weight, self.bias)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -276,7 +274,21 @@ def voting_layer(spikes: Tensor, num_classes: int) -> Tensor:
             f"neuron count {width} not divisible by {num_classes} classes"
         )
     window = width // num_classes
-    return spikes.reshape(t_steps, num_classes, window).mean(axis=2)
+    scores = spikes.data.reshape(t_steps, num_classes, window).mean(axis=2)
+
+    def backward(g: np.ndarray) -> None:
+        spikes._accumulate(np.repeat(g / window, window, axis=1))
+
+    return Tensor._node(scores, (spikes,), backward)
+
+
+def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Scale every time step of `x` by the same mask: (T, ...) * (...)."""
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(g * mask)
+
+    return Tensor._node(x.data * mask, (x,), backward)
 
 
 @dataclass

@@ -6,6 +6,13 @@ topological order by ``Tensor.backward()``. Gradients accumulate
 additively across fan-out. Each forward pass builds a fresh graph, which
 backward frees as it goes, so there is no tape to reset between iterations.
 Inside a ``no_grad()`` block no graph is recorded at all.
+
+Every op is one layer-sized node with a closed-form backward, built with
+``Tensor._node``: conv, pooling and the flattening affine map here, and
+the LIF, attention, dropout, voting and loss nodes beside their layers.
+``Tensor`` has no generic arithmetic; the elementwise, reduction and
+reshape ops that the unfused reference compositions are built from live
+only in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -64,15 +71,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw array data, not another Tensor")
-        if dtype is not None:
-            arr = np.asarray(data, dtype=dtype)
-        else:
-            arr = np.asarray(data)
-            if not np.issubdtype(arr.dtype, np.floating):
-                arr = arr.astype(np.float64)
+        arr = np.asarray(data)
+        if not np.issubdtype(arr.dtype, np.floating):
+            arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -103,11 +107,6 @@ class Tensor:
         else:
             self.grad += contribution
 
-    def _coerce(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(np.asarray(other, dtype=self.data.dtype))
-
     # -- basic introspection ---------------------------------------------------
 
     @property
@@ -133,10 +132,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- graph control ---------------------------------------------------------
-
-    def detach(self) -> "Tensor":
-        """A view of the same values cut loose from the graph."""
-        return Tensor(self.data)
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar; fills grads of every reachable leaf.
@@ -174,107 +169,6 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         return order
-
-    # -- elementwise arithmetic -------------------------------------------------
-
-    def _binary(self, other, fwd, vjp_a, vjp_b) -> "Tensor":
-        other = self._coerce(other)
-        try:
-            data = fwd(self.data, other.data)
-        except ValueError:
-            raise ShapeError(
-                f"operands not broadcastable: {self.shape} vs {other.shape}"
-            ) from None
-        a, b = self, other
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(vjp_a(g, a.data, b.data), a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(vjp_b(g, a.data, b.data), b.shape))
-
-        return Tensor._node(data, (a, b), backward)
-
-    def __add__(self, other) -> "Tensor":
-        return self._binary(
-            other,
-            lambda x, y: x + y,
-            lambda g, x, y: g,
-            lambda g, x, y: g,
-        )
-
-    def __sub__(self, other) -> "Tensor":
-        return self._binary(
-            other,
-            lambda x, y: x - y,
-            lambda g, x, y: g,
-            lambda g, x, y: -g,
-        )
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other) -> "Tensor":
-        return self._binary(
-            other,
-            lambda x, y: x * y,
-            lambda g, x, y: g * y,
-            lambda g, x, y: g * x,
-        )
-
-    # -- reductions and reshaping -------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-        src = self
-        axes = _normalize_axes(axis, self.ndim)
-
-        def backward(g: np.ndarray) -> None:
-            src._accumulate(_spread(g, src.shape, axes, keepdims))
-
-        return Tensor._node(np.asarray(data), (src,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        axes = _normalize_axes(axis, self.ndim)
-        count = 1
-        for ax in axes:
-            count *= self.shape[ax]
-        data = self.data.mean(axis=axis, keepdims=keepdims)
-        src = self
-
-        def backward(g: np.ndarray) -> None:
-            src._accumulate(_spread(g, src.shape, axes, keepdims) / count)
-
-        return Tensor._node(np.asarray(data), (src,), backward)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-        src = self
-
-        def backward(g: np.ndarray) -> None:
-            src._accumulate(g.reshape(src.shape))
-
-        return Tensor._node(data, (src,), backward)
-
-
-def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def _spread(
-    g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool
-) -> np.ndarray:
-    """Broadcast a reduced gradient back over the reduced axes."""
-    if not keepdims:
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
 
 
 def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
@@ -382,12 +276,13 @@ def pool2d(x: Tensor, kind: str, k: int) -> Tensor:
 
 
 def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: (B, F) @ (F, G) + (G,)."""
-    if x.ndim != 2 or weight.ndim != 2:
+    """Affine map of the flattened rows: (N, ...) -> (N, F) @ (F, G) + (G,)."""
+    if x.ndim < 2 or weight.ndim != 2:
         raise ShapeError(
-            f"fully_connected expects 2-D input/weight, got {x.shape} and {weight.shape}"
+            f"fully_connected expects (N, ...) input and 2-D weight, got {x.shape} and {weight.shape}"
         )
-    if x.shape[1] != weight.shape[0]:
+    flat = x.data.reshape(x.shape[0], -1)
+    if flat.shape[1] != weight.shape[0]:
         raise ShapeError(
             f"inner dimensions differ: input {x.shape} vs weight {weight.shape}"
         )
@@ -395,14 +290,14 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"bias shape {bias.shape} does not match output width {weight.shape[1]}"
         )
-    data = x.data @ weight.data + bias.data
+    data = flat @ weight.data + bias.data
     xt, wt, bt = x, weight, bias
 
     def backward(g: np.ndarray) -> None:
         if xt.requires_grad:
-            xt._accumulate(g @ wt.data.T)
+            xt._accumulate((g @ wt.data.T).reshape(xt.shape))
         if wt.requires_grad:
-            wt._accumulate(xt.data.T @ g)
+            wt._accumulate(flat.T @ g)
         if bt.requires_grad:
             bt._accumulate(g.sum(axis=0))
 

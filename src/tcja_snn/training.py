@@ -72,8 +72,15 @@ def smse_loss(outputs: Tensor, target: np.ndarray) -> Tensor:
         raise ShapeError(
             f"target shape {target.shape} does not match outputs {outputs.shape}"
         )
-    diff = outputs - Tensor(target[None, :])
-    return (diff * diff).mean()
+    diff = outputs.data - target
+    count = outputs.size  # a Python int: an np.int64 would promote f32 to f64
+
+    def backward(g: np.ndarray) -> None:
+        # Twice (g/count)·diff, as the sum of two equal products: exact.
+        half = (g / count) * diff
+        outputs._accumulate(half + half)
+
+    return Tensor._node(np.asarray((diff * diff).mean()), (outputs,), backward)
 
 
 def predict_label(outputs: Tensor | np.ndarray) -> int:

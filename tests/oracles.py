@@ -2,9 +2,11 @@
 
 Everything here is written as plain loops over the defining sums so the
 fast vectorized paths in the package are checked against independent
-arithmetic, not against themselves. The unfused LIF and TCJA compositions
-and the scatter form of the conv input gradient are kept here as parity
-oracles for the fused kernels that replaced them.
+arithmetic, not against themselves. The generic graph ops (add, sub, mul,
+total, mean, reshape, detach) live only here: the unfused LIF, TCJA, loss,
+voting, dropout and flatten compositions are built from them and kept as
+parity oracles for the fused nodes that replaced them, beside the scatter
+form of the conv input gradient.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from tcja_snn.attention import TcjaParams
 from tcja_snn.neuron import LifConfig, LifTrace, surrogate_derivative
-from tcja_snn.tensor import ShapeError, Tensor
+from tcja_snn.tensor import ShapeError, Tensor, _unbroadcast, fully_connected
 
 
 def conv2d_loops(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -266,6 +268,103 @@ def conv2d_input_grad_scatter(
     return dpadded[:, :, padding : padding + height, padding : padding + width]
 
 
+# -- generic graph ops: the arithmetic the unfused compositions are built from --
+
+
+def _coerce(x, like: Tensor) -> Tensor:
+    """`x` as a Tensor, a plain number taking `like`'s dtype."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=like.data.dtype))
+
+
+def _binary(a, b, fwd, vjp_a, vjp_b) -> Tensor:
+    like = a if isinstance(a, Tensor) else b
+    a, b = _coerce(a, like), _coerce(b, like)
+    try:
+        data = fwd(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"operands not broadcastable: {a.shape} vs {b.shape}") from None
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(vjp_a(g, a.data, b.data), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(vjp_b(g, a.data, b.data), b.shape))
+
+    return Tensor._node(data, (a, b), backward)
+
+
+def add(a, b) -> Tensor:
+    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b) -> Tensor:
+    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b) -> Tensor:
+    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
+    if axis is None:
+        return tuple(range(ndim))
+    if isinstance(axis, int):
+        axis = (axis,)
+    return tuple(ax % ndim for ax in axis)
+
+
+def _spread(
+    g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool
+) -> np.ndarray:
+    """Broadcast a reduced gradient back over the reduced axes."""
+    if not keepdims:
+        for ax in sorted(axes):
+            g = np.expand_dims(g, ax)
+    return np.broadcast_to(g, shape)
+
+
+def total(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Sum over `axis` (all axes by default)."""
+    axes = _normalize_axes(axis, x.ndim)
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(_spread(g, x.shape, axes, keepdims))
+
+    return Tensor._node(np.asarray(x.data.sum(axis=axis, keepdims=keepdims)), (x,), backward)
+
+
+def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over `axis` (all axes by default)."""
+    axes = _normalize_axes(axis, x.ndim)
+    count = 1
+    for ax in axes:
+        count *= x.shape[ax]
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(_spread(g, x.shape, axes, keepdims) / count)
+
+    return Tensor._node(np.asarray(x.data.mean(axis=axis, keepdims=keepdims)), (x,), backward)
+
+
+def reshape(x: Tensor, *shape) -> Tensor:
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(g.reshape(x.shape))
+
+    return Tensor._node(x.data.reshape(shape), (x,), backward)
+
+
+def detach(x: Tensor) -> Tensor:
+    """A view of the same values cut loose from the graph."""
+    return Tensor(x.data)
+
+
+def probe_sum(out: Tensor, probe: np.ndarray) -> Tensor:
+    """The scalar sum(out * probe), whose gradient in `out` is `probe`."""
+    return total(mul(out, Tensor(probe)))
+
+
 # -- unfused LIF: one graph node per elementary op and step ----------------------
 
 
@@ -330,10 +429,10 @@ def _lif_update(
             f"state shape {state.h.shape} does not match input {input_current.shape}"
         )
     h = state.h
-    v = h + (input_current - (h - cfg.v_reset)) * (1.0 / cfg.tau)
-    spikes = heaviside_surrogate(v - cfg.v_threshold, cfg)
-    keep = 1.0 - (spikes.detach() if cfg.detach_reset else spikes)
-    return v, spikes, LifState(h=v * keep)
+    v = add(h, mul(sub(input_current, sub(h, cfg.v_reset)), 1.0 / cfg.tau))
+    spikes = heaviside_surrogate(sub(v, cfg.v_threshold), cfg)
+    keep = sub(1.0, detach(spikes) if cfg.detach_reset else spikes)
+    return v, spikes, LifState(h=mul(v, keep))
 
 
 def lif_step(
@@ -428,12 +527,37 @@ def tcja_forward_unfused(x: Tensor, params: TcjaParams) -> Tensor:
     """The attention block as a chain of generic graph ops: spatial mean,
     two 1-D convs, fusion, sigmoid and a broadcast rescale."""
     t_steps, channels = x.shape[0], x.shape[1]
-    z = transpose(x.mean(axis=(2, 3)))
+    z = transpose(mean(x, axis=(2, 3)))
     t_map = conv1d_multichannel(z, params.w)
     c_map = transpose(conv1d_multichannel(transpose(z), params.e))
-    pre = t_map * c_map if params.fusion == "multiply" else t_map + c_map
-    factor = transpose(sigmoid(pre)).reshape(t_steps, channels, 1, 1)
-    return x * factor
+    pre = mul(t_map, c_map) if params.fusion == "multiply" else add(t_map, c_map)
+    factor = reshape(transpose(sigmoid(pre)), t_steps, channels, 1, 1)
+    return mul(x, factor)
+
+
+# -- the generic compositions the loss, voting, dropout and FC nodes replaced ----
+
+
+def smse_loss_unfused(outputs: Tensor, target: np.ndarray) -> Tensor:
+    """Per-step MSE as three generic nodes: sub, mul and mean."""
+    diff = sub(outputs, Tensor(np.asarray(target, dtype=outputs.dtype)[None, :]))
+    return mean(mul(diff, diff))
+
+
+def voting_unfused(spikes: Tensor, num_classes: int) -> Tensor:
+    """Group-average voting as a reshape and a mean."""
+    t_steps, width = spikes.shape
+    return mean(reshape(spikes, t_steps, num_classes, width // num_classes), axis=2)
+
+
+def dropout_unfused(x: Tensor, mask: np.ndarray) -> Tensor:
+    """The mask multiply as a broadcast mul."""
+    return mul(x, Tensor(mask[None]))
+
+
+def fully_connected_unfused(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """A flattening reshape before the 2-D affine map."""
+    return fully_connected(reshape(x, x.shape[0], -1), weight, bias)
 
 
 def smse_loops(outputs: np.ndarray, target: np.ndarray) -> float:

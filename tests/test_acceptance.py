@@ -14,7 +14,15 @@ import pytest
 
 from tcja_snn.attention import TcjaConfig, TcjaParams, ccf, cla, param_count, squeeze, tcja_forward, tla
 from tcja_snn.data import frames_dataset, gen_synthetic, integrate_frames, slice_bounds
-from tcja_snn.network import PRESETS, analytic_param_count, build_network, parse_arch, render
+from tcja_snn.network import (
+    PRESETS,
+    analytic_param_count,
+    build_network,
+    dropout,
+    parse_arch,
+    render,
+    voting_layer,
+)
 from tcja_snn.neuron import LifConfig, LifTrace, lif_sequence, surrogate_derivative
 from tcja_snn.tensor import Tensor, conv2d, fully_connected, pool2d
 from tcja_snn.training import (
@@ -81,7 +89,7 @@ def _grad_case(forward, arrays, rng, tol=1e-4, step=1e-5):
         out = forward(*ts)
         if "r" not in probe:
             probe["r"] = rng.standard_normal(out.shape)
-        return (out * Tensor(probe["r"])).sum(), ts
+        return oracles.probe_sum(out, probe["r"]), ts
 
     loss, tensors = run(arrays)
     loss.backward()
@@ -101,16 +109,18 @@ def test_criterion_2_gradient_suite():
         tic = time.monotonic()
         rng = np.random.default_rng(202)
         n_cases = 20
+        # A p = 0.5 dropout mask: dropped units 0, kept ones scaled by 1/keep.
+        dropout_mask = np.array([[2.0, 0.0, 2.0, 2.0], [0.0, 2.0, 0.0, 2.0]])
         op_table = {
-            "add": (lambda a, b: a + b, lambda: [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))]),
-            "sub": (lambda a, b: a - b, lambda: [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))]),
-            "mul": (lambda a, b: a * b, lambda: [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))]),
-            "broadcast_mul": (lambda a, b: a * b, lambda: [rng.standard_normal((3, 2, 1, 1)), rng.standard_normal((3, 2, 3, 3))]),
-            "scale": (lambda a: a * 1.7, lambda: [rng.standard_normal((4, 4))]),
+            "add": (oracles.add, lambda: [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))]),
+            "sub": (oracles.sub, lambda: [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))]),
+            "mul": (oracles.mul, lambda: [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))]),
+            "broadcast_mul": (oracles.mul, lambda: [rng.standard_normal((3, 2, 1, 1)), rng.standard_normal((3, 2, 3, 3))]),
+            "scale": (lambda a: oracles.mul(a, 1.7), lambda: [rng.standard_normal((4, 4))]),
             "sigmoid": (oracles.sigmoid, lambda: [rng.standard_normal((4, 4))]),
-            "sum": (lambda a: a.sum(axis=1), lambda: [rng.standard_normal((4, 4))]),
-            "mean": (lambda a: a.mean(axis=(1, 2)), lambda: [rng.standard_normal((2, 3, 4))]),
-            "reshape": (lambda a: a.reshape(8, 2), lambda: [rng.standard_normal((4, 4))]),
+            "sum": (lambda a: oracles.total(a, axis=1), lambda: [rng.standard_normal((4, 4))]),
+            "mean": (lambda a: oracles.mean(a, axis=(1, 2)), lambda: [rng.standard_normal((2, 3, 4))]),
+            "reshape": (lambda a: oracles.reshape(a, 8, 2), lambda: [rng.standard_normal((4, 4))]),
             "transpose": (oracles.transpose, lambda: [rng.standard_normal((3, 5))]),
             "fully_connected": (fully_connected, lambda: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]),
             "conv2d": (lambda x, k: conv2d(x, k, padding=1), lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 3, 3))]),
@@ -119,9 +129,12 @@ def test_criterion_2_gradient_suite():
             "avg_pool": (lambda x: pool2d(x, "avg", 2), lambda: [rng.standard_normal((2, 4, 4))]),
             "max_pool": (lambda x: pool2d(x, "max", 2), lambda: [rng.standard_normal((2, 4, 4))]),
             "smse": (
-                lambda s: smse_loss(s, np.array([1.0, 0.0, 0.0])).reshape(1),
+                lambda s: oracles.reshape(smse_loss(s, np.array([1.0, 0.0, 0.0])), 1),
                 lambda: [rng.standard_normal((4, 3))],
             ),
+            "fully_connected_4d": (fully_connected, lambda: [rng.standard_normal((3, 2, 2, 2)), rng.standard_normal((8, 2)), rng.standard_normal(2)]),
+            "voting": (lambda s: voting_layer(s, 3), lambda: [rng.standard_normal((4, 6))]),
+            "dropout": (lambda x: dropout(x, dropout_mask), lambda: [rng.standard_normal((3, 2, 4))]),
         }
         for name, (forward, gen) in op_table.items():
             for _ in range(n_cases):
@@ -184,7 +197,7 @@ def test_criterion_5_cross_receptive_field():
             )
             probe = np.zeros(x.shape)
             probe[j, i] = 1.0
-            (tcja_forward(x, params) * Tensor(probe)).sum().backward()
+            oracles.probe_sum(tcja_forward(x, params), probe).backward()
             grad = x.grad[:, :, 0, 0].T
             outside = np.ones((c_dim, t_dim), dtype=bool)
             outside[i : i + k_c, :] = False

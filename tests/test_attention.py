@@ -55,7 +55,7 @@ class TestSqueeze:
         grads = []
         for forward in (tcja_forward, oracles.tcja_forward_unfused):
             x = Tensor(x_data, requires_grad=True)
-            forward(x, params).sum().backward()
+            oracles.total(forward(x, params)).backward()
             grads.append(x.grad)
         per_frame = np.broadcast_to(grads[0][:, :, :1, :1], x_data.shape)
         np.testing.assert_array_equal(grads[0], per_frame)
@@ -225,7 +225,7 @@ def cross_gradient(z_data, w_data, e_data, i, j):
     params = TcjaParams(w=Tensor(w_data), e=Tensor(e_data))
     probe = np.zeros(x.shape)
     probe[j, i] = 1.0
-    (tcja_forward(x, params) * Tensor(probe)).sum().backward()
+    oracles.probe_sum(tcja_forward(x, params), probe).backward()
     return x.grad[:, :, 0, 0].T
 
 
@@ -296,7 +296,7 @@ class TestGradients:
                 e=Tensor(e_arr.copy(), requires_grad=True),
             )
             xt = Tensor(x_arr.copy(), requires_grad=True)
-            out = (tcja_forward(xt, p) * Tensor(probe)).sum()
+            out = oracles.probe_sum(tcja_forward(xt, p), probe)
             return out, xt, p
 
         loss, xt, p = run(x, params.w.data, params.e.data)
@@ -331,7 +331,7 @@ class TestFusedParity:
                 w=Tensor(w, requires_grad=True), e=Tensor(e, requires_grad=True), fusion=fusion
             )
             out = forward(xt, params)
-            (out * Tensor(probe)).sum().backward()
+            oracles.probe_sum(out, probe).backward()
             results.append((out.data, xt.grad, params.w.grad, params.e.grad))
         for got, want in zip(*results):
             assert got.dtype == want.dtype == dtype

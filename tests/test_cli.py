@@ -468,6 +468,15 @@ class TestGenSynthetic:
         name, label = manifest[0].split(",")
         assert (out / name).exists() and label == "0"
 
+    def test_defaults_are_gen_synthetic_and_write_dataset_defaults(self, tmp_path):
+        out, want = tmp_path / "cli", tmp_path / "api"
+        assert main(["gen-synthetic", "--out", str(out)]) == 0
+        write_dataset(want, gen_synthetic())
+        names = sorted(f.name for f in want.iterdir())
+        assert sorted(f.name for f in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
     def test_unknown_flag_exits_1_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert main(["gen-synthetic", "--out", str(out), "--n", "4", "--bogus", "1"]) == 1

@@ -15,11 +15,12 @@ from tcja_snn.network import (
     VotingSpec,
     analytic_param_count,
     build_network,
+    dropout,
     parse_arch,
     render,
     voting_layer,
 )
-from tcja_snn.tensor import ShapeError, Tensor
+from tcja_snn.tensor import ShapeError, Tensor, fully_connected
 from tcja_snn.training import smse_loss
 
 import oracles
@@ -131,6 +132,87 @@ class TestDropout:
         a = net.forward(x, rng=np.random.default_rng(7)).data
         b = net.forward(x, rng=np.random.default_rng(7)).data
         np.testing.assert_array_equal(a, b)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestNodeParity:
+    """Each one-node op against the generic composition it replaced: the
+    same output and gradient bytes."""
+
+    def _run(self, node, unfused, arrays, probe_rng, dtype):
+        """Output and input gradients of node and of unfused under one probe."""
+        results = []
+        probe = None
+        for op in (node, unfused):
+            ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            out = op(*ts)
+            if probe is None:
+                probe = probe_rng.standard_normal(out.shape).astype(dtype)
+            oracles.probe_sum(out, probe).backward()
+            results.append((out.data, [t.grad for t in ts]))
+        (out, grads), (want_out, want_grads) = results
+        _same_bits(out, want_out)
+        for got, want in zip(grads, want_grads):
+            _same_bits(got, want)
+
+    def test_smse_loss_with_mixup_targets(self, dtype):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            t_steps, classes = int(rng.integers(1, 15)), int(rng.integers(2, 12))
+            a, b = rng.integers(0, classes, size=2)
+            lam = rng.beta(0.2, 0.2)
+            target = lam * np.eye(classes)[a] + (1 - lam) * np.eye(classes)[b]
+            outputs = rng.random((t_steps, classes))
+            # Backward from the loss itself, as training runs it ...
+            got, want = (Tensor(outputs.astype(dtype), requires_grad=True) for _ in range(2))
+            loss, want_loss = smse_loss(got, target), oracles.smse_loss_unfused(want, target)
+            loss.backward()
+            want_loss.backward()
+            _same_bits(loss.data, want_loss.data)
+            _same_bits(got.grad, want.grad)
+            # ... and under a probe that scales its gradient.
+            self._run(
+                lambda o: oracles.reshape(smse_loss(o, target), 1),
+                lambda o: oracles.reshape(oracles.smse_loss_unfused(o, target), 1),
+                [outputs], rng, dtype,
+            )
+
+    def test_voting(self, dtype):
+        rng = np.random.default_rng(72)
+        for _ in range(50):
+            t_steps, classes, window = (int(v) for v in rng.integers(1, 12, size=3))
+            spikes = rng.random((t_steps, classes * window))
+            self._run(
+                lambda s: voting_layer(s, classes),
+                lambda s: oracles.voting_unfused(s, classes),
+                [spikes], rng, dtype,
+            )
+
+    def test_dropout_mask(self, dtype):
+        rng = np.random.default_rng(73)
+        for p in (0.2, 0.5, 0.8):
+            x = (rng.random((6, 3, 4, 4)) < 0.3).astype(np.float64)
+            keep = 1.0 - p
+            mask = (rng.random(x.shape[1:]) < keep).astype(dtype) / keep
+            assert 0 < np.count_nonzero(mask) < mask.size
+            self._run(
+                lambda t: dropout(t, mask),
+                lambda t: oracles.dropout_unfused(t, mask),
+                [x], rng, dtype,
+            )
+
+    def test_fully_connected_flattens_4d_input(self, dtype):
+        rng = np.random.default_rng(74)
+        for shape in ((8, 16, 4, 4), (3, 2, 5, 1), (4, 7)):
+            x = rng.random(shape)
+            features = int(np.prod(shape[1:]))
+            w, b = rng.standard_normal((features, 5)), rng.standard_normal(5)
+            self._run(fully_connected, oracles.fully_connected_unfused, [x, w, b], rng, dtype)
 
 
 class TestBuild:
@@ -247,14 +329,14 @@ class TestForward:
         half = net_attn.layers[2].apply(spikes_plain, None)
         np.testing.assert_allclose(half.data, spikes_plain.data * 0.5, atol=1e-12)
 
-    def test_desk_training_sample_builds_15_graph_nodes(self):
-        # One node per conv, LIF, pool, TCJA and FC layer (9), the flatten
-        # before FC, the voting reshape and mean, and the loss's sub, mul, mean.
+    def test_desk_training_sample_builds_11_graph_nodes(self):
+        # One node per layer: conv, LIF, pool, TCJA, conv, LIF, pool, FC
+        # (which flattens its input itself), LIF and voting; then the loss.
         net = self._desk_net(dtype=np.float32)
         x = Tensor(np.random.default_rng(6).random((8, 2, 16, 16)).astype(np.float32))
         out = net.forward(x, rng=np.random.default_rng(1))
         loss = smse_loss(out, np.eye(4)[0])
-        assert sum(1 for node in loss._topo_order() if node._parents) == 15
+        assert sum(1 for node in loss._topo_order() if node._parents) == 11
 
     def test_backward_frees_the_sample_graph(self):
         net = self._desk_net(dtype=np.float32)

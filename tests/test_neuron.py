@@ -95,7 +95,7 @@ class TestSurrogates:
     def test_backward_scales_by_derivative(self):
         cfg = LifConfig(surrogate="atan", alpha=2.0)
         x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
-        heaviside_surrogate(x, cfg).sum().backward()
+        oracles.total(heaviside_surrogate(x, cfg)).backward()
         np.testing.assert_allclose(x.grad, surrogate_derivative(x.data, cfg), atol=1e-15)
 
 
@@ -161,7 +161,7 @@ class TestSequence:
         grads = []
         for detach in (True, False):
             x = Tensor(inputs.copy(), requires_grad=True)
-            lif_sequence(x, LifConfig(detach_reset=detach)).sum().backward()
+            oracles.total(lif_sequence(x, LifConfig(detach_reset=detach))).backward()
             grads.append(x.grad.copy())
         assert not np.allclose(grads[0], grads[1])
 
@@ -190,7 +190,7 @@ class TestSequence:
 
     def test_surrogate_gradient_flows_through_time(self):
         x = Tensor(np.full((4, 1), 0.9), requires_grad=True)
-        lif_sequence(x, LifConfig()).sum().backward()
+        oracles.total(lif_sequence(x, LifConfig())).backward()
         assert np.any(x.grad != 0.0)
 
 
@@ -210,7 +210,7 @@ class TestFusedParity:
             x = Tensor(inputs.copy(), requires_grad=True)
             trace = LifTrace()
             out = run(x, cfg, trace=trace)
-            (out * Tensor(probe)).sum().backward()
+            oracles.probe_sum(out, probe).backward()
             results.append((out.data, x.grad, trace))
         (fused, g_fused, tr_fused), (unfused, g_unfused, tr_unfused) = results
         assert fused.dtype == dtype and g_fused.dtype == dtype

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tcja_snn import tensor
 from tcja_snn.tensor import ShapeError, Tensor, conv2d, fully_connected, no_grad, pool2d
 
 import oracles
@@ -19,7 +20,7 @@ def grad_check(build_inputs, forward, n_cases=5, seed=0, tol=1e-4):
             out = forward(*ts)
             if probe is None:
                 probe = rng.standard_normal(out.shape)
-            return (out * Tensor(probe)).sum(), ts
+            return oracles.probe_sum(out, probe), ts
 
         loss, tensors = scalar_of(arrays)
         loss.backward()
@@ -47,33 +48,33 @@ class TestElementwise:
 
     def test_multiply_by_ones_is_identity(self):
         x = np.array([[1.5, -2.0], [0.25, 3.0]])
-        out = Tensor(x) * Tensor(np.ones_like(x))
+        out = oracles.mul(Tensor(x), Tensor(np.ones_like(x)))
         np.testing.assert_array_equal(out.data, x)
 
     def test_add(self):
-        out = Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])
+        out = oracles.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
     def test_broadcast_add(self):
-        out = Tensor(np.ones((2, 3))) + Tensor(np.array([10.0, 20.0, 30.0]))
+        out = oracles.add(Tensor(np.ones((2, 3))), Tensor(np.array([10.0, 20.0, 30.0])))
         np.testing.assert_array_equal(out.data, [[11, 21, 31], [11, 21, 31]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5)))
+            oracles.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
     def test_scalar_ops_preserve_dtype(self):
         x = Tensor(np.ones(4, dtype=np.float32))
-        assert (x * 2.0).dtype == np.float32
-        assert (1.0 - x).dtype == np.float32
+        assert oracles.mul(x, 2.0).dtype == np.float32
+        assert oracles.sub(1.0, x).dtype == np.float32
 
     def test_broadcast_conservation(self):
         # A (C, T) map spread over HxW then summed equals H*W times its sum.
         rng = np.random.default_rng(3)
         fmap = rng.standard_normal((5, 4))
         h = w = 6
-        spread = Tensor(fmap.T.reshape(4, 5, 1, 1)) * Tensor(np.ones((4, 5, h, w)))
-        assert spread.sum().item() == pytest.approx(h * w * fmap.sum(), rel=1e-12)
+        spread = oracles.mul(Tensor(fmap.T.reshape(4, 5, 1, 1)), Tensor(np.ones((4, 5, h, w))))
+        assert oracles.total(spread).item() == pytest.approx(h * w * fmap.sum(), rel=1e-12)
 
 
 class TestConv2d:
@@ -118,7 +119,7 @@ class TestConv2d:
         k = rng.standard_normal((4, 3, ksize, ksize))
         out = conv2d(x, Tensor(k), padding=padding)
         g = rng.standard_normal(out.shape)
-        (out * Tensor(g)).sum().backward()
+        oracles.probe_sum(out, g).backward()
         want = oracles.conv2d_input_grad_scatter(g, k, x.shape, stride, padding)
         np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
 
@@ -131,7 +132,7 @@ class TestConv2d:
         k = Tensor(rng.standard_normal((c_out, c_in, ksize, ksize)), requires_grad=True)
         out = conv2d(x, k, padding=padding)
         g = rng.standard_normal(out.shape)
-        (out * Tensor(g)).sum().backward()
+        oracles.probe_sum(out, g).backward()
         tol = dict(rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data, oracles.conv2d_loops(x.data, k.data, 1, padding), **tol)
         np.testing.assert_allclose(
@@ -160,7 +161,7 @@ class TestConv2d:
         x = Tensor(x64.astype(np.float32), requires_grad=True)
         k = Tensor(k64.astype(np.float32), requires_grad=True)
         out = conv2d(x, k, padding=1)
-        (out * Tensor(g64.astype(np.float32))).sum().backward()
+        oracles.probe_sum(out, g64.astype(np.float32)).backward()
         for got, want in (
             (out.data, oracles.conv2d_taps(x64, k64, 1)),
             (k.grad, oracles.conv2d_kernel_grad_loops(x64, g64, 3, 1)),
@@ -245,7 +246,7 @@ class TestPool:
             g = rng.standard_normal(shape[:-2] + (2, 3)).astype(dtype)
             xt = Tensor(x, requires_grad=True)
             out = pool2d(xt, kind, k)
-            (out * Tensor(g)).sum().backward()
+            oracles.probe_sum(out, g).backward()
             want = oracles.pool2d_loops(x, kind, k)
             if kind == "avg" and k >= 3:
                 # Only the order in which the k² terms are summed may differ.
@@ -262,7 +263,7 @@ class TestPool:
     def test_max_tie_routes_to_first_row_major(self):
         x = Tensor(np.array([[2.0, 2.0], [2.0, 2.0]]), requires_grad=True)
         out = pool2d(x, "max", 2)
-        out.sum().backward()
+        oracles.total(out).backward()
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("kind", ["max", "avg"])
@@ -311,19 +312,19 @@ class TestFullyConnected:
 class TestBackward:
     def test_sum_grad_is_ones(self):
         x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-        x.sum().backward()
+        oracles.total(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_grad_is_two_x(self):
         data = np.array([1.0, -2.0, 0.5])
         x = Tensor(data, requires_grad=True)
-        (x * x).sum().backward()
+        oracles.total(oracles.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 2 * data, atol=0)
 
     def test_fanout_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        y = x + x
-        (y * y).sum().backward()  # d/dx (2x)^2 = 8x
+        y = oracles.add(x, x)
+        oracles.total(oracles.mul(y, y)).backward()  # d/dx (2x)^2 = 8x
         np.testing.assert_allclose(x.grad, [24.0], atol=0)
 
     def test_non_scalar_backward_rejected(self):
@@ -332,22 +333,27 @@ class TestBackward:
 
     def test_detach_blocks_gradient(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        (x.detach() * x).sum().backward()
+        oracles.total(oracles.mul(oracles.detach(x), x)).backward()
         np.testing.assert_array_equal(x.grad, [2.0])
 
     def test_composite_graph_matches_fd(self):
         # mean/reshape/transpose/sigmoid chained together.
         grad_check(
             lambda rng: [rng.standard_normal((3, 4))],
-            lambda x: oracles.sigmoid(oracles.transpose(x) * 2.0 + 1.0).reshape(12).mean(axis=0),
+            lambda x: oracles.mean(
+                oracles.reshape(
+                    oracles.sigmoid(oracles.add(oracles.mul(oracles.transpose(x), 2.0), 1.0)), 12
+                ),
+                axis=0,
+            ),
             n_cases=5,
             seed=17,
         )
 
     def test_take0_and_stack_roundtrip_grads(self):
         x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
-        restacked = oracles.stack([oracles.take0(x, t) * (t + 1.0) for t in range(3)])
-        restacked.sum().backward()
+        restacked = oracles.stack([oracles.mul(oracles.take0(x, t), t + 1.0) for t in range(3)])
+        oracles.total(restacked).backward()
         expected = np.repeat(np.array([[1.0], [2.0], [3.0]]), 4, axis=1)
         np.testing.assert_array_equal(x.grad, expected)
 
@@ -355,10 +361,10 @@ class TestBackward:
         # Dyadic values keep every product and sum exact.
         xv, wv = np.array([1.0, -2.0, 0.5]), np.array([0.25, 4.0, -1.5])
         x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
-        y = x * w
-        yx = y * x
-        z = y + yx
-        loss = z.sum()
+        y = oracles.mul(x, w)
+        yx = oracles.mul(y, x)
+        z = oracles.add(y, yx)
+        loss = oracles.total(z)
         loss.backward()
         for node in (y, yx, z):
             assert node._backward is None and node._parents == () and node.grad is None
@@ -368,7 +374,7 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, wv + 2 * xv * wv)
         np.testing.assert_array_equal(w.grad, xv + xv * xv)
         # A second graph over the same leaves accumulates into their grads.
-        (x * w).sum().backward()
+        oracles.total(oracles.mul(x, w)).backward()
         np.testing.assert_array_equal(x.grad, 2 * wv + 2 * xv * wv)
         np.testing.assert_array_equal(w.grad, 2 * xv + xv * xv)
 
@@ -378,12 +384,12 @@ class TestNoGrad:
         w = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         x = Tensor(np.ones((1, 1, 4, 4)))
         with no_grad():
-            out = (conv2d(x, w, padding=1) * 2.0).sum()
+            out = oracles.total(oracles.mul(conv2d(x, w, padding=1), 2.0))
             assert not out.requires_grad and out._backward is None and out._parents == ()
             with no_grad():
                 pass
             assert not conv2d(x, w).requires_grad
-        recorded = conv2d(x, w).sum()
+        recorded = oracles.total(conv2d(x, w))
         assert recorded.requires_grad and recorded._parents
         recorded.backward()
         np.testing.assert_array_equal(w.grad, 4.0)
@@ -393,7 +399,7 @@ class TestNoGrad:
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError
-        assert (w * 2.0).requires_grad
+        assert oracles.mul(w, 2.0).requires_grad
 
 
 class TestDeterminism:
@@ -404,3 +410,16 @@ class TestDeterminism:
         a = conv2d(Tensor(x), Tensor(k), padding=1).data
         b = conv2d(Tensor(x), Tensor(k), padding=1).data
         np.testing.assert_array_equal(a, b)
+
+
+class TestNoGenericArithmetic:
+    """Every package op is a layer-sized node; generic arithmetic is test-only."""
+
+    def test_tensor_defines_no_generic_ops(self):
+        moved = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "sum", "mean", "reshape", "detach")
+        assert [name for name in moved if hasattr(Tensor, name)] == []
+
+    def test_module_defines_no_generic_op_helpers(self):
+        helpers = ("_binary", "_coerce", "_spread", "_normalize_axes")
+        assert [name for name in helpers if hasattr(tensor, name)] == []
