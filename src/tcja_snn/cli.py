@@ -45,6 +45,11 @@ class ConfigError(ValueError):
 # The LIF settings that the config keeps under "train" rather than "lif".
 _LIF_KEYS_IN_TRAIN = ("surrogate", "detach_reset")
 _LIF_DEFAULTS = asdict(LifConfig())
+# gen-synthetic has one flag per `gen_synthetic` parameter, named after it
+# except where listed here, with its default. The config's synthetic section
+# shares those defaults, except for the dataset sizes and the seed.
+_GEN_PARAMS = inspect.signature(data_mod.gen_synthetic).parameters
+_GEN_FLAG_NAMES = {"noise_per_tick": "noise"}
 
 DEFAULT_CONFIG: dict = {
     "arch": PRESETS["desk"],
@@ -56,14 +61,11 @@ DEFAULT_CONFIG: dict = {
         "width": None,
         "height": None,
         "synthetic": {
-            "kind": "moving-bar",
-            "classes": 4,
-            "height": 16,
-            "width": 16,
+            **{key: _GEN_PARAMS[key].default for key in ("kind", "classes", "height", "width")},
             "n_train": 400,
             "n_test": 100,
             "seed": 7,
-            "noise_per_tick": 1,
+            "noise_per_tick": _GEN_PARAMS["noise_per_tick"].default,
         },
     },
     "train": {
@@ -359,10 +361,6 @@ _GEN_FLAG_LEAVES = {
     "noise": "data.synthetic.noise_per_tick",
     **{flag: f"data.synthetic.{flag}" for flag in ("height", "width", "seed")},
 }
-# gen-synthetic has one flag per `gen_synthetic` parameter, named after it
-# except where listed here, with its default.
-_GEN_PARAMS = inspect.signature(data_mod.gen_synthetic).parameters
-_GEN_FLAG_NAMES = {"noise_per_tick": "noise"}
 
 
 def cmd_gen_synthetic(args, overrides: list[str]) -> int:

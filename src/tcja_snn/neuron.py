@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, will_record
+from .tensor import ShapeError, Tensor, blocks, will_record
 
 _SURROGATES = ("atan", "triangle")
 
@@ -63,11 +63,27 @@ class LifTrace:
     h: list[np.ndarray] = field(default_factory=list)
 
 
-def surrogate_derivative(x: np.ndarray, cfg: LifConfig) -> np.ndarray:
-    """Closed-form smooth derivative used in place of the step function's."""
+def surrogate_derivative(
+    x: np.ndarray, cfg: LifConfig, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Closed-form smooth derivative used in place of the step function's:
+    alpha / (2 (1 + (pi/2 alpha x)²)) for atan, and
+    max(0, gamma - |x - 1|) / gamma² for the triangle.
+
+    Computed op by op into `out`, a new array when None; `out` may be `x`.
+    """
+    out = np.empty_like(x) if out is None else out
     if cfg.surrogate == "atan":
-        return cfg.alpha / (2.0 * (1.0 + (np.pi / 2.0 * cfg.alpha * x) ** 2))
-    return (1.0 / cfg.gamma**2) * np.maximum(0.0, cfg.gamma - np.abs(x - 1.0))
+        np.multiply(np.pi / 2.0 * cfg.alpha, x, out=out)
+        np.square(out, out=out)
+        np.add(1.0, out, out=out)
+        np.multiply(2.0, out, out=out)
+        return np.divide(cfg.alpha, out, out=out)
+    np.subtract(x, 1.0, out=out)
+    np.abs(out, out=out)
+    np.subtract(cfg.gamma, out, out=out)
+    np.maximum(0.0, out, out=out)
+    return np.multiply(1.0 / cfg.gamma**2, out, out=out)
 
 
 def lif_sequence(
@@ -106,15 +122,35 @@ def lif_sequence(
             trace.h.append(h)
 
     def backward(g: np.ndarray) -> None:
-        slope = surrogate_derivative(v_stack - cfg.v_threshold, cfg).astype(g.dtype, copy=False)
-        keep = 1.0 - s_stack
+        # A block of steps at a time, last block first, so that its slope,
+        # keep and gradient stay in cache from the first pass to the last.
+        spans = blocks(t_steps, x[0].nbytes)
+        slope_buf = np.empty((spans[0].stop, *x.shape[1:]), dtype=x.dtype)
+        keep_buf = np.empty_like(slope_buf)
         g_v = np.empty_like(g)
         g_h = np.zeros_like(g[0])
-        for t in range(t_steps - 1, -1, -1):
-            g_s = g[t] if cfg.detach_reset else g[t] - g_h * v_stack[t]
-            g_v[t] = g_s * slope[t] + g_h * keep[t]
-            g_h = g_v[t] - g_v[t] * rate
-        g_v *= rate
+        g_s, kept = np.empty_like(g_h), np.empty_like(g_h)
+        for block in reversed(spans):
+            n = block.stop - block.start
+            slope, keep = slope_buf[:n], keep_buf[:n]
+            surrogate_derivative(
+                np.subtract(v_stack[block], cfg.v_threshold, out=slope), cfg, out=slope
+            )
+            np.subtract(1.0, s_stack[block], out=keep)
+            for i in range(n - 1, -1, -1):
+                t = block.start + i
+                g_vt = g_v[t]
+                if cfg.detach_reset:
+                    np.multiply(g[t], slope[i], out=g_vt)
+                else:
+                    np.multiply(g_h, v_stack[t], out=g_s)
+                    np.subtract(g[t], g_s, out=g_s)
+                    np.multiply(g_s, slope[i], out=g_vt)
+                np.multiply(g_h, keep[i], out=kept)
+                np.add(g_vt, kept, out=g_vt)
+                np.multiply(g_vt, rate, out=g_h)
+                np.subtract(g_vt, g_h, out=g_h)
+            np.multiply(g_v[block], rate, out=g_v[block])
         inputs._accumulate(g_v)
 
     return Tensor._node(s_stack, (inputs,), backward)

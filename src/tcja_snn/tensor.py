@@ -51,6 +51,19 @@ def will_record(parents: Sequence["Tensor"]) -> bool:
     return _recording and any(p.requires_grad for p in parents)
 
 
+# Bytes of input a blocked backward (LIF, max pooling) covers per block:
+# small enough that a block's input, gradient and temporaries stay in cache
+# between the passes over it, large enough that a small stack is one block.
+BLOCK_BYTES = 256 * 1024
+
+
+def blocks(length: int, unit_bytes: int) -> list[slice]:
+    """Split range(length) into consecutive runs of units, each covering at
+    most BLOCK_BYTES at `unit_bytes` a unit, but at least one unit."""
+    step = max(1, BLOCK_BYTES // unit_bytes)
+    return [slice(start, min(start + step, length)) for start in range(0, length, step)]
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -101,9 +114,14 @@ class Tensor:
         return out
 
     def _accumulate(self, contribution: np.ndarray) -> None:
+        """Add a backward closure's gradient contribution to `grad`.
+
+        The closure hands over a fresh, writeable array that it no longer
+        uses: the first contribution becomes `grad` itself (cast only if its
+        dtype differs), and later ones are added into it in place.
+        """
         if self.grad is None:
-            # A copy, never a view: contributions may be read-only broadcasts.
-            self.grad = np.array(contribution, dtype=self.data.dtype)
+            self.grad = np.asarray(contribution, dtype=self.data.dtype)
         else:
             self.grad += contribution
 
@@ -255,24 +273,53 @@ def pool2d(x: Tensor, kind: str, k: int) -> Tensor:
         out /= k * k
 
     def backward(g: np.ndarray) -> None:
-        dx = np.zeros(x.shape, dtype=g.dtype)
+        # The taps tile x, so every element of dx is written.
+        dx = np.empty(x.shape, dtype=g.dtype)
         if kind == "avg":
             share = g / (k * k)
             for tap in taps:
                 dx[tap] = share
         else:
-            # AND g's bits with an all-ones or all-zeros mask, not g * hit,
-            # so a negative g leaves +0.0, not -0.0, off the max.
-            uint = np.dtype(f"u{g.itemsize}")
-            bits = g.view(uint)
-            taken = np.zeros(out.shape, dtype=bool)
-            for tap in taps:
-                hit = (x.data[tap] == out) & ~taken
-                dx[tap] = (bits & -hit.astype(uint)).view(g.dtype)
-                taken |= hit
+            _max_pool_backward(x.data, out, g, dx, k)
         x._accumulate(dx)
 
     return Tensor._node(out, (x,), backward)
+
+
+def _max_pool_backward(
+    x: np.ndarray, out: np.ndarray, g: np.ndarray, dx: np.ndarray, k: int
+) -> None:
+    """Write g into the first tap of each window that holds its max, +0.0
+    into the others.
+
+    Works on rows of windows, x as (R, k, W) against out and g as (R, W/k),
+    a block of rows at a time so that each block's taps, masks and dx stay
+    in cache. g's bits are ANDed with an all-ones or all-zeros mask, not
+    multiplied by the hit, so a negative g leaves +0.0, not -0.0, off the max.
+    """
+    width = x.shape[-1]
+    uint = np.dtype(f"u{g.itemsize}")
+    rows = x.reshape(-1, k, width)
+    out_rows = out.reshape(-1, width // k)
+    bits = g.view(uint).reshape(out_rows.shape)
+    dx_bits = dx.view(uint).reshape(rows.shape)
+    spans = blocks(len(rows), k * width * x.itemsize)
+    size = (spans[0].stop, width // k)
+    taken, free, hit = (np.empty(size, dtype=bool) for _ in range(3))
+    mask = np.empty(size, dtype=uint)
+    for block in spans:
+        n = block.stop - block.start
+        taken_b, free_b, hit_b, mask_b = taken[:n], free[:n], hit[:n], mask[:n]
+        taken_b.fill(False)
+        for i in range(k):
+            for j in range(k):
+                np.equal(rows[block, i, j::k], out_rows[block], out=hit_b)
+                np.invert(taken_b, out=free_b)
+                np.bitwise_and(hit_b, free_b, out=hit_b)
+                np.copyto(mask_b, hit_b)
+                np.negative(mask_b, out=mask_b)
+                np.bitwise_and(bits[block], mask_b, out=dx_bits[block, i, j::k])
+                np.bitwise_or(taken_b, hit_b, out=taken_b)
 
 
 def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -269,6 +269,13 @@ def conv2d_input_grad_scatter(
 
 
 # -- generic graph ops: the arithmetic the unfused compositions are built from --
+#
+# `Tensor._accumulate` adopts a first contribution as the gradient and adds
+# later ones into it in place, so each closure here hands over a copy
+# wherever its gradient would be g itself or a view of it (a reshape,
+# transpose, slice or broadcast). The copies are `np.array`'s, which keep
+# the view's memory order, so a transposed gradient stays F-ordered and the
+# GEMMs downstream sum as they did when `_accumulate` made these copies.
 
 
 def _coerce(x, like: Tensor) -> Tensor:
@@ -288,9 +295,9 @@ def _binary(a, b, fwd, vjp_a, vjp_b) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(vjp_a(g, a.data, b.data), a.shape))
+            a._accumulate(np.array(_unbroadcast(vjp_a(g, a.data, b.data), a.shape)))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(vjp_b(g, a.data, b.data), b.shape))
+            b._accumulate(np.array(_unbroadcast(vjp_b(g, a.data, b.data), b.shape)))
 
     return Tensor._node(data, (a, b), backward)
 
@@ -330,7 +337,7 @@ def total(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axis, x.ndim)
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(_spread(g, x.shape, axes, keepdims))
+        x._accumulate(np.array(_spread(g, x.shape, axes, keepdims)))
 
     return Tensor._node(np.asarray(x.data.sum(axis=axis, keepdims=keepdims)), (x,), backward)
 
@@ -350,7 +357,7 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(x: Tensor, *shape) -> Tensor:
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g.reshape(x.shape))
+        x._accumulate(np.array(g.reshape(x.shape)))
 
     return Tensor._node(x.data.reshape(shape), (x,), backward)
 
@@ -394,7 +401,7 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         for i, t in enumerate(parents):
             if t.requires_grad:
-                t._accumulate(g[i])
+                t._accumulate(np.array(g[i]))
 
     return Tensor._node(data, parents, backward)
 
@@ -481,7 +488,7 @@ def transpose(x: Tensor) -> Tensor:
     """Reverse the order of all axes."""
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g.T)
+        x._accumulate(np.array(g.T))
 
     return Tensor._node(x.data.T, (x,), backward)
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 from pathlib import Path
 
@@ -476,6 +477,14 @@ class TestGenSynthetic:
         assert sorted(f.name for f in out.iterdir()) == names
         for name in names:
             assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_config_synthetic_defaults_are_gen_synthetic_defaults(self):
+        # The dataset sizes and seed differ on purpose; the rest is shared.
+        params = inspect.signature(gen_synthetic).parameters
+        synthetic = DEFAULT_CONFIG["data"]["synthetic"]
+        for key in ("kind", "classes", "height", "width", "noise_per_tick"):
+            assert synthetic[key] == params[key].default, key
+        assert (synthetic["n_train"], synthetic["n_test"], synthetic["seed"]) == (400, 100, 7)
 
     def test_unknown_flag_exits_1_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "data"

@@ -374,3 +374,40 @@ class TestForward:
         net.layers[2].k = 3  # sabotage: 16x16 not divisible by 3
         with pytest.raises(ShapeError, match=r"layer 2 \(PoolLayer\)"):
             net.forward(Tensor(np.zeros((2, 2, 16, 16), dtype=np.float32)))
+
+
+class TestGradientHandOver:
+    """`Tensor._accumulate` adopts a first contribution as the gradient
+    itself, so every closure must hand over a fresh array it no longer uses."""
+
+    def test_every_contribution_is_fresh(self, monkeypatch):
+        arch = parse_arch(
+            "8C3-LIF-MP2-TCJA-8C3-LIF-AP2-0.5DP-32FC-LIF-Voting",
+            input_dims=(2, 16, 16), time_steps=8,
+        )
+        net = build_network(arch, num_classes=4, rng=np.random.default_rng(3))
+        handed: list[tuple[Tensor, np.ndarray]] = []
+        accumulate = Tensor._accumulate
+
+        def recording(self, contribution):
+            handed.append((self, contribution))
+            accumulate(self, contribution)
+
+        monkeypatch.setattr(Tensor, "_accumulate", recording)
+        x = Tensor((np.random.default_rng(4).random((8, 2, 16, 16)) * 3).astype(np.float32))
+        out = net.forward(x, rng=np.random.default_rng(5))
+        smse_loss(out, np.eye(4, dtype=np.float32)[1]).backward()
+        # One each from the loss, voting, the last LIF, dropout, average
+        # pooling, the second LIF, max pooling and the first LIF; FC's input,
+        # weight and bias; the second conv's input and kernel; TCJA's input,
+        # w and e; the first conv's kernel (the frames need no gradient).
+        assert len(handed) == 17
+        params = [p for _, p in net.parameters()]
+        assert {id(p) for p in params} <= {id(t) for t, _ in handed}
+        for i, (target, contribution) in enumerate(handed):
+            assert contribution.flags.writeable
+            assert contribution.dtype == target.dtype
+            for _, other in handed[i + 1 :]:
+                assert not np.shares_memory(contribution, other)
+            for p in params:
+                assert not np.shares_memory(contribution, p.data)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcja_snn import tensor
 from tcja_snn.neuron import LifConfig, LifTrace, lif_sequence, surrogate_derivative
 from tcja_snn.tensor import ShapeError, Tensor, no_grad
 
@@ -222,6 +223,32 @@ class TestFusedParity:
             np.testing.assert_allclose(g_fused, g_unfused, rtol=0, atol=1e-12)
         else:
             np.testing.assert_allclose(g_fused, g_unfused, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("surrogate", ["atan", "triangle"])
+    @pytest.mark.parametrize("detach_reset", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocked_backward_matches_one_block(
+        self, monkeypatch, surrogate, detach_reset, dtype
+    ):
+        # Blocks of 1, 2 and 4 steps (T = 9 is a multiple of neither 2 nor
+        # 4) against a budget past the whole stack: the same bytes.
+        cfg = LifConfig(surrogate=surrogate, detach_reset=detach_reset)
+        rng = np.random.default_rng(12)
+        inputs = rng.uniform(-1, 3, size=(9, 3, 4)).astype(dtype)
+        probe = rng.standard_normal(inputs.shape).astype(dtype)
+        step = inputs[0].nbytes
+        results = []
+        for budget in (step, 2 * step, 4 * step, 100 * step):
+            monkeypatch.setattr(tensor, "BLOCK_BYTES", budget)
+            x = Tensor(inputs.copy(), requires_grad=True)
+            out = lif_sequence(x, cfg)
+            oracles.probe_sum(out, probe).backward()
+            results.append((out.data, x.grad))
+        (whole_out, whole_grad), blocked = results[-1], results[:-1]
+        assert 0.0 < whole_out.mean() < 1.0 and whole_grad.dtype == dtype
+        for out, grad in blocked:
+            assert out.tobytes() == whole_out.tobytes()
+            assert grad.dtype == dtype and grad.tobytes() == whole_grad.tobytes()
 
     def test_builds_one_node(self):
         x = Tensor(np.full((6, 2), 0.9), requires_grad=True)

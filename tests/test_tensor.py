@@ -256,6 +256,30 @@ class TestPool:
                 assert_same_bits(out.data, want)
             assert_same_bits(xt.grad, oracles.pool2d_grad_loops(x, g, kind, k))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape, k, rows_per_block",
+        [
+            ((12, 9), 3, 3),  # 4 rows of windows: blocks of 3 and 1
+            ((5, 4, 10), 2, 4),  # 10 rows: 4, 4 and 2
+            ((2, 3, 1, 6, 8), 2, 5),  # 18 rows: 5, 5, 5 and 3
+        ],
+    )
+    def test_max_backward_across_blocks_matches_loop_oracle(
+        self, monkeypatch, dtype, shape, k, rows_per_block
+    ):
+        # A block is a run of rows of windows: k input rows of the full width.
+        row_bytes = k * shape[-1] * np.dtype(dtype).itemsize
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", rows_per_block * row_bytes)
+        rng = np.random.default_rng(sum(shape))
+        x = (rng.random(shape) < 0.3).astype(dtype)  # most windows tie
+        g = rng.standard_normal(shape[:-2] + (shape[-2] // k, shape[-1] // k)).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = pool2d(xt, "max", k)
+        oracles.probe_sum(out, g).backward()
+        assert_same_bits(out.data, oracles.pool2d_loops(x, "max", k))
+        assert_same_bits(xt.grad, oracles.pool2d_grad_loops(x, g, "max", k))
+
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError, match="not divisible"):
             pool2d(Tensor(np.ones((5, 5))), "avg", 2)
@@ -274,6 +298,20 @@ class TestPool:
             n_cases=3,
             seed=13,
         )
+
+
+class TestBlocks:
+    def test_runs_of_whole_units_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 100)
+        spans = [(b.start, b.stop) for b in tensor.blocks(9, 40)]
+        assert spans == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
+
+    def test_one_unit_when_a_unit_exceeds_the_budget(self, monkeypatch):
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 100)
+        assert [(b.start, b.stop) for b in tensor.blocks(3, 101)] == [(0, 1), (1, 2), (2, 3)]
+
+    def test_one_block_when_everything_fits(self):
+        assert tensor.blocks(8, tensor.BLOCK_BYTES // 8) == [slice(0, 8)]
 
 
 class TestFullyConnected:
