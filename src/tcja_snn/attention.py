@@ -8,6 +8,10 @@ cross-shaped region of the average matrix: its kernel-wide time window
 across all channels plus its kernel-wide channel window across all time
 steps. The steps work on plain arrays; `tcja_forward` runs them as one
 graph node with a closed-form backward.
+
+A batch of stacks, (T, B, C, H, W) or any other axes between T and C, is
+B independent stacks: it squeezes to (B, C, T), the 1-D convolutions
+broadcast over B and the kernel gradients sum over it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _unbroadcast
+from .tensor import ShapeError, Tensor
 
 _FUSIONS = ("multiply", "add")
 
@@ -51,7 +55,7 @@ class TcjaParams:
 
 @dataclass
 class AttentionMaps:
-    """Score matrices of one forward pass, each a C x T array."""
+    """Score matrices of one forward pass, each a C x T array per stack."""
 
     t_map: np.ndarray
     c_map: np.ndarray
@@ -88,61 +92,68 @@ def init_tcja_params(
 
 
 def squeeze(x: np.ndarray) -> np.ndarray:
-    """Average each (channel, step) frame over space: (T, C, H, W) -> (C, T)."""
-    if x.ndim != 4:
-        raise ShapeError(f"squeeze expects (T, C, H, W), got {x.shape}")
-    if x.shape[2] < 1 or x.shape[3] < 1:
+    """Average each (channel, step) frame over space: (T, ..., C, H, W) -> (..., C, T)."""
+    if x.ndim < 4:
+        raise ShapeError(f"squeeze expects (T, ..., C, H, W), got {x.shape}")
+    if x.shape[-2] < 1 or x.shape[-1] < 1:
         raise ShapeError(f"empty spatial dimensions in {x.shape}")
-    return x.mean(axis=(2, 3)).T
+    return np.moveaxis(x.mean(axis=(-2, -1)), 0, -1)
 
 
 def _conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Multichannel 1-D cross-correlation, zero-filled past the end, no bias.
 
-    `x` is (Cin, L), `kernel` is (Cout, Cin, K). Output is (Cout, L) with
-    out[i, j] = sum_n sum_m kernel[i, n, m] * x[n, j + m], where reads at
-    j + m >= L contribute zero.
+    `x` is (..., Cin, L), `kernel` is (Cout, Cin, K). Output is
+    (..., Cout, L) with out[..., i, j] = sum_n sum_m kernel[i, n, m] *
+    x[..., n, j + m], where reads at j + m >= L contribute zero.
     """
-    if x.ndim != 2 or kernel.ndim != 3:
+    if x.ndim < 2 or kernel.ndim != 3:
         raise ShapeError(
-            f"conv1d expects 2-D input and 3-D kernel, got {x.shape} and {kernel.shape}"
+            f"conv1d expects (..., Cin, L) input and 3-D kernel, got {x.shape} and {kernel.shape}"
         )
-    if kernel.shape[1] != x.shape[0]:
+    if kernel.shape[1] != x.shape[-2]:
         raise ShapeError(f"kernel channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    length, ksize = x.shape[1], kernel.shape[2]
-    padded = np.pad(x, ((0, 0), (0, ksize - 1)))
-    out = np.zeros((kernel.shape[0], length), dtype=x.dtype)
+    length, ksize = x.shape[-1], kernel.shape[2]
+    padded = _pad_end(x, ksize - 1)
+    out = np.zeros((*x.shape[:-2], kernel.shape[0], length), dtype=x.dtype)
     for m in range(ksize):
-        out += kernel[:, :, m] @ padded[:, m : m + length]
+        out += kernel[:, :, m] @ padded[..., m : m + length]
     return out
 
 
+def _pad_end(x: np.ndarray, n: int) -> np.ndarray:
+    """Append n zeros to the last axis."""
+    return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n)])
+
+
 def _conv1d_vjp(g: np.ndarray, x: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of `_conv1d(x, kernel)` for the output gradient `g`: (dx, dkernel)."""
-    length, ksize = x.shape[1], kernel.shape[2]
-    padded = np.pad(x, ((0, 0), (0, ksize - 1)))
+    """Gradients of `_conv1d(x, kernel)` for the output gradient `g`: (dx,
+    dkernel), dkernel summed over the leading axes."""
+    length, ksize = x.shape[-1], kernel.shape[2]
+    padded = _pad_end(x, ksize - 1)
     dpadded = np.zeros_like(padded)
     dkernel = np.zeros_like(kernel)
     for m in range(ksize):
-        dkernel[:, :, m] = g @ padded[:, m : m + length].T
-        dpadded[:, m : m + length] += kernel[:, :, m].T @ g
-    return dpadded[:, :length], dkernel
+        products = g @ padded[..., m : m + length].swapaxes(-1, -2)
+        dkernel[:, :, m] = products.reshape(-1, *products.shape[-2:]).sum(axis=0)
+        dpadded[..., m : m + length] += kernel[:, :, m].T @ g
+    return dpadded[..., :length], dkernel
 
 
 def tla(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Time-axis local attention scores: rows of `z` convolved along time."""
     k = w.shape[2]
-    if k >= z.shape[1]:
-        raise ShapeError(f"time kernel size {k} must be < T = {z.shape[1]}")
+    if k >= z.shape[-1]:
+        raise ShapeError(f"time kernel size {k} must be < T = {z.shape[-1]}")
     return _conv1d(z, w)
 
 
 def cla(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Channel-axis local attention scores: columns of `z` convolved along channels."""
     k = e.shape[2]
-    if k >= z.shape[0]:
-        raise ShapeError(f"channel kernel size {k} must be < C = {z.shape[0]}")
-    return _conv1d(z.T, e).T
+    if k >= z.shape[-2]:
+        raise ShapeError(f"channel kernel size {k} must be < C = {z.shape[-2]}")
+    return _conv1d(z.swapaxes(-1, -2), e).swapaxes(-1, -2)
 
 
 def ccf(t_map: np.ndarray, c_map: np.ndarray, fusion: str = "multiply") -> np.ndarray:
@@ -158,15 +169,22 @@ def ccf(t_map: np.ndarray, c_map: np.ndarray, fusion: str = "multiply") -> np.nd
 
 
 def recalibrate(x: np.ndarray, f_map: np.ndarray) -> np.ndarray:
-    """Scale each (channel, step) frame of `x` by its attention weight."""
-    if x.ndim != 4 or f_map.ndim != 2:
-        raise ShapeError(f"expected (T, C, H, W) and (C, T), got {x.shape} and {f_map.shape}")
-    t_steps, channels = x.shape[0], x.shape[1]
-    if f_map.shape != (channels, t_steps):
+    """Scale each (channel, step) frame of `x` by its attention weight:
+    (T, ..., C, H, W) by (..., C, T)."""
+    if x.ndim < 4 or f_map.ndim != x.ndim - 2:
+        raise ShapeError(
+            f"expected (T, ..., C, H, W) and (..., C, T), got {x.shape} and {f_map.shape}"
+        )
+    if f_map.shape != (*x.shape[1:-2], x.shape[0]):
         raise ShapeError(
             f"attention map {f_map.shape} does not match frames {x.shape}"
         )
-    return x * f_map.T.reshape(t_steps, channels, 1, 1)
+    return x * _frame_factor(f_map)
+
+
+def _frame_factor(f_map: np.ndarray) -> np.ndarray:
+    """The (..., C, T) map as a (T, ..., C, 1, 1) view against the frames."""
+    return np.moveaxis(f_map, -1, 0)[..., None, None]
 
 
 def score_maps(x: np.ndarray, params: TcjaParams) -> AttentionMaps:
@@ -189,11 +207,11 @@ def tcja_forward(x: Tensor, params: TcjaParams) -> Tensor:
     maps = score_maps(x.data, params)
     out = recalibrate(x.data, maps.f_map)
     w, e = params.w, params.e
-    t_steps, channels, height, width = x.shape
+    height, width = x.shape[-2:]
 
     def backward(g: np.ndarray) -> None:
-        factor = maps.f_map.T.reshape(t_steps, channels, 1, 1)
-        g_f = _unbroadcast(g * x.data, factor.shape).reshape(t_steps, channels).T
+        # Summed over H, then W, as numpy sums a broadcast product's gradient.
+        g_f = np.moveaxis((g * x.data).sum(axis=-2).sum(axis=-1), 0, -1)
         g_p = g_f * maps.f_map * (1.0 - maps.f_map)
         if params.fusion == "multiply":
             g_t, g_c = g_p * maps.c_map, g_p * maps.t_map
@@ -201,14 +219,14 @@ def tcja_forward(x: Tensor, params: TcjaParams) -> Tensor:
             g_t, g_c = g_p, g_p
         z = squeeze(x.data)
         g_zt, g_w = _conv1d_vjp(g_t, z, w.data)
-        g_zc, g_e = _conv1d_vjp(g_c.T, z.T, e.data)
+        g_zc, g_e = _conv1d_vjp(g_c.swapaxes(-1, -2), z.swapaxes(-1, -2), e.data)
         if w.requires_grad:
             w._accumulate(g_w)
         if e.requires_grad:
             e._accumulate(g_e)
         if x.requires_grad:
-            g_z = g_zt + g_zc.T
-            x._accumulate(g * factor + g_z.T[:, :, None, None] / (height * width))
+            g_z = g_zt + g_zc.swapaxes(-1, -2)
+            x._accumulate(g * _frame_factor(maps.f_map) + _frame_factor(g_z) / (height * width))
 
     return Tensor._node(out, (x, w, e), backward)
 

@@ -34,6 +34,7 @@ from .training import (
     load_checkpoint,
     precision_dtype,
     restore_network,
+    stack_frames,
     train,
 )
 
@@ -344,11 +345,12 @@ def cmd_inspect_attention(args, overrides: list[str]) -> int:
             blocks.append(score_maps(x_in.data, layer.params))
 
     with no_grad():
-        net.forward(Tensor(sample.frames.astype(net.dtype)), observe=observe)
+        net.forward(stack_frames([sample], net.dtype), observe=observe)
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, maps in enumerate(blocks):
-        for tag, matrix in (("tla", maps.t_map), ("cla", maps.c_map), ("ccf", maps.f_map)):
+        for tag, stacked in (("tla", maps.t_map), ("cla", maps.c_map), ("ccf", maps.f_map)):
+            matrix = stacked[0]  # the one sample's C x T map
             _write_matrix_csv(out_dir / f"block{i}_{tag}.csv", matrix)
             write_pgm(out_dir / f"block{i}_{tag}.pgm", matrix, absolute=(tag == "ccf"))
     print(f"wrote score maps for {len(blocks)} attention block(s) to {out_dir}")

@@ -4,9 +4,12 @@ Arch specs are dash-separated tokens: ``128C3`` (conv, 128 outputs,
 kernel 3, stride 1), ``MP2``/``AP2`` (max/avg pool), ``LIF`` (spiking
 neuron), ``0.5DP`` (spiking dropout), ``512FC`` (fully connected),
 ``Voting`` (group-average readout), and ``TCJA`` (attention insertion
-point). Every layer maps a full (T, ...) stack to a full (T, ...) stack;
-spiking layers run their recurrence internally, so attention blocks that
-need all time steps at once see them materialized by construction.
+point). The network runs a batch of samples as one (T, B, C, H, W)
+stack, and every layer maps a full (T, B, ...) stack to a full (T, B, ...)
+stack: spiking layers run their recurrence over T internally, so attention
+blocks that need all time steps at once see them materialized by
+construction, and the stateless layers treat T and B alike as batch axes.
+Every sample's values are computed as if it ran alone.
 """
 
 from __future__ import annotations
@@ -24,6 +27,14 @@ from .tensor import ShapeError, Tensor, conv2d, fully_connected, pool2d
 
 class ArchParseError(ValueError):
     """Raised for malformed architecture spec strings."""
+
+
+# Bytes of a chunk's widest activation stack: training and evaluation run
+# samples through the network in chunks of Network.chunk_size, as many as
+# fit this budget, so the per-op overhead is shared by a chunk's samples
+# while its graph stays small. A network whose one-sample stack is larger
+# runs one sample at a time.
+CHUNK_BYTES = 512 * 1024
 
 
 # -- layer descriptors ---------------------------------------------------------
@@ -211,8 +222,10 @@ class PoolLayer:
 
 
 class DropoutLayer:
-    """Spiking dropout: one Bernoulli mask per forward pass shared over all T,
-    drawn from `rng`; without one (evaluation) the layer passes its input."""
+    """Spiking dropout: one Bernoulli mask per sample, shared over all T,
+    drawn from `rng` as one (B, ...) draw, the same numbers as B draws of
+    one sample's mask in turn; without an rng (evaluation) the layer passes
+    its input."""
 
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
@@ -265,19 +278,20 @@ class TcjaLayer:
 
 
 def voting_layer(spikes: Tensor, num_classes: int) -> Tensor:
-    """Average spike groups into class scores: (T, L) -> (T, num_classes)."""
-    if spikes.ndim != 2:
-        raise ShapeError(f"voting expects (T, L), got {spikes.shape}")
-    t_steps, width = spikes.shape
+    """Average spike groups into class scores over the last axis:
+    (T, L) -> (T, num_classes), or (T, B, L) -> (T, B, num_classes)."""
+    if spikes.ndim < 2:
+        raise ShapeError(f"voting expects (T, ..., L), got {spikes.shape}")
+    *lead, width = spikes.shape
     if width % num_classes:
         raise ShapeError(
             f"neuron count {width} not divisible by {num_classes} classes"
         )
     window = width // num_classes
-    scores = spikes.data.reshape(t_steps, num_classes, window).mean(axis=2)
+    scores = spikes.data.reshape(*lead, num_classes, window).mean(axis=-1)
 
     def backward(g: np.ndarray) -> None:
-        spikes._accumulate(np.repeat(g / window, window, axis=1))
+        spikes._accumulate(np.repeat(g / window, window, axis=-1))
 
     return Tensor._node(scores, (spikes,), backward)
 
@@ -316,17 +330,35 @@ class Network:
         for _, t in self.parameters():
             t.grad = None
 
+    @property
+    def chunk_size(self) -> int:
+        """Samples per forward pass: as many as keep the widest activation's
+        (T, B, C, H, W) stack within CHUNK_BYTES, and at least one."""
+        widest = int(np.prod(self.arch.input_dims))
+        for kind, info in _walk_dims(self.arch, self.num_classes):
+            if kind == "conv":
+                _, c_out, _, h, w = info
+                widest = max(widest, c_out * h * w)
+            elif kind == "fc":
+                widest = max(widest, info[1])
+        sample_bytes = self.arch.time_steps * widest * np.dtype(self.dtype).itemsize
+        return max(1, CHUNK_BYTES // sample_bytes)
+
     def forward(self, x: Tensor, rng: np.random.Generator | None = None, observe=None) -> Tensor:
-        """Run the stack on one (T, C, H, W) sample.
+        """Run the stack on a (T, B, C, H, W) batch of B samples; the output
+        is (T, B, ...), each sample's part computed as if it ran alone.
 
         Dropout layers draw their masks from `rng`, as in training, and pass
         their input through when it is None. If given, `observe(layer, x_in,
-        out)` is called after each layer: the one seam for reading firing
-        rates, attention maps and the like.
+        out)` is called after each layer with its (T, B, ...) input and
+        output: the one seam for reading firing rates, attention maps and
+        the like.
         """
-        expected = (self.arch.time_steps, *self.arch.input_dims)
-        if x.shape != expected:
-            raise ShapeError(f"input shape {x.shape} does not match spec {expected}")
+        t_steps, dims = self.arch.time_steps, self.arch.input_dims
+        if x.ndim != 5 or x.shape[0] != t_steps or x.shape[2:] != dims or x.shape[1] < 1:
+            raise ShapeError(
+                f"input shape {x.shape} does not match spec ({t_steps}, B, {', '.join(map(str, dims))})"
+            )
         h = x
         for i, layer in enumerate(self.layers):
             try:
@@ -346,7 +378,7 @@ def analytic_param_count(
     total = 0
     for kind, info in _walk_dims(arch, num_classes):
         if kind == "conv":
-            c_in, c_out, k = info
+            c_in, c_out, k = info[:3]
             total += c_out * c_in * k * k
         elif kind == "fc":
             f_in, f_out = info
@@ -361,7 +393,8 @@ def analytic_param_count(
 
 
 def _walk_dims(arch: ArchSpec, num_classes: int):
-    """Yield (kind, dims) per parameterized layer while tracking shapes."""
+    """Yield (kind, dims) per parameterized layer while tracking shapes:
+    conv (C_in, C_out, k, H_out, W_out), fc (F_in, F_out) and tcja (C, T)."""
     if arch.input_dims is None or arch.time_steps is None:
         raise ValueError("arch spec needs input_dims and time_steps to build")
     if min(*arch.input_dims, arch.time_steps, num_classes) < 1:
@@ -379,7 +412,7 @@ def _walk_dims(arch: ArchSpec, num_classes: int):
             pad = layer.kernel // 2
             h = h + 2 * pad - layer.kernel + 1
             w = w + 2 * pad - layer.kernel + 1
-            yield "conv", (c, layer.out_channels, layer.kernel)
+            yield "conv", (c, layer.out_channels, layer.kernel, h, w)
             c = layer.out_channels
         elif isinstance(layer, PoolSpec):
             if h % layer.k or w % layer.k:
@@ -433,7 +466,7 @@ def build_network(
     lif_index = 0
     for layer in arch.layers:
         if isinstance(layer, ConvSpec):
-            c_in, c_out, k = next(dim_iter)[1]
+            c_in, c_out, k = next(dim_iter)[1][:3]
             bound = 1.0 / np.sqrt(c_in * k * k)
             kernel = rng.uniform(-bound, bound, size=(c_out, c_in, k, k))
             net.layers.append(

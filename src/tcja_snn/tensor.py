@@ -64,16 +64,6 @@ def blocks(length: int, unit_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, length)) for start in range(0, length, step)]
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
     """A dense real tensor that records how it was produced.
 
@@ -190,16 +180,19 @@ class Tensor:
 
 
 def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
-    """Batched 2-D cross-correlation at stride 1.
+    """2-D cross-correlation at stride 1 of every (Cin, H, W) image of `x`.
 
-    `x` is (B, Cin, H, W), `kernel` is (Cout, Cin, k, k) and 0 <= padding < k.
-    Output spatial size is H + 2p - k + 1 per side.
+    `x` is (..., Cin, H, W) with at least one leading axis, `kernel` is
+    (Cout, Cin, k, k) and 0 <= padding < k. The leading axes are kept and
+    folded into one GEMM batch with a reshape view. Output spatial size is
+    H + 2p - k + 1 per side.
     """
-    if x.ndim != 4 or kernel.ndim != 4:
+    if x.ndim < 4 or kernel.ndim != 4:
         raise ShapeError(
-            f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}"
+            f"conv2d expects (..., C, H, W) input with a leading axis and a 4-D kernel,"
+            f" got {x.shape} and {kernel.shape}"
         )
-    batch, c_in, height, width = x.shape
+    c_in, height, width = x.shape[-3:]
     c_out, kc_in, k_h, k_w = kernel.shape
     if kc_in != c_in:
         raise ShapeError(
@@ -217,20 +210,23 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     out_h = height + 2 * padding - k + 1
     out_w = width + 2 * padding - k + 1
 
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    images = x.data.reshape(-1, c_in, height, width)
+    padded = np.pad(images, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = _im2col(padded, k, out_h, out_w)
-    out = np.matmul(kernel.data.reshape(c_out, -1), cols).reshape(batch, c_out, out_h, out_w)
+    out = np.matmul(kernel.data.reshape(c_out, -1), cols).reshape(*x.shape[:-3], c_out, out_h, out_w)
     xt, kt = x, kernel
 
     def backward(g: np.ndarray) -> None:
         if kt.requires_grad:
-            g3 = g.reshape(batch, c_out, out_h * out_w)
+            g3 = g.reshape(-1, c_out, out_h * out_w)
             kt._accumulate(np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kt.shape))
         if xt.requires_grad:
             # dx is the correlation of the output gradient, padded by
             # k-1-padding, with the flipped, channel-swapped kernel.
             lead = k - 1 - padding
-            spread = np.pad(g, ((0, 0), (0, 0), (lead, lead), (lead, lead)))
+            spread = np.pad(
+                g.reshape(-1, c_out, out_h, out_w), ((0, 0), (0, 0), (lead, lead), (lead, lead))
+            )
             flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
             dx = np.matmul(flipped, _im2col(spread, k, height, width))
             xt._accumulate(dx.reshape(xt.shape))
@@ -323,13 +319,19 @@ def _max_pool_backward(
 
 
 def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map of the flattened rows: (N, ...) -> (N, F) @ (F, G) + (G,)."""
-    if x.ndim < 2 or weight.ndim != 2:
+    """Affine map of each (step, sample) row, its trailing axes flattened:
+    (T, B, ...) -> (T, B, F) @ (F, G) + (G,).
+
+    The forward runs one (T, F) @ (F, G) product per sample, so a sample's
+    output does not depend on the others in its batch, bit for bit.
+    """
+    if x.ndim < 3 or weight.ndim != 2:
         raise ShapeError(
-            f"fully_connected expects (N, ...) input and 2-D weight, got {x.shape} and {weight.shape}"
+            f"fully_connected expects (T, B, ...) input and 2-D weight, got {x.shape} and {weight.shape}"
         )
-    flat = x.data.reshape(x.shape[0], -1)
-    if flat.shape[1] != weight.shape[0]:
+    t_steps, batch = x.shape[:2]
+    flat = x.data.reshape(t_steps, batch, -1)
+    if flat.shape[2] != weight.shape[0]:
         raise ShapeError(
             f"inner dimensions differ: input {x.shape} vs weight {weight.shape}"
         )
@@ -337,15 +339,19 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"bias shape {bias.shape} does not match output width {weight.shape[1]}"
         )
-    data = flat @ weight.data + bias.data
+    data = np.empty((t_steps, batch, weight.shape[1]), dtype=np.result_type(flat, weight.data, bias.data))
+    np.matmul(flat.transpose(1, 0, 2), weight.data, out=data.transpose(1, 0, 2))
+    data += bias.data
     xt, wt, bt = x, weight, bias
+    rows = flat.reshape(t_steps * batch, -1)
 
     def backward(g: np.ndarray) -> None:
+        g_rows = g.reshape(t_steps * batch, -1)
         if xt.requires_grad:
-            xt._accumulate((g @ wt.data.T).reshape(xt.shape))
+            xt._accumulate((g_rows @ wt.data.T).reshape(xt.shape))
         if wt.requires_grad:
-            wt._accumulate(flat.T @ g)
+            wt._accumulate(rows.T @ g_rows)
         if bt.requires_grad:
-            bt._accumulate(g.sum(axis=0))
+            bt._accumulate(g_rows.sum(axis=0))
 
     return Tensor._node(data, (xt, wt, bt), backward)

@@ -2,9 +2,12 @@
 
 The loss is the per-step mean squared error between output spikes and
 the target vector, averaged over time steps. Predictions take the class
-with the highest mean firing rate, first index winning ties. Training is
-fully deterministic under a fixed seed: one RNG stream drives parameter
-init, shuffling, dropout, and augmentation in a fixed draw order.
+with the highest mean firing rate, first index winning ties. Training and
+evaluation run samples in chunks of `Network.chunk_size`, one (T, B, ...)
+forward pass per chunk. Training is fully deterministic under a fixed
+seed: one RNG stream drives parameter init, shuffling, dropout, and
+augmentation in a fixed draw order: per chunk, each sample's partner and
+augment draws in turn, then each dropout layer's masks for the chunk.
 """
 
 from __future__ import annotations
@@ -64,23 +67,29 @@ class TrainConfig:
 
 
 def smse_loss(outputs: Tensor, target: np.ndarray) -> Tensor:
-    """Mean of (spike - target)^2 over classes, averaged over time steps."""
-    if outputs.ndim != 2:
-        raise ShapeError(f"expected (T, C) outputs, got {outputs.shape}")
+    """Mean of (spike - target)^2 over classes and time steps, per sample,
+    summed over samples.
+
+    `outputs` is (T, C) against a (C,) target for one sample, or (T, B, C)
+    against (B, C) targets for B samples.
+    """
+    if outputs.ndim < 2:
+        raise ShapeError(f"expected (T, ..., C) outputs, got {outputs.shape}")
     target = np.asarray(target, dtype=outputs.dtype)
-    if target.shape != (outputs.shape[1],):
+    if target.shape != outputs.shape[1:]:
         raise ShapeError(
             f"target shape {target.shape} does not match outputs {outputs.shape}"
         )
     diff = outputs.data - target
-    count = outputs.size  # a Python int: an np.int64 would promote f32 to f64
+    # One sample's element count, a Python int: an np.int64 would promote f32 to f64.
+    count = outputs.shape[0] * outputs.shape[-1]
 
     def backward(g: np.ndarray) -> None:
         # Twice (g/count)·diff, as the sum of two equal products: exact.
         half = (g / count) * diff
         outputs._accumulate(half + half)
 
-    return Tensor._node(np.asarray((diff * diff).mean()), (outputs,), backward)
+    return Tensor._node(np.asarray((diff * diff).sum() / count), (outputs,), backward)
 
 
 def predict_label(outputs: Tensor | np.ndarray) -> int:
@@ -139,8 +148,21 @@ class EvalResult:
     predictions: list[tuple[int, int, int, np.ndarray]]  # (index, true, predicted, rates)
 
 
+def chunks(samples: list[FrameSample], size: int) -> Iterator[list[FrameSample]]:
+    """Consecutive runs of `size` samples; the last may be shorter."""
+    for start in range(0, len(samples), size):
+        yield samples[start : start + size]
+
+
+def stack_frames(samples: list[FrameSample], dtype) -> Tensor:
+    """The samples' (T, C, H, W) frames as one (T, B, C, H, W) input."""
+    return Tensor(np.stack([s.frames for s in samples], axis=1, dtype=dtype))
+
+
 def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
-    """Accuracy, per-class accuracy, and mean firing rate per spiking layer."""
+    """Accuracy, per-class accuracy, and mean firing rate per spiking layer.
+
+    Runs the samples in chunks, with the same figures as one at a time."""
     correct = 0
     per_class_total: dict[int, int] = {}
     per_class_hit: dict[int, int] = {}
@@ -149,20 +171,23 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
 
     def observe(layer, x_in: Tensor, out: Tensor) -> None:
         if isinstance(layer, LifLayer):
-            rate_sums[layer.name] = rate_sums.get(layer.name, 0.0) + float(out.data.mean())
+            # Each sample's own mean, added in sample order.
+            axes = tuple(a for a in range(out.ndim) if a != 1)
+            for rate in out.data.mean(axis=axes):
+                rate_sums[layer.name] = rate_sums.get(layer.name, 0.0) + float(rate)
 
-    for idx, sample in enumerate(samples):
-        x = Tensor(sample.frames.astype(net.dtype))
+    for chunk in chunks(samples, net.chunk_size):
         with no_grad():
-            out = net.forward(x, observe=observe)
-        pred = predict_label(out)
-        true = sample.class_index
-        rates = out.data.mean(axis=0)
-        predictions.append((idx, true, pred, rates))
-        per_class_total[true] = per_class_total.get(true, 0) + 1
-        if pred == true:
-            correct += 1
-            per_class_hit[true] = per_class_hit.get(true, 0) + 1
+            out = net.forward(stack_frames(chunk, net.dtype), observe=observe)
+        for j, sample in enumerate(chunk):
+            sample_out = out.data[:, j]
+            pred = predict_label(sample_out)
+            true = sample.class_index
+            predictions.append((len(predictions), true, pred, sample_out.mean(axis=0)))
+            per_class_total[true] = per_class_total.get(true, 0) + 1
+            if pred == true:
+                correct += 1
+                per_class_hit[true] = per_class_hit.get(true, 0) + 1
     n = len(samples)
     return EvalResult(
         accuracy=correct / n if n else 0.0,
@@ -377,17 +402,19 @@ def train(
         order = rng.permutation(len(train_samples))
         loss_sum = 0.0
         for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = order[start : start + cfg.batch_size]
+            batch = [train_samples[int(i)] for i in order[start : start + cfg.batch_size]]
             net.zero_grads()
             batch_loss = 0.0
-            for sample_pos in batch:
-                sample = train_samples[int(sample_pos)]
-                if cfg.augment:
-                    partner = train_samples[int(rng.integers(0, len(train_samples)))]
-                    sample = data_mod.augment(sample, rng, partner=partner)
-                x = Tensor(sample.frames.astype(net.dtype))
-                out = net.forward(x, rng=rng)
-                loss = smse_loss(out, sample.label)
+            for chunk in chunks(batch, net.chunk_size):
+                if cfg.augment:  # per sample: the partner draw, then augment's own
+                    chunk = [
+                        data_mod.augment(
+                            s, rng, partner=train_samples[int(rng.integers(0, len(train_samples)))]
+                        )
+                        for s in chunk
+                    ]
+                out = net.forward(stack_frames(chunk, net.dtype), rng=rng)
+                loss = smse_loss(out, np.stack([sample.label for sample in chunk]))
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericsError(

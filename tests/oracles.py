@@ -6,7 +6,8 @@ arithmetic, not against themselves. The generic graph ops (add, sub, mul,
 total, mean, reshape, detach) live only here: the unfused LIF, TCJA, loss,
 voting, dropout and flatten compositions are built from them and kept as
 parity oracles for the fused nodes that replaced them, beside the scatter
-form of the conv input gradient.
+form of the conv input gradient. `per_sample_pass` is the one per-sample
+training loop kept: the reference for the chunked (T, B, ...) path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from tcja_snn.attention import TcjaParams
 from tcja_snn.neuron import LifConfig, LifTrace, surrogate_derivative
-from tcja_snn.tensor import ShapeError, Tensor, _unbroadcast, fully_connected
+from tcja_snn.tensor import ShapeError, Tensor, fully_connected
+from tcja_snn.training import smse_loss
 
 
 def conv2d_loops(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -276,6 +278,16 @@ def conv2d_input_grad_scatter(
 # transpose, slice or broadcast). The copies are `np.array`'s, which keep
 # the view's memory order, so a transposed gradient stays F-ordered and the
 # GEMMs downstream sum as they did when `_accumulate` made these copies.
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
 
 
 def _coerce(x, like: Tensor) -> Tensor:
@@ -563,8 +575,29 @@ def dropout_unfused(x: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def fully_connected_unfused(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """A flattening reshape before the 2-D affine map."""
-    return fully_connected(reshape(x, x.shape[0], -1), weight, bias)
+    """A flattening reshape before the (T, B, F) affine map."""
+    return fully_connected(reshape(x, *x.shape[:2], -1), weight, bias)
+
+
+# -- the per-sample loop the chunked train and evaluate replaced ------------------
+
+
+def per_sample_pass(net, samples, rng=None) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
+    """Forward, loss and backward one sample at a time, each as a batch of
+    one, with the gradients summed across samples as the parameters collect
+    them. Returns the (T, N, K) outputs, the summed loss and each
+    parameter's gradient; leaves the parameters' grads cleared."""
+    outputs, loss_sum = [], 0.0
+    net.zero_grads()
+    for sample in samples:
+        out = net.forward(Tensor(sample.frames[:, None].astype(net.dtype)), rng=rng)
+        loss = smse_loss(out, sample.label[None])
+        loss_sum += loss.item()
+        loss.backward()
+        outputs.append(out.data[:, 0])
+    grads = {name: p.grad.copy() for name, p in net.parameters()}
+    net.zero_grads()
+    return np.stack(outputs, axis=1), loss_sum, grads
 
 
 def smse_loops(outputs: np.ndarray, target: np.ndarray) -> float:

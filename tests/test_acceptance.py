@@ -122,7 +122,7 @@ def test_criterion_2_gradient_suite():
             "mean": (lambda a: oracles.mean(a, axis=(1, 2)), lambda: [rng.standard_normal((2, 3, 4))]),
             "reshape": (lambda a: oracles.reshape(a, 8, 2), lambda: [rng.standard_normal((4, 4))]),
             "transpose": (oracles.transpose, lambda: [rng.standard_normal((3, 5))]),
-            "fully_connected": (fully_connected, lambda: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]),
+            "fully_connected": (fully_connected, lambda: [rng.standard_normal((3, 1, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]),
             "conv2d": (lambda x, k: conv2d(x, k, padding=1), lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 3, 3))]),
             "conv2d_k5_pad2": (lambda x, k: conv2d(x, k, padding=2), lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 5, 5))]),
             "conv1d": (oracles.conv1d_multichannel, lambda: [rng.standard_normal((3, 5)), rng.standard_normal((3, 3, 2))]),
@@ -132,7 +132,7 @@ def test_criterion_2_gradient_suite():
                 lambda s: oracles.reshape(smse_loss(s, np.array([1.0, 0.0, 0.0])), 1),
                 lambda: [rng.standard_normal((4, 3))],
             ),
-            "fully_connected_4d": (fully_connected, lambda: [rng.standard_normal((3, 2, 2, 2)), rng.standard_normal((8, 2)), rng.standard_normal(2)]),
+            "fully_connected_4d": (fully_connected, lambda: [rng.standard_normal((3, 1, 2, 2, 2)), rng.standard_normal((8, 2)), rng.standard_normal(2)]),
             "voting": (lambda s: voting_layer(s, 3), lambda: [rng.standard_normal((4, 6))]),
             "dropout": (lambda x: dropout(x, dropout_mask), lambda: [rng.standard_normal((3, 2, 4))]),
         }

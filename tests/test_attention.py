@@ -13,6 +13,7 @@ from tcja_snn.attention import (
     init_tcja_params,
     param_count,
     recalibrate,
+    score_maps,
     squeeze,
     tcja_forward,
     tla,
@@ -336,6 +337,45 @@ class TestFusedParity:
         for got, want in zip(*results):
             assert got.dtype == want.dtype == dtype
             np.testing.assert_array_equal(got, want)
+
+
+class TestBatchedStacks:
+    """A (T, B, C, H, W) batch is B independent stacks: the same score maps
+    and outputs, bit for bit, and the kernel gradients summed over B."""
+
+    @pytest.mark.parametrize("fusion", ["multiply", "add"])
+    def test_batch_equals_each_stack_alone(self, fusion):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((6, 3, 5, 4, 4))
+        probe = rng.standard_normal(x.shape)
+        params = make_params(5, 6, 3, 2, rng, fusion)
+        batched_maps = score_maps(x, params)
+        xt = Tensor(x, requires_grad=True)
+        out = tcja_forward(xt, params)
+        oracles.probe_sum(out, probe).backward()
+        w_grad, e_grad = params.w.grad, params.e.grad
+        w_sum, e_sum = np.zeros_like(w_grad), np.zeros_like(e_grad)
+        for b in range(3):
+            maps = score_maps(x[:, b], params)
+            for got, want in zip(
+                (batched_maps.t_map, batched_maps.c_map, batched_maps.f_map),
+                (maps.t_map, maps.c_map, maps.f_map),
+            ):
+                assert got[b].tobytes() == want.tobytes()
+            params.w.grad = params.e.grad = None
+            one = Tensor(x[:, b], requires_grad=True)
+            alone = tcja_forward(one, params)
+            assert out.data[:, b].tobytes() == alone.data.tobytes()
+            oracles.probe_sum(alone, probe[:, b]).backward()
+            np.testing.assert_allclose(xt.grad[:, b], one.grad, rtol=0, atol=1e-12)
+            w_sum += params.w.grad
+            e_sum += params.e.grad
+        np.testing.assert_allclose(w_grad, w_sum, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(e_grad, e_sum, rtol=1e-12, atol=1e-12)
+
+    def test_recalibrate_checks_the_batch_axes(self):
+        with pytest.raises(ShapeError, match="does not match"):
+            recalibrate(np.ones((3, 2, 4, 5, 5)), np.ones((3, 4, 3)))
 
 
 class TestParamCount:

@@ -147,6 +147,20 @@ class TestTrainCommand:
         assert (rerun_dir / "metrics.csv").read_bytes() == first_metrics
 
 
+class TestEmptyHeldOutSplit:
+    def test_train_and_eval_with_no_test_samples(self, tmp_path):
+        path, out_dir = quick_config(tmp_path, epochs=2)
+        flags = ["--data.synthetic.n_test", "0"]
+        assert main(["train", "--config", str(path), *flags]) == 0
+        rows = (out_dir / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == ["0", "0"]
+        ckpt = str(out_dir / "last.ckpt")
+        assert main(["eval", "--checkpoint", ckpt, "--config", str(path), *flags]) == 0
+        assert (out_dir / "predictions.csv").read_text().splitlines() == [
+            "sample_id,true,predicted,rate_0,rate_1,rate_2,rate_3"
+        ]
+
+
 class TestEvalCommand:
     def test_eval_reproduces_final_test_accuracy(self, tmp_path, capsys):
         path, out_dir = quick_config(tmp_path, epochs=2)

@@ -102,6 +102,12 @@ class TestVoting:
         with pytest.raises(ShapeError, match="divisible"):
             voting_layer(Tensor(np.ones((2, 10))), 3)
 
+    def test_batch_axis_votes_each_sample(self):
+        spikes = (np.random.default_rng(1).random((5, 3, 12)) < 0.4).astype(float)
+        out = voting_layer(Tensor(spikes), 4)
+        for b in range(3):
+            _same_bits(out.data[:, b], voting_layer(Tensor(spikes[:, b]), 4).data)
+
 
 class TestDropout:
     def test_p_zero_is_identity(self):
@@ -119,19 +125,46 @@ class TestDropout:
     def test_mask_shared_across_time_steps(self):
         arch = parse_arch("4FC-LIF-0.5DP", input_dims=(1, 2, 2), time_steps=6)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
+        net.layers[0].weight.data[...] = 1.0  # a current of 4: every neuron fires every step
         rng = np.random.default_rng(42)
-        out = net.forward(Tensor(np.ones((6, 1, 2, 2), dtype=np.float32)), rng=rng)
+        out = net.forward(Tensor(np.ones((6, 3, 1, 2, 2), dtype=np.float32)), rng=rng)
         zero_pattern = out.data == 0.0
+        assert 0 < zero_pattern[0].sum() < zero_pattern[0].size
         for t in range(1, 6):
             np.testing.assert_array_equal(zero_pattern[t], zero_pattern[0])
+        # One mask per sample: the three samples' patterns are not all alike.
+        assert len({zero_pattern[0, b].tobytes() for b in range(3)}) > 1
 
     def test_same_seed_same_masks(self):
         arch = parse_arch("4FC-LIF-0.5DP", input_dims=(1, 2, 2), time_steps=3)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((3, 1, 2, 2), dtype=np.float32))
+        x = Tensor(np.ones((3, 2, 1, 2, 2), dtype=np.float32))
         a = net.forward(x, rng=np.random.default_rng(7)).data
         b = net.forward(x, rng=np.random.default_rng(7)).data
         np.testing.assert_array_equal(a, b)
+
+
+    def test_chunk_masks_are_consecutive_per_sample_draws(self):
+        # A chunk's (B, ...) mask draw hands out the same doubles, in stream
+        # order, as B one-sample draws from the same generator.
+        layer = DropoutLayer(0.5)
+        got = layer.apply(Tensor(np.ones((3, 4, 5, 2))), np.random.default_rng(9)).data
+        rng = np.random.default_rng(9)
+        alone = [layer.apply(Tensor(np.ones((3, 1, 5, 2))), rng).data for _ in range(4)]
+        np.testing.assert_array_equal(got, np.concatenate(alone, axis=1))
+        assert len({got[0, b].tobytes() for b in range(4)}) > 1  # one mask per sample
+
+    def test_chunk_forward_equals_per_sample_forwards_with_augment_off(self):
+        arch = parse_arch("8FC-LIF-0.5DP-8FC-LIF", input_dims=(2, 3, 3), time_steps=5)
+        net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
+        for _, p in net.parameters():
+            p.data *= 4.0
+        x = (np.random.default_rng(1).random((5, 3, 2, 3, 3)) * 2).astype(np.float32)
+        got = net.forward(Tensor(x), rng=np.random.default_rng(8)).data
+        rng = np.random.default_rng(8)
+        alone = [net.forward(Tensor(x[:, b : b + 1]), rng=rng).data for b in range(3)]
+        assert 0.0 < got.mean() < 1.0
+        np.testing.assert_array_equal(got, np.concatenate(alone, axis=1))
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -208,9 +241,9 @@ class TestNodeParity:
 
     def test_fully_connected_flattens_4d_input(self, dtype):
         rng = np.random.default_rng(74)
-        for shape in ((8, 16, 4, 4), (3, 2, 5, 1), (4, 7)):
+        for shape in ((8, 2, 16, 4, 4), (3, 2, 5, 1), (4, 1, 7)):
             x = rng.random(shape)
-            features = int(np.prod(shape[1:]))
+            features = int(np.prod(shape[2:]))
             w, b = rng.standard_normal((features, 5)), rng.standard_normal(5)
             self._run(fully_connected, oracles.fully_connected_unfused, [x, w, b], rng, dtype)
 
@@ -295,14 +328,15 @@ class TestForward:
         net = self._desk_net()
         for _, p in net.parameters():
             p.data[...] = 0.0
-        x = Tensor(np.random.default_rng(1).random((8, 2, 16, 16)))
+        x = Tensor(np.random.default_rng(1).random((8, 3, 2, 16, 16)))
         out = net.forward(x)
+        assert out.shape == (8, 3, 4)
         np.testing.assert_array_equal(out.data, np.zeros(out.shape))
 
     def test_single_conv_lif_reproduces_neuron_recurrence(self):
         arch = parse_arch("1C3-LIF", input_dims=(1, 4, 4), time_steps=6)
         net = build_network(arch, num_classes=1, rng=np.random.default_rng(2), dtype=np.float64)
-        x = np.full((6, 1, 4, 4), 0.7)
+        x = np.full((6, 2, 1, 4, 4), 0.7)
         out = net.forward(Tensor(x))
         # The conv output is constant per step; each neuron must follow the
         # scripted recurrence driven by its own constant current.
@@ -332,16 +366,18 @@ class TestForward:
     def test_desk_training_sample_builds_11_graph_nodes(self):
         # One node per layer: conv, LIF, pool, TCJA, conv, LIF, pool, FC
         # (which flattens its input itself), LIF and voting; then the loss.
+        # The count is per chunk: one sample or four build the same graph.
         net = self._desk_net(dtype=np.float32)
-        x = Tensor(np.random.default_rng(6).random((8, 2, 16, 16)).astype(np.float32))
-        out = net.forward(x, rng=np.random.default_rng(1))
-        loss = smse_loss(out, np.eye(4)[0])
-        assert sum(1 for node in loss._topo_order() if node._parents) == 11
+        for batch in (1, 4):
+            frames = np.random.default_rng(6).random((8, batch, 2, 16, 16))
+            out = net.forward(Tensor(frames.astype(np.float32)), rng=np.random.default_rng(1))
+            loss = smse_loss(out, np.eye(4)[:batch])
+            assert sum(1 for node in loss._topo_order() if node._parents) == 11
 
     def test_backward_frees_the_sample_graph(self):
         net = self._desk_net(dtype=np.float32)
-        x = Tensor(np.random.default_rng(6).random((8, 2, 16, 16)).astype(np.float32))
-        loss = smse_loss(net.forward(x, rng=np.random.default_rng(1)), np.eye(4)[0])
+        x = Tensor(np.random.default_rng(6).random((8, 2, 2, 16, 16)).astype(np.float32))
+        loss = smse_loss(net.forward(x, rng=np.random.default_rng(1)), np.eye(4)[:2])
         interior = [node for node in loss._topo_order() if node._parents and node is not loss]
         loss.backward()
         assert interior
@@ -351,29 +387,30 @@ class TestForward:
 
     def test_output_spikes_binary_when_final_layer_is_lif(self):
         net = self._desk_net(arch_text="8C3-LIF-MP2-16FC-LIF")
-        x = Tensor(np.random.default_rng(4).random((8, 2, 16, 16)) * 3)
+        x = Tensor(np.random.default_rng(4).random((8, 2, 2, 16, 16)) * 3)
         out = net.forward(x)
         assert np.all((out.data == 0.0) | (out.data == 1.0))
 
     def test_forward_deterministic_under_seed(self):
         net = self._desk_net(seed=9)
-        x = Tensor(np.random.default_rng(5).random((8, 2, 16, 16)))
+        x = Tensor(np.random.default_rng(5).random((8, 2, 2, 16, 16)))
         a = net.forward(x, rng=np.random.default_rng(1)).data
         b = net.forward(x, rng=np.random.default_rng(1)).data
         np.testing.assert_array_equal(a, b)
 
     def test_dimension_mismatch_reports_layer_index(self):
         net = self._desk_net()
-        bad = Tensor(np.zeros((8, 3, 16, 16)))
-        with pytest.raises(ShapeError, match="input shape"):
-            net.forward(bad)
+        # A wrong channel count, and one sample without its batch axis.
+        for bad in (np.zeros((8, 1, 3, 16, 16)), np.zeros((8, 2, 16, 16))):
+            with pytest.raises(ShapeError, match="input shape"):
+                net.forward(Tensor(bad))
 
     def test_mid_stack_error_carries_layer_index(self):
         arch = parse_arch("2C3-LIF-MP2", input_dims=(2, 16, 16), time_steps=2)
         net = build_network(arch, num_classes=2)
         net.layers[2].k = 3  # sabotage: 16x16 not divisible by 3
         with pytest.raises(ShapeError, match=r"layer 2 \(PoolLayer\)"):
-            net.forward(Tensor(np.zeros((2, 2, 16, 16), dtype=np.float32)))
+            net.forward(Tensor(np.zeros((2, 1, 2, 16, 16), dtype=np.float32)))
 
 
 class TestGradientHandOver:
@@ -394,9 +431,9 @@ class TestGradientHandOver:
             accumulate(self, contribution)
 
         monkeypatch.setattr(Tensor, "_accumulate", recording)
-        x = Tensor((np.random.default_rng(4).random((8, 2, 16, 16)) * 3).astype(np.float32))
+        x = Tensor((np.random.default_rng(4).random((8, 2, 2, 16, 16)) * 3).astype(np.float32))
         out = net.forward(x, rng=np.random.default_rng(5))
-        smse_loss(out, np.eye(4, dtype=np.float32)[1]).backward()
+        smse_loss(out, np.eye(4, dtype=np.float32)[[1, 2]]).backward()
         # One each from the loss, voting, the last LIF, dropout, average
         # pooling, the second LIF, max pooling and the first LIF; FC's input,
         # weight and bias; the second conv's input and kernel; TCJA's input,

@@ -186,6 +186,24 @@ class TestConv2d:
             n_cases=3,
         )
 
+    def test_leading_axes_fold_into_the_batch(self):
+        # (T, B, C, H, W) runs as the (T*B, C, H, W) batch: same bits.
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((3, 2, 2, 5, 5))
+        kernel, probe = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((3, 2, 4, 5, 5))
+        results = []
+        for shape in (x.shape, (6, 2, 5, 5)):
+            xt, kt = Tensor(x.reshape(shape), requires_grad=True), Tensor(kernel, requires_grad=True)
+            out = conv2d(xt, kt, padding=1)
+            oracles.probe_sum(out, probe.reshape(out.shape)).backward()
+            results.append((out.data.reshape(probe.shape), xt.grad.reshape(x.shape), kt.grad))
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+    def test_input_without_a_batch_axis_rejected(self):
+        with pytest.raises(ShapeError, match="leading axis"):
+            conv2d(Tensor(np.ones((1, 6, 6))), Tensor(np.ones((1, 1, 3, 3))))
+
 
 class TestConv1d:
     def test_channel_identity_kernel(self):
@@ -316,29 +334,42 @@ class TestBlocks:
 
 class TestFullyConnected:
     def test_identity_weight(self):
-        x = np.random.default_rng(0).standard_normal((3, 4))
+        x = np.random.default_rng(0).standard_normal((3, 2, 4))
         out = fully_connected(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, x, atol=0)
 
     def test_zero_weight_gives_bias_rows(self):
         b = np.array([1.0, -2.0])
-        out = fully_connected(Tensor(np.ones((3, 4))), Tensor(np.zeros((4, 2))), Tensor(b))
-        np.testing.assert_array_equal(out.data, np.tile(b, (3, 1)))
+        out = fully_connected(Tensor(np.ones((3, 2, 4))), Tensor(np.zeros((4, 2))), Tensor(b))
+        np.testing.assert_array_equal(out.data, np.tile(b, (3, 2, 1)))
 
     def test_matches_matmul_oracle(self):
         rng = np.random.default_rng(21)
-        x, w, b = rng.standard_normal((3, 5)), rng.standard_normal((5, 2)), rng.standard_normal(2)
+        x, w, b = rng.standard_normal((3, 2, 5)), rng.standard_normal((5, 2)), rng.standard_normal(2)
         out = fully_connected(Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(out.data, oracles.matmul_loops(x, w) + b, atol=1e-12)
+        want = oracles.matmul_loops(x.reshape(6, 5), w).reshape(3, 2, 2) + b
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeError, match="inner dimensions"):
-            fully_connected(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
+            fully_connected(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
+
+    def test_sample_rows_do_not_depend_on_the_batch(self):
+        # One GEMM per sample: a sample's output bits are those of its own
+        # (T, F) @ (F, G) product, whatever shares its batch.
+        rng = np.random.default_rng(23)
+        for dtype in (np.float32, np.float64):
+            x = (rng.random((8, 3, 1024)) < 0.3).astype(dtype)
+            w, b = rng.standard_normal((1024, 64)).astype(dtype), rng.standard_normal(64).astype(dtype)
+            out = fully_connected(Tensor(x), Tensor(w), Tensor(b)).data
+            for j in range(3):
+                alone = fully_connected(Tensor(x[:, j : j + 1]), Tensor(w), Tensor(b)).data
+                assert out[:, j : j + 1].tobytes() == alone.tobytes()
 
     def test_gradients(self):
         grad_check(
             lambda rng: [
-                rng.standard_normal((3, 4)),
+                rng.standard_normal((3, 2, 4)),
                 rng.standard_normal((4, 2)),
                 rng.standard_normal(2),
             ],

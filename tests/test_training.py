@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcja_snn import network
+from tcja_snn.attention import TcjaConfig
 from tcja_snn.data import FrameSample, frames_dataset, gen_synthetic, one_hot
-from tcja_snn.network import build_network, parse_arch
+from tcja_snn.network import PRESETS, build_network, parse_arch
 from tcja_snn.tensor import Tensor
 from tcja_snn.training import (
     CHECKPOINT_MAGIC,
@@ -17,6 +19,7 @@ from tcja_snn.training import (
     NumericsError,
     OptimizerState,
     TrainConfig,
+    chunks,
     evaluate,
     load_checkpoint,
     make_checkpoint,
@@ -25,6 +28,7 @@ from tcja_snn.training import (
     restore_network,
     save_checkpoint,
     smse_loss,
+    stack_frames,
     train,
 )
 
@@ -82,6 +86,23 @@ class TestLoss:
 
         with pytest.raises(ShapeError):
             smse_loss(Tensor(np.zeros((3, 4))), np.zeros(5))
+        with pytest.raises(ShapeError):
+            smse_loss(Tensor(np.zeros((3, 2, 4))), np.zeros(4))
+
+    def test_batch_sums_the_per_sample_losses(self):
+        rng = np.random.default_rng(2)
+        outputs, targets = rng.random((6, 3, 4)), rng.random((3, 4))
+        batched = Tensor(outputs, requires_grad=True)
+        loss = smse_loss(batched, targets)
+        loss.backward()
+        alone = []
+        for b in range(3):
+            one = Tensor(outputs[:, b], requires_grad=True)
+            alone.append(smse_loss(one, targets[b]))
+            alone[-1].backward()
+            # The gradient of a sum of per-sample losses is each sample's own.
+            assert one.grad.tobytes() == batched.grad[:, b].tobytes()
+        assert loss.item() == pytest.approx(sum(a.item() for a in alone), rel=1e-14)
 
 
 class TestPredict:
@@ -161,15 +182,16 @@ class TestDescent:
         arch = parse_arch("4C3-LIF-MP2-4FC", input_dims=(2, 8, 8), time_steps=4)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(1), dtype=np.float64)
         sample = tiny_dataset(n_train=1, n_test=1)[0][0]
-        x = Tensor(sample.frames)
+        x = Tensor(sample.frames[:, None])
+        target = sample.label[None]
         cfg = TrainConfig(lr=1e-5, optimizer="sgd")
 
         def loss_value():
-            return smse_loss(net.forward(x), sample.label).item()
+            return smse_loss(net.forward(x), target).item()
 
         before = loss_value()
         out = net.forward(x)
-        loss = smse_loss(out, sample.label)
+        loss = smse_loss(out, target)
         loss.backward()
         optimizer_step(net.parameters(), OptimizerState(), cfg)
         assert loss_value() < before
@@ -188,8 +210,8 @@ class TestEvaluate:
         net = tiny_net()
         _, test_samples = tiny_dataset()
         sample = test_samples[0]
-        out = net.forward(Tensor(sample.frames.astype(net.dtype)))
-        sample_fixed = FrameSample(frames=sample.frames, label=one_hot(4, predict_label(out)))
+        out = net.forward(Tensor(sample.frames[:, None].astype(net.dtype)))
+        sample_fixed = FrameSample(frames=sample.frames, label=one_hot(4, predict_label(out.data[:, 0])))
         assert evaluate(net, [sample_fixed]).accuracy == 1.0
 
     def test_accuracy_matches_manual_recount(self):
@@ -198,8 +220,8 @@ class TestEvaluate:
         result = evaluate(net, test_samples)
         manual = 0
         for sample in test_samples:
-            out = net.forward(Tensor(sample.frames.astype(net.dtype)))
-            manual += int(predict_label(out) == sample.class_index)
+            out = net.forward(Tensor(sample.frames[:, None].astype(net.dtype)))
+            manual += int(predict_label(out.data[:, 0]) == sample.class_index)
         assert result.accuracy == pytest.approx(manual / len(test_samples))
 
     def test_firing_rates_reported_per_spiking_layer(self):
@@ -242,7 +264,7 @@ class TestEvaluateRecordsNoGraph:
 
         monkeypatch.setattr(net, "forward", keep)
         evaluate(net, test_samples)
-        assert len(outputs) == len(test_samples)
+        assert sum(out.shape[1] for out in outputs) == len(test_samples)
         for out in outputs:
             assert out._backward is None and out._parents == () and not out.requires_grad
 
@@ -261,14 +283,96 @@ class TestEvaluateRecordsNoGraph:
             assert a[:3] == b[:3] and a[3].tobytes() == b[3].tobytes()
 
 
+def desk_batch(n=10, weight_scale=4.0, fusion="multiply", dtype=np.float64):
+    """The desk preset with its weights scaled up so that every layer fires,
+    and n random (8, 2, 16, 16) samples with one-hot labels."""
+    arch = parse_arch(PRESETS["desk"], input_dims=(2, 16, 16), time_steps=8)
+    net = build_network(
+        arch, 4, tcja_cfg=TcjaConfig(fusion=fusion), rng=np.random.default_rng(4), dtype=dtype
+    )
+    for _, p in net.parameters():
+        p.data *= weight_scale
+    rng = np.random.default_rng(0)
+    samples = [
+        FrameSample(frames=rng.poisson(1.0, (8, 2, 16, 16)).astype(float), label=one_hot(4, i % 4))
+        for i in range(n)
+    ]
+    return net, samples
+
+
+# The desk preset's widest per-sample activation: a (T, 16, 16, 16) conv output.
+DESK_WIDEST = 8 * 16 * 16 * 16
+
+
+class TestChunkSize:
+    def test_derived_from_the_widest_activation_and_the_float_type(self):
+        net = desk_batch(n=0, dtype=np.float32)[0]
+        assert net.chunk_size == network.CHUNK_BYTES // (DESK_WIDEST * 4) == 4
+        assert desk_batch(n=0, dtype=np.float64)[0].chunk_size == 2
+
+    def test_a_stack_over_the_budget_runs_alone(self):
+        arch = parse_arch(
+            "64C3-LIF-MP2-TCJA-64C3-LIF-MP2-0.5DP-256FC-LIF-Voting",
+            input_dims=(2, 32, 32), time_steps=14,
+        )
+        assert build_network(arch, 4, dtype=np.float32).chunk_size == 1
+
+    def test_a_wide_fc_counts(self, monkeypatch):
+        arch = parse_arch("2C3-LIF-4096FC-LIF", input_dims=(1, 4, 4), time_steps=2)
+        monkeypatch.setattr(network, "CHUNK_BYTES", 2 * 4096 * 8 * 3)
+        assert build_network(arch, 4, dtype=np.float64).chunk_size == 3
+
+
+class TestBatchedParity:
+    """Chunked training and evaluation against the per-sample reference loop."""
+
+    @pytest.mark.parametrize("fusion", ["multiply", "add"])
+    @pytest.mark.parametrize("chunk", [1, 3, 4])
+    def test_outputs_loss_and_gradients_match_per_sample(self, monkeypatch, fusion, chunk):
+        net, samples = desk_batch(fusion=fusion)
+        want_out, want_loss, want_grads = oracles.per_sample_pass(net, samples)
+        assert 0.0 < want_out.mean() < 1.0
+        monkeypatch.setattr(network, "CHUNK_BYTES", chunk * DESK_WIDEST * 8)
+        assert net.chunk_size == chunk
+        got_out = np.concatenate(
+            [net.forward(stack_frames(c, net.dtype)).data for c in chunks(samples, chunk)], axis=1
+        )
+        assert np.abs(got_out - want_out).max() <= 1e-10
+        # One optimizer batch of all ten samples: the last chunk is ragged
+        # for chunks of 3 and 4. The step leaves the batch's mean gradient
+        # in each grad.
+        cfg = TrainConfig(lr=1e-3, batch_size=len(samples), epochs=1, optimizer="sgd")
+        result = train(net, samples, [], cfg, np.random.default_rng(0))
+        assert abs(result.history[0]["train_loss"] * len(samples) - want_loss) <= 1e-10
+        for name, p in net.parameters():
+            assert np.abs(p.grad * len(samples) - want_grads[name]).max() <= 1e-10, name
+
+    def test_evaluate_equals_evaluate_of_each_sample(self):
+        net, samples = desk_batch(dtype=np.float32)
+        assert net.chunk_size == 4  # chunks of 4, 4 and 2
+        whole = evaluate(net, samples)
+        alone = [evaluate(net, [sample]) for sample in samples]
+        for i, (got, single) in enumerate(zip(whole.predictions, alone)):
+            want = single.predictions[0]
+            assert got[:3] == (i, *want[1:3]) and got[3].tobytes() == want[3].tobytes()
+        hits = [single.accuracy for single in alone]
+        assert whole.accuracy == sum(hits) / len(samples)
+        labels = [sample.class_index for sample in samples]
+        assert whole.per_class == {
+            lab: sum(h for h, l in zip(hits, labels) if l == lab) / labels.count(lab)
+            for lab in sorted(set(labels))
+        }
+        for name, rate in whole.firing_rates.items():
+            assert 0.0 < rate < 1.0
+            assert rate == sum(single.firing_rates[name] for single in alone) / len(samples)
+
+
 class TestCheckpoint:
     # sha256 of the desk preset's freshly built, untrained checkpoint, as
     # the one-join encoder wrote it before writes were streamed.
     DESK_UNTRAINED_SHA256 = "e49ee748e046b64c944f6d0632b3799443a96e5b1ade061468dc1e7a6395cee8"
 
     def test_file_bytes_pinned(self, tmp_path):
-        from tcja_snn.network import PRESETS
-
         arch = parse_arch(PRESETS["desk"], input_dims=(2, 16, 16), time_steps=8)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
         ckpt = make_checkpoint(net, OptimizerState(), np.random.default_rng(0), 0)
