@@ -55,8 +55,10 @@ class TcjaParams:
 
 @dataclass
 class AttentionMaps:
-    """Score matrices of one forward pass, each a C x T array per stack."""
+    """The squeezed frames `z` and the score matrices computed from them,
+    each a C x T array per stack."""
 
+    z: np.ndarray
     t_map: np.ndarray
     c_map: np.ndarray
     f_map: np.ndarray
@@ -114,30 +116,23 @@ def _conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if kernel.shape[1] != x.shape[-2]:
         raise ShapeError(f"kernel channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     length, ksize = x.shape[-1], kernel.shape[2]
-    padded = _pad_end(x, ksize - 1)
     out = np.zeros((*x.shape[:-2], kernel.shape[0], length), dtype=x.dtype)
     for m in range(ksize):
-        out += kernel[:, :, m] @ padded[..., m : m + length]
+        out[..., : length - m] += kernel[:, :, m] @ x[..., m:]
     return out
-
-
-def _pad_end(x: np.ndarray, n: int) -> np.ndarray:
-    """Append n zeros to the last axis."""
-    return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n)])
 
 
 def _conv1d_vjp(g: np.ndarray, x: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of `_conv1d(x, kernel)` for the output gradient `g`: (dx,
     dkernel), dkernel summed over the leading axes."""
     length, ksize = x.shape[-1], kernel.shape[2]
-    padded = _pad_end(x, ksize - 1)
-    dpadded = np.zeros_like(padded)
+    dx = np.zeros_like(x)
     dkernel = np.zeros_like(kernel)
     for m in range(ksize):
-        products = g @ padded[..., m : m + length].swapaxes(-1, -2)
+        products = g[..., : length - m] @ x[..., m:].swapaxes(-1, -2)
         dkernel[:, :, m] = products.reshape(-1, *products.shape[-2:]).sum(axis=0)
-        dpadded[..., m : m + length] += kernel[:, :, m].T @ g
-    return dpadded[..., :length], dkernel
+        dx[..., m:] += kernel[:, :, m].T @ g[..., : length - m]
+    return dx, dkernel
 
 
 def tla(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -192,7 +187,7 @@ def score_maps(x: np.ndarray, params: TcjaParams) -> AttentionMaps:
     z = squeeze(x)
     t_map = tla(z, params.w.data)
     c_map = cla(z, params.e.data)
-    return AttentionMaps(t_map=t_map, c_map=c_map, f_map=ccf(t_map, c_map, params.fusion))
+    return AttentionMaps(z=z, t_map=t_map, c_map=c_map, f_map=ccf(t_map, c_map, params.fusion))
 
 
 def tcja_forward(x: Tensor, params: TcjaParams) -> Tensor:
@@ -217,9 +212,8 @@ def tcja_forward(x: Tensor, params: TcjaParams) -> Tensor:
             g_t, g_c = g_p * maps.c_map, g_p * maps.t_map
         else:
             g_t, g_c = g_p, g_p
-        z = squeeze(x.data)
-        g_zt, g_w = _conv1d_vjp(g_t, z, w.data)
-        g_zc, g_e = _conv1d_vjp(g_c.swapaxes(-1, -2), z.swapaxes(-1, -2), e.data)
+        g_zt, g_w = _conv1d_vjp(g_t, maps.z, w.data)
+        g_zc, g_e = _conv1d_vjp(g_c.swapaxes(-1, -2), maps.z.swapaxes(-1, -2), e.data)
         if w.requires_grad:
             w._accumulate(g_w)
         if e.requires_grad:

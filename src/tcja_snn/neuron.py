@@ -109,17 +109,24 @@ def lif_sequence(
     v_stack = np.empty_like(x) if will_record((inputs,)) else None
     s_stack = np.empty_like(x)
     h = np.full(x.shape[1:], cfg.v_reset, dtype=x.dtype)
+    scratch = np.empty_like(h)
     for t in range(t_steps):
-        v = h + (x[t] - (h - cfg.v_reset)) * rate
-        s = (v - cfg.v_threshold >= 0).astype(x.dtype)
-        h = v * (1.0 - s)
-        if v_stack is not None:
-            v_stack[t] = v
-        s_stack[t] = s
+        # Op by op with out=, in the order of V, S and H above. Without a
+        # membrane stack, V is computed in h's own buffer.
+        v = h if v_stack is None else v_stack[t]
+        np.subtract(h, cfg.v_reset, out=scratch)
+        np.subtract(x[t], scratch, out=scratch)
+        np.multiply(scratch, rate, out=scratch)
+        np.add(h, scratch, out=v)
+        np.subtract(v, cfg.v_threshold, out=scratch)
+        np.greater_equal(scratch, 0, out=s_stack[t])
         if trace is not None:
-            trace.v.append(v)
-            trace.s.append(s)
-            trace.h.append(h)
+            trace.v.append(v.copy())
+            trace.s.append(s_stack[t].copy())
+        np.subtract(1.0, s_stack[t], out=scratch)
+        np.multiply(v, scratch, out=h)
+        if trace is not None:
+            trace.h.append(h.copy())
 
     def backward(g: np.ndarray) -> None:
         # A block of steps at a time, last block first, so that its slope,

@@ -211,8 +211,7 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     out_w = width + 2 * padding - k + 1
 
     images = x.data.reshape(-1, c_in, height, width)
-    padded = np.pad(images, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(padded, k, out_h, out_w)
+    cols = _im2col(images, k, padding)
     out = np.matmul(kernel.data.reshape(c_out, -1), cols).reshape(*x.shape[:-3], c_out, out_h, out_w)
     xt, kt = x, kernel
 
@@ -221,26 +220,34 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
             g3 = g.reshape(-1, c_out, out_h * out_w)
             kt._accumulate(np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kt.shape))
         if xt.requires_grad:
-            # dx is the correlation of the output gradient, padded by
+            # dx is the correlation of the output gradient, zero-padded by
             # k-1-padding, with the flipped, channel-swapped kernel.
-            lead = k - 1 - padding
-            spread = np.pad(
-                g.reshape(-1, c_out, out_h, out_w), ((0, 0), (0, 0), (lead, lead), (lead, lead))
-            )
             flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-            dx = np.matmul(flipped, _im2col(spread, k, height, width))
-            xt._accumulate(dx.reshape(xt.shape))
+            g_cols = _im2col(g.reshape(-1, c_out, out_h, out_w), k, k - 1 - padding)
+            xt._accumulate(np.matmul(flipped, g_cols).reshape(xt.shape))
 
     return Tensor._node(out, (xt, kt), backward)
 
 
-def _im2col(padded: np.ndarray, k: int, out_h: int, out_w: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, C*k*k, out_h*out_w): one slab copy per kernel tap."""
-    batch, channels = padded.shape[:2]
-    cols = np.empty((batch, channels, k, k, out_h, out_w), dtype=padded.dtype)
+def _im2col(images: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, C*k*k, out_h*out_w) columns of the images
+    zero-padded by `padding` on every side, with no padded copy made.
+
+    Each kernel tap (i, j) copies the block of images that falls inside
+    the padded frame at its offset, if any does; the rest of its slab
+    stays zero.
+    """
+    batch, channels, height, width = images.shape
+    out_h, out_w = height + 2 * padding - k + 1, width + 2 * padding - k + 1
+    cols = np.zeros((batch, channels, k, k, out_h, out_w), dtype=images.dtype)
     for i in range(k):
+        r0, r1 = max(0, padding - i), min(out_h, height + padding - i)
         for j in range(k):
-            cols[:, :, i, j] = padded[:, :, i : i + out_h, j : j + out_w]
+            c0, c1 = max(0, padding - j), min(out_w, width + padding - j)
+            if r0 < r1 and c0 < c1:
+                cols[:, :, i, j, r0:r1, c0:c1] = images[
+                    :, :, r0 + i - padding : r1 + i - padding, c0 + j - padding : c1 + j - padding
+                ]
     return cols.reshape(batch, channels * k * k, out_h * out_w)
 
 

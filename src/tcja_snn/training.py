@@ -180,10 +180,10 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
         with no_grad():
             out = net.forward(stack_frames(chunk, net.dtype), observe=observe)
         for j, sample in enumerate(chunk):
-            sample_out = out.data[:, j]
-            pred = predict_label(sample_out)
+            rates = out.data[:, j].mean(axis=0)
+            pred = int(np.argmax(rates))  # predict_label's rule
             true = sample.class_index
-            predictions.append((len(predictions), true, pred, sample_out.mean(axis=0)))
+            predictions.append((len(predictions), true, pred, rates))
             per_class_total[true] = per_class_total.get(true, 0) + 1
             if pred == true:
                 correct += 1

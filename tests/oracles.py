@@ -6,7 +6,8 @@ arithmetic, not against themselves. The generic graph ops (add, sub, mul,
 total, mean, reshape, detach) live only here: the unfused LIF, TCJA, loss,
 voting, dropout and flatten compositions are built from them and kept as
 parity oracles for the fused nodes that replaced them, beside the scatter
-form of the conv input gradient. `per_sample_pass` is the one per-sample
+form of the conv input gradient and the np.pad forms of im2col and of the
+TCJA 1-D convs. `per_sample_pass` is the one per-sample
 training loop kept: the reference for the chunked (T, B, ...) path.
 """
 
@@ -80,6 +81,46 @@ def conv2d_taps(x: np.ndarray, kernel: np.ndarray, padding: int = 0) -> np.ndarr
             shifted = xp[:, :, di : di + out_h, dj : dj + out_w]
             out = out + np.einsum("oi,bihw->bohw", kernel[:, :, di, dj], shifted)
     return out
+
+
+def im2col_padded(images: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, C*k*k, out_h*out_w) by padding the images with
+    np.pad and copying one out_h x out_w slab of the padded copy per tap:
+    the reference for the pad-free `tensor._im2col`."""
+    padded = np.pad(images, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    batch, channels, height, width = padded.shape
+    out_h, out_w = height - k + 1, width - k + 1
+    cols = np.empty((batch, channels, k, k, out_h, out_w), dtype=images.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = padded[:, :, i : i + out_h, j : j + out_w]
+    return cols.reshape(batch, channels * k * k, out_h * out_w)
+
+
+def conv1d_padded(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """`attention._conv1d` on an np.pad copy of x, K-1 zeros past its end:
+    every tap's product spans all L outputs."""
+    length, ksize = x.shape[-1], kernel.shape[2]
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, ksize - 1)])
+    out = np.zeros((*x.shape[:-2], kernel.shape[0], length), dtype=x.dtype)
+    for m in range(ksize):
+        out += kernel[:, :, m] @ padded[..., m : m + length]
+    return out
+
+
+def conv1d_vjp_padded(
+    g: np.ndarray, x: np.ndarray, kernel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`attention._conv1d_vjp` through the padded copy of x: (dx, dkernel)."""
+    length, ksize = x.shape[-1], kernel.shape[2]
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, ksize - 1)])
+    dpadded = np.zeros_like(padded)
+    dkernel = np.zeros_like(kernel)
+    for m in range(ksize):
+        products = g @ padded[..., m : m + length].swapaxes(-1, -2)
+        dkernel[:, :, m] = products.reshape(-1, *products.shape[-2:]).sum(axis=0)
+        dpadded[..., m : m + length] += kernel[:, :, m].T @ g
+    return dpadded[..., :length], dkernel
 
 
 def conv1d_loops(x: np.ndarray, kernel: np.ndarray, padding_right: int | None = None) -> np.ndarray:

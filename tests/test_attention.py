@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from tcja_snn.attention import (
     TcjaConfig,
     TcjaParams,
+    _conv1d,
+    _conv1d_vjp,
     ccf,
     cla,
     init_tcja_params,
@@ -337,6 +339,43 @@ class TestFusedParity:
         for got, want in zip(*results):
             assert got.dtype == want.dtype == dtype
             np.testing.assert_array_equal(got, want)
+
+
+class TestSlicedConv1d:
+    """The sliced 1-D conv and its VJP against the same sums over an np.pad
+    copy: equal bytes for every kernel size below L."""
+
+    LENGTH = 8
+
+    @staticmethod
+    def _inputs(lead, layout, ksize, dtype):
+        rng = np.random.default_rng(ksize)
+        c_in, c_out, length = 5, 4, TestSlicedConv1d.LENGTH
+        # Zeros among the inputs, as in squeezed spike frames, so signed
+        # zeros show up among the products.
+        x = rng.standard_normal((*lead, c_in, length)) * (rng.random((*lead, c_in, length)) < 0.6)
+        g = rng.standard_normal((*lead, c_out, length))
+        if layout == "swapped":  # as cla passes them: views of (..., L, C)
+            x = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+            g = np.ascontiguousarray(g.swapaxes(-1, -2)).swapaxes(-1, -2)
+        kernel = rng.standard_normal((c_out, c_in, ksize))
+        return x.astype(dtype), g.astype(dtype), kernel.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "swapped"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
+    @pytest.mark.parametrize("ksize", range(1, LENGTH))
+    def test_matches_padded_oracle(self, ksize, lead, layout, dtype):
+        x, g, kernel = self._inputs(lead, layout, ksize, dtype)
+        out = _conv1d(x, kernel)
+        want = oracles.conv1d_padded(x, kernel)
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        dx, dkernel = _conv1d_vjp(g, x, kernel)
+        want_dx, want_dkernel = oracles.conv1d_vjp_padded(g, x, kernel)
+        assert dx.dtype == dkernel.dtype == dtype
+        assert dx.shape == x.shape and dkernel.shape == kernel.shape
+        assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(want_dx).tobytes()
+        assert dkernel.tobytes() == want_dkernel.tobytes()
 
 
 class TestBatchedStacks:

@@ -257,6 +257,56 @@ class TestFusedParity:
         assert len(out._topo_order()) == 2
 
 
+class TestInPlaceForward:
+    """The forward writes each step into the stacks with out=; every way of
+    running it gives the same spikes, and a trace keeps its own arrays."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", ["contiguous", "strided", "transposed"])
+    def test_spikes_agree_across_runs(self, view, dtype):
+        rng = np.random.default_rng(21)
+        base = rng.uniform(-1, 3, size=(7, 6, 4, 5)).astype(dtype)
+        views = {
+            "contiguous": base,
+            "strided": base[:, ::2, :, 1:],
+            "transposed": base.transpose(0, 3, 2, 1),
+        }
+        x = views[view]
+        cfg = LifConfig(v_reset=-0.25, tau=3.0)
+        recorded = lif_sequence(Tensor(x, requires_grad=True), cfg)
+        assert recorded.requires_grad
+        with no_grad():
+            plain = lif_sequence(Tensor(x, requires_grad=True), cfg)
+        traced = lif_sequence(Tensor(x), cfg, trace=LifTrace())
+        want = oracles.lif_sequence_unfused(Tensor(x), cfg).data
+        assert want.dtype == dtype and 0.0 < want.mean() < 1.0
+        for got in (recorded.data, plain.data, traced.data):
+            assert got.dtype == dtype and got.shape == x.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_trace_holds_distinct_arrays_of_each_step(self):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-1, 3, size=(6, 3, 4))
+        cfg = LifConfig()
+        for switch in (no_grad, contextlib.nullcontext):
+            trace, want = LifTrace(), LifTrace()
+            with switch():
+                out = lif_sequence(Tensor(x, requires_grad=True), cfg, trace=trace)
+            oracles.lif_sequence_unfused(Tensor(x), cfg, trace=want)
+            arrays = [out.data]
+            for field in ("v", "s", "h"):
+                got = getattr(trace, field)
+                assert len(got) == len(x)
+                for step, expected in zip(got, getattr(want, field)):
+                    # Read after the run: a buffer reused by a later step
+                    # would hold that step's values.
+                    assert step.shape == x.shape[1:] and step.tobytes() == expected.tobytes()
+                arrays += got
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1 :]:
+                    assert not np.shares_memory(a, b)
+
+
 class TestNoGrad:
     def test_keeps_no_membrane_stack(self):
         # Only the backward reads the membrane stack, so without a graph the

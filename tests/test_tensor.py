@@ -205,6 +205,42 @@ class TestConv2d:
             conv2d(Tensor(np.ones((1, 6, 6))), Tensor(np.ones((1, 1, 3, 3))))
 
 
+class TestIm2col:
+    """The pad-free column fill against np.pad plus one slab per tap."""
+
+    # Every padding of each kernel size, on H != W and on one-row images
+    # where the padded frame holds the kernel: at k = 5, padding 2, kernel
+    # rows 0, 1, 3 and 4 see only padding.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "height,width,ksize,padding",
+        [
+            (h, w, k, p)
+            for h, w in ((7, 6), (5, 9), (1, 6))
+            for k in (1, 2, 3, 5)
+            for p in range(k)
+            if k <= h + 2 * p
+        ],
+    )
+    def test_matches_padded_slabs(self, height, width, ksize, padding, dtype):
+        rng = np.random.default_rng(10 * ksize + padding)
+        images = rng.standard_normal((2, 3, height, width)).astype(dtype)
+        got = tensor._im2col(images, ksize, padding)
+        assert_same_bits(got, oracles.im2col_padded(images, ksize, padding))
+
+    def test_taps_wholly_in_the_padding(self):
+        # k = 8, padding 3 over three rows: kernel rows 0, 1, 6 and 7 see
+        # only padding, and row 0's clipped source range would wrap round
+        # to two real rows.
+        images = np.random.default_rng(5).standard_normal((2, 3, 3, 9))
+        got = tensor._im2col(images, 8, 3)
+        assert_same_bits(got, oracles.im2col_padded(images, 8, 3))
+
+    def test_a_strided_view_matches_padded_slabs(self):
+        images = np.random.default_rng(4).standard_normal((3, 4, 8, 10))[:, ::2, :, 1:-1]
+        assert_same_bits(tensor._im2col(images, 3, 1), oracles.im2col_padded(images, 3, 1))
+
+
 class TestConv1d:
     def test_channel_identity_kernel(self):
         rng = np.random.default_rng(1)
