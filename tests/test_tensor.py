@@ -204,6 +204,67 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="leading axis"):
             conv2d(Tensor(np.ones((1, 6, 6))), Tensor(np.ones((1, 1, 3, 3))))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "height,width,ksize,padding",
+        [
+            (h, w, k, p)
+            for h, w in ((4, 4), (1, 6))
+            for k in (1, 2, 3, 5)
+            for p in range(k)
+            if k <= h + 2 * p
+        ],
+    )
+    def test_blocked_input_grad_does_not_depend_on_the_block(
+        self, monkeypatch, height, width, ksize, padding, dtype
+    ):
+        # 7 images run as blocks of 1, 2 and 3 images, each with a short last
+        # block, against one block of all 7. At k = 5, padding 2 on one-row
+        # images, kernel rows 0, 1, 3 and 4 see only padding.
+        rng = np.random.default_rng(10 * ksize + padding)
+        x = rng.standard_normal((7, 3, height, width)).astype(dtype)
+        kernel = rng.standard_normal((2, 3, ksize, ksize)).astype(dtype)
+        out_shape = (7, 2, height + 2 * padding - ksize + 1, width + 2 * padding - ksize + 1)
+        g = rng.standard_normal(out_shape).astype(dtype)
+        image_bytes = 2 * ksize * ksize * height * width * np.dtype(dtype).itemsize
+        results = {}
+        for per_block in (7, 1, 2, 3):
+            monkeypatch.setattr(tensor, "BLOCK_BYTES", per_block * image_bytes)
+            xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+            oracles.probe_sum(conv2d(xt, kt, padding=padding), g).backward()
+            results[per_block] = xt.grad, kt.grad
+        for per_block in (1, 2, 3):
+            for got, want in zip(results[per_block], results[7]):
+                assert_same_bits(got, want)
+        dx, dk = results[7]
+        tol = dict(rtol=0, atol=1e-12 if dtype == np.float64 else 1e-5)
+        np.testing.assert_allclose(
+            dx, oracles.conv2d_input_grad_scatter(g, kernel, x.shape, 1, padding), **tol
+        )
+        np.testing.assert_allclose(
+            dk, oracles.conv2d_kernel_grad_loops(x, g, ksize, padding), **tol
+        )
+
+    # The presets' convs at their chunk batch: desk 2 -> 16 at 16x16 and
+    # 16 -> 16 at 8x8 over 4 samples of T = 8, scaled-train 2 -> 64 at 32x32
+    # and 64 -> 64 at 16x16 over one sample of T = 14. Each image's kernel
+    # product runs the faster way round, C*k*k or Cout as the GEMM rows:
+    # both ways are held here to the (Cout, C*k*k) formula's bytes.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "batch,c_in,c_out,size", [(32, 2, 16, 16), (32, 16, 16, 8), (14, 2, 64, 32), (14, 64, 64, 16)]
+    )
+    def test_kernel_grad_matches_the_cout_rows_formula(self, batch, c_in, c_out, size, dtype):
+        rng = np.random.default_rng(c_in + c_out + size)
+        x = (rng.random((batch, c_in, size, size)) < 0.2).astype(dtype)
+        g = rng.standard_normal((batch, c_out, size, size)).astype(dtype)
+        kt = Tensor((rng.standard_normal((c_out, c_in, 3, 3)) * 0.1).astype(dtype), requires_grad=True)
+        oracles.probe_sum(conv2d(Tensor(x), kt, padding=1), g).backward()
+        cols = oracles.im2col_padded(x, 3, 1)
+        g3 = g.reshape(batch, c_out, size * size)
+        want = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kt.shape)
+        assert_same_bits(kt.grad, want)
+
 
 class TestIm2col:
     """The pad-free column fill against np.pad plus one slab per tap."""
@@ -227,6 +288,14 @@ class TestIm2col:
         images = rng.standard_normal((2, 3, height, width)).astype(dtype)
         got = tensor._im2col(images, ksize, padding)
         assert_same_bits(got, oracles.im2col_padded(images, ksize, padding))
+        # A reused buffer: filled from other images, refilled, then refilled
+        # in a shorter batch prefix only.
+        buffer = np.zeros((3,) + got.shape[1:], dtype=dtype)
+        others = [rng.standard_normal((3, 3, height, width)).astype(dtype) for _ in range(2)]
+        for batch in (*others, images):
+            got = tensor._im2col(batch, ksize, padding, buffer)
+            assert np.shares_memory(got, buffer)
+            assert_same_bits(got, oracles.im2col_padded(batch, ksize, padding))
 
     def test_taps_wholly_in_the_padding(self):
         # k = 8, padding 3 over three rows: kernel rows 0, 1, 6 and 7 see
