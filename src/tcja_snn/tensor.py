@@ -217,44 +217,33 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if kt.requires_grad:
-            # The larger of C*k*k and Cout as GEMM rows runs faster; both sum alike.
             g3 = g.reshape(-1, c_out, out_h * out_w)
-            if cols.shape[1] >= c_out:
-                dk = np.matmul(cols, g3.transpose(0, 2, 1)).sum(axis=0).T
-            else:
-                dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
-            kt._accumulate(dk.reshape(kt.shape))
+            kt._accumulate(np.matmul(cols, g3.transpose(0, 2, 1)).sum(axis=0).T.reshape(kt.shape))
         if xt.requires_grad:
             # dx is the correlation of the output gradient, zero-padded by
-            # k-1-padding, with the flipped, channel-swapped kernel, a block
-            # of images at a time through one zero-filled column buffer.
+            # k-1-padding, with the flipped, channel-swapped kernel, taken a
+            # block of images at a time so each block's columns stay in cache.
             flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
             g4 = g.reshape(-1, c_out, out_h, out_w)
             dx = np.empty((len(g4), c_in, height * width), dtype=np.result_type(flipped, g))
-            spans = blocks(len(g4), c_out * k * k * height * width * g.itemsize)
-            buffer = np.zeros((spans[0].stop, c_out * k * k, height * width), dtype=g.dtype)
-            for block in spans:
-                np.matmul(flipped, _im2col(g4[block], k, k - 1 - padding, buffer), out=dx[block])
+            for block in blocks(len(g4), c_out * k * k * height * width * g.itemsize):
+                np.matmul(flipped, _im2col(g4[block], k, k - 1 - padding), out=dx[block])
             xt._accumulate(dx.reshape(xt.shape))
 
     return Tensor._node(out, (xt, kt), backward)
 
 
-def _im2col(images: np.ndarray, k: int, padding: int, buffer: np.ndarray | None = None) -> np.ndarray:
+def _im2col(images: np.ndarray, k: int, padding: int) -> np.ndarray:
     """(B, C, H, W) -> (B, C*k*k, out_h*out_w) columns of the images
     zero-padded by `padding` on every side, with no padded copy made.
 
     Each kernel tap (i, j) copies the block of images that falls inside
     the padded frame at its offset, if any does; the rest of its slab
-    stays zero. The columns are the leading B rows of `buffer` if given:
-    a column array of this shape, zero-filled once, for at least B images
-    (a refill writes the same entries, so the padding stays zero).
+    stays zero.
     """
     batch, channels, height, width = images.shape
     out_h, out_w = height + 2 * padding - k + 1, width + 2 * padding - k + 1
-    if buffer is None:
-        buffer = np.zeros((batch, channels * k * k, out_h * out_w), dtype=images.dtype)
-    cols = buffer[:batch].reshape(batch, channels, k, k, out_h, out_w)
+    cols = np.zeros((batch, channels, k, k, out_h, out_w), dtype=images.dtype)
     for i in range(k):
         r0, r1 = max(0, padding - i), min(out_h, height + padding - i)
         for j in range(k):
@@ -263,7 +252,7 @@ def _im2col(images: np.ndarray, k: int, padding: int, buffer: np.ndarray | None 
                 cols[:, :, i, j, r0:r1, c0:c1] = images[
                     :, :, r0 + i - padding : r1 + i - padding, c0 + j - padding : c1 + j - padding
                 ]
-    return buffer[:batch]
+    return cols.reshape(batch, channels * k * k, out_h * out_w)
 
 
 def pool2d(x: Tensor, kind: str, k: int) -> Tensor:
