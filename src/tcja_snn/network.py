@@ -29,11 +29,11 @@ class ArchParseError(ValueError):
     """Raised for malformed architecture spec strings."""
 
 
-# Bytes of a chunk's widest activation stack: training and evaluation run
-# samples through the network in chunks of Network.chunk_size, as many as
-# fit this budget, so the per-op overhead is shared by a chunk's samples
-# while its graph stays small. A network whose one-sample stack is larger
-# runs one sample at a time.
+# Bytes per activation stack of a recorded graph: samples run in chunks, as
+# many as fit, so a chunk's samples share the per-op overhead. A training
+# chunk's graph saves up to one (T, B, ...) stack per layer: its widest stack
+# gets CHUNK_BYTES. A forward without a graph holds a layer's input and
+# output: its two widest stacks get the same len(layers) * CHUNK_BYTES.
 CHUNK_BYTES = 512 * 1024
 
 
@@ -331,9 +331,8 @@ class Network:
             t.grad = None
 
     @property
-    def chunk_size(self) -> int:
-        """Samples per forward pass: as many as keep the widest activation's
-        (T, B, C, H, W) stack within CHUNK_BYTES, and at least one."""
+    def _stack_bytes(self) -> int:
+        """Bytes of one sample's widest activation over its T steps."""
         widest = int(np.prod(self.arch.input_dims))
         for kind, info in _walk_dims(self.arch, self.num_classes):
             if kind == "conv":
@@ -341,8 +340,17 @@ class Network:
                 widest = max(widest, c_out * h * w)
             elif kind == "fc":
                 widest = max(widest, info[1])
-        sample_bytes = self.arch.time_steps * widest * np.dtype(self.dtype).itemsize
-        return max(1, CHUNK_BYTES // sample_bytes)
+        return self.arch.time_steps * widest * np.dtype(self.dtype).itemsize
+
+    @property
+    def chunk_size(self) -> int:
+        """Samples per training chunk; at least one."""
+        return max(1, CHUNK_BYTES // self._stack_bytes)
+
+    @property
+    def eval_chunk_size(self) -> int:
+        """Samples per chunk of a forward without a graph; at least one."""
+        return max(1, len(self.layers) * CHUNK_BYTES // (2 * self._stack_bytes))
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None, observe=None) -> Tensor:
         """Run the stack on a (T, B, C, H, W) batch of B samples; the output

@@ -3,11 +3,12 @@
 The loss is the per-step mean squared error between output spikes and
 the target vector, averaged over time steps. Predictions take the class
 with the highest mean firing rate, first index winning ties. Training and
-evaluation run samples in chunks of `Network.chunk_size`, one (T, B, ...)
-forward pass per chunk. Training is fully deterministic under a fixed
-seed: one RNG stream drives parameter init, shuffling, dropout, and
-augmentation in a fixed draw order: per chunk, each sample's partner and
-augment draws in turn, then each dropout layer's masks for the chunk.
+evaluation run chunks of `Network.chunk_size` and `.eval_chunk_size`
+samples, one (T, B, ...) forward pass per chunk. Training is fully
+deterministic under a fixed seed: one RNG stream drives parameter init,
+shuffling, dropout, and augmentation in a fixed draw order: per chunk,
+each sample's partner and augment draws in turn, then each dropout
+layer's masks for the chunk.
 """
 
 from __future__ import annotations
@@ -95,7 +96,11 @@ def smse_loss(outputs: Tensor, target: np.ndarray) -> Tensor:
 def predict_label(outputs: Tensor | np.ndarray) -> int:
     """Class with the highest mean firing rate; lowest index wins ties."""
     data = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs)
-    return int(np.argmax(data.mean(axis=0)))
+    return _top_class(data.mean(axis=0))
+
+
+def _top_class(rates: np.ndarray) -> int:
+    return int(np.argmax(rates))  # the first of equal maxima
 
 
 # -- optimizers -------------------------------------------------------------------
@@ -176,12 +181,12 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
             for rate in out.data.mean(axis=axes):
                 rate_sums[layer.name] = rate_sums.get(layer.name, 0.0) + float(rate)
 
-    for chunk in chunks(samples, net.chunk_size):
+    for chunk in chunks(samples, net.eval_chunk_size):
         with no_grad():
             out = net.forward(stack_frames(chunk, net.dtype), observe=observe)
         for j, sample in enumerate(chunk):
             rates = out.data[:, j].mean(axis=0)
-            pred = int(np.argmax(rates))  # predict_label's rule
+            pred = _top_class(rates)
             true = sample.class_index
             predictions.append((len(predictions), true, pred, rates))
             per_class_total[true] = per_class_total.get(true, 0) + 1
@@ -223,9 +228,6 @@ class Checkpoint:
             yield struct.pack("<H", len(name_b)) + name_b
             yield struct.pack(f"<BB{arr.ndim}I", dtype_code, arr.ndim, *arr.shape)
             yield np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).data
-
-    def to_bytes(self) -> bytes:
-        return b"".join(self._pieces())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":

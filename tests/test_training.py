@@ -315,12 +315,39 @@ class TestChunkSize:
             "64C3-LIF-MP2-TCJA-64C3-LIF-MP2-0.5DP-256FC-LIF-Voting",
             input_dims=(2, 32, 32), time_steps=14,
         )
-        assert build_network(arch, 4, dtype=np.float32).chunk_size == 1
+        for dtype in (np.float32, np.float64):
+            net = build_network(arch, 4, dtype=dtype)
+            assert net.chunk_size == net.eval_chunk_size == 1
 
     def test_a_wide_fc_counts(self, monkeypatch):
         arch = parse_arch("2C3-LIF-4096FC-LIF", input_dims=(1, 4, 4), time_steps=2)
         monkeypatch.setattr(network, "CHUNK_BYTES", 2 * 4096 * 8 * 3)
         assert build_network(arch, 4, dtype=np.float64).chunk_size == 3
+
+    # A different training chunk regroups the kernel-gradient sums and so
+    # changes trained bytes. Each arch with its (C, H, W), T, classes and its
+    # f32 and f64 chunks; the last two are the benchmark's train archs.
+    TRAINING_CHUNKS = [
+        (PRESETS["dvs128"], (2, 128, 128), 20, 10, 1, 1),
+        (PRESETS["cifar10dvs"], (2, 48, 48), 10, 10, 1, 1),
+        (PRESETS["ncaltech101"], (2, 48, 48), 14, 101, 1, 1),
+        (PRESETS["fashion"], (1, 28, 28), 8, 10, 1, 1),
+        (PRESETS["desk"], (2, 16, 16), 8, 4, 4, 2),
+        ("16C3-LIF-MP2-TCJA-16C3-LIF-MP2-64FC-LIF-Voting", (2, 16, 16), 8, 4, 4, 2),
+        ("64C3-LIF-MP2-TCJA-64C3-LIF-MP2-0.5DP-256FC-LIF-Voting", (2, 32, 32), 14, 4, 1, 1),
+    ]
+
+    @pytest.mark.parametrize("text, dims, t_steps, classes, f32, f64", TRAINING_CHUNKS)
+    def test_training_chunk_pinned(self, text, dims, t_steps, classes, f32, f64):
+        arch = parse_arch(text, input_dims=dims, time_steps=t_steps)
+        assert build_network(arch, classes, dtype=np.float32).chunk_size == f32
+        assert build_network(arch, classes, dtype=np.float64).chunk_size == f64
+
+    def test_evaluation_chunk_fits_two_stacks_into_the_graph_budget(self):
+        net = desk_batch(n=0, dtype=np.float32)[0]
+        budget = len(net.layers) * network.CHUNK_BYTES
+        assert net.eval_chunk_size == budget // (2 * DESK_WIDEST * 4) == 20  # >= a 16-file request
+        assert desk_batch(n=0, dtype=np.float64)[0].eval_chunk_size == 10
 
 
 class TestBatchedParity:
@@ -347,24 +374,48 @@ class TestBatchedParity:
         for name, p in net.parameters():
             assert np.abs(p.grad * len(samples) - want_grads[name]).max() <= 1e-10, name
 
-    def test_evaluate_equals_evaluate_of_each_sample(self):
+    def test_evaluate_equals_evaluate_of_each_sample(self, monkeypatch):
         net, samples = desk_batch(dtype=np.float32)
-        assert net.chunk_size == 4  # chunks of 4, 4 and 2
-        whole = evaluate(net, samples)
-        alone = [evaluate(net, [sample]) for sample in samples]
-        for i, (got, single) in enumerate(zip(whole.predictions, alone)):
-            want = single.predictions[0]
-            assert got[:3] == (i, *want[1:3]) and got[3].tobytes() == want[3].tobytes()
-        hits = [single.accuracy for single in alone]
-        assert whole.accuracy == sum(hits) / len(samples)
-        labels = [sample.class_index for sample in samples]
-        assert whole.per_class == {
-            lab: sum(h for h, l in zip(hits, labels) if l == lab) / labels.count(lab)
-            for lab in sorted(set(labels))
-        }
-        for name, rate in whole.firing_rates.items():
-            assert 0.0 < rate < 1.0
-            assert rate == sum(single.firing_rates[name] for single in alone) / len(samples)
+        monkeypatch.setattr(network.Network, "eval_chunk_size", 4)
+        assert_evaluate_equals_each_sample_alone(net, samples, [4, 4, 2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_evaluate_at_the_evaluation_chunk_equals_each_sample(self, dtype):
+        chunk = desk_batch(n=0, dtype=dtype)[0].eval_chunk_size
+        assert chunk > 2
+        net, samples = desk_batch(n=chunk + 2, dtype=dtype)
+        assert_evaluate_equals_each_sample_alone(net, samples, [chunk, 2])
+
+
+def assert_evaluate_equals_each_sample_alone(net, samples, want_chunks):
+    """`evaluate` runs `samples` as `want_chunks` forward passes, and its
+    rates, predictions, per-class accuracy and firing rates are byte-equal
+    to those of `evaluate` on each sample alone."""
+    sizes = []
+    forward = net.forward
+
+    def spy(x, *args, **kwargs):
+        sizes.append(x.shape[1])
+        return forward(x, *args, **kwargs)
+
+    net.forward = spy
+    whole = evaluate(net, samples)
+    del net.forward
+    assert sizes == want_chunks
+    alone = [evaluate(net, [sample]) for sample in samples]
+    for i, (got, single) in enumerate(zip(whole.predictions, alone)):
+        want = single.predictions[0]
+        assert got[:3] == (i, *want[1:3]) and got[3].tobytes() == want[3].tobytes()
+    hits = [single.accuracy for single in alone]
+    assert whole.accuracy == sum(hits) / len(samples)
+    labels = [sample.class_index for sample in samples]
+    assert whole.per_class == {
+        lab: sum(h for h, l in zip(hits, labels) if l == lab) / labels.count(lab)
+        for lab in sorted(set(labels))
+    }
+    for name, rate in whole.firing_rates.items():
+        assert 0.0 < rate < 1.0
+        assert rate == sum(single.firing_rates[name] for single in alone) / len(samples)
 
 
 class TestCheckpoint:
@@ -379,7 +430,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "desk.ckpt", ckpt)
         blob = (tmp_path / "desk.ckpt").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == self.DESK_UNTRAINED_SHA256
-        assert ckpt.to_bytes() == blob
+        assert b"".join(ckpt._pieces()) == blob
 
     def test_non_contiguous_and_big_endian_records_written_as_encoded(self, tmp_path):
         records = [
@@ -390,7 +441,7 @@ class TestCheckpoint:
         ckpt = Checkpoint(arch="x", records=records)
         save_checkpoint(tmp_path / "x.ckpt", ckpt)
         blob = (tmp_path / "x.ckpt").read_bytes()
-        assert blob == ckpt.to_bytes()
+        assert blob == b"".join(ckpt._pieces())
         for (name, want), (got_name, got) in zip(records, Checkpoint.from_bytes(blob).records):
             assert got_name == name
             np.testing.assert_array_equal(got, want)
@@ -524,16 +575,18 @@ def _restore_or_checkpoint_error(blob: bytes) -> None:
         pass
 
 
-_FUZZ_BLOB = make_checkpoint(
-    build_network(
-        parse_arch("2C3-LIF-TCJA-4FC-LIF-Voting", input_dims=(2, 4, 4), time_steps=3),
-        num_classes=4,
-        rng=np.random.default_rng(0),
-    ),
-    OptimizerState(),
-    np.random.default_rng(0),
-    epoch=0,
-).to_bytes()
+_FUZZ_BLOB = b"".join(
+    make_checkpoint(
+        build_network(
+            parse_arch("2C3-LIF-TCJA-4FC-LIF-Voting", input_dims=(2, 4, 4), time_steps=3),
+            num_classes=4,
+            rng=np.random.default_rng(0),
+        ),
+        OptimizerState(),
+        np.random.default_rng(0),
+        epoch=0,
+    )._pieces()
+)
 
 
 class TestCheckpointFuzz:
