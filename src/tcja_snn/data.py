@@ -46,17 +46,26 @@ class EventStream:
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise DataError("event field lengths differ")
-        if n and np.any(np.diff(self.t) < 0):
+        if np.count_nonzero(self.t[1:] < self.t[:-1]):
             raise DataError("timestamps must be non-decreasing")
         for name, arr, bound in (("x", self.x, self.width), ("y", self.y, self.height)):
-            bad = np.nonzero((arr < 0) | (arr >= bound))[0]
-            if bad.size:
-                raise DataError(
-                    f"{name}={arr[bad[0]]} out of range [0, {bound}) at record {bad[0]}"
-                )
-        bad = np.nonzero((self.p != 0) & (self.p != 1))[0]
-        if bad.size:
-            raise DataError(f"polarity {self.p[bad[0]]} not in {{0,1}} at record {bad[0]}")
+            bad = _outside(arr, bound)
+            if np.count_nonzero(bad):
+                at = np.flatnonzero(bad)[0]
+                raise DataError(f"{name}={arr[at]} out of range [0, {bound}) at record {at}")
+        p = self.p
+        bad = _outside(p, 2) if p.dtype.kind in "biu" else (p != 0) & (p != 1)
+        if np.count_nonzero(bad):
+            at = np.flatnonzero(bad)[0]
+            raise DataError(f"polarity {p[at]} not in {{0,1}} at record {at}")
+
+
+def _outside(arr: np.ndarray, bound: int) -> np.ndarray:
+    """Mask of the entries outside [0, bound). Integers take one comparison,
+    read as unsigned so that a negative one is larger than any bound."""
+    if arr.dtype.kind in "biu":
+        return arr.view(f"u{arr.itemsize}") >= bound
+    return (arr < 0) | (arr >= bound)
 
 
 @dataclass

@@ -13,6 +13,7 @@ only the backward pass substitutes a smooth derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,16 +111,21 @@ def lif_sequence(
     s_stack = np.empty_like(x)
     h = np.full(x.shape[1:], cfg.v_reset, dtype=x.dtype)
     scratch = np.empty_like(h)
+    # H - v_reset is H itself, bit for bit, only at v_reset = +0.0.
+    leak_from_zero = math.copysign(1.0, cfg.v_reset) > 0 and cfg.v_reset == 0
     for t in range(t_steps):
         # Op by op with out=, in the order of V, S and H above. Without a
-        # membrane stack, V is computed in h's own buffer.
+        # membrane stack, V is computed in h's own buffer. V >= v_th is
+        # V - v_th >= 0 for every finite v_th.
         v = h if v_stack is None else v_stack[t]
-        np.subtract(h, cfg.v_reset, out=scratch)
-        np.subtract(x[t], scratch, out=scratch)
+        if leak_from_zero:
+            np.subtract(x[t], h, out=scratch)
+        else:
+            np.subtract(h, cfg.v_reset, out=scratch)
+            np.subtract(x[t], scratch, out=scratch)
         np.multiply(scratch, rate, out=scratch)
         np.add(h, scratch, out=v)
-        np.subtract(v, cfg.v_threshold, out=scratch)
-        np.greater_equal(scratch, 0, out=s_stack[t])
+        np.greater_equal(v, cfg.v_threshold, out=s_stack[t])
         if trace is not None:
             trace.v.append(v.copy())
             trace.s.append(s_stack[t].copy())

@@ -237,12 +237,18 @@ def _im2col(images: np.ndarray, k: int, padding: int) -> np.ndarray:
     """(B, C, H, W) -> (B, C*k*k, out_h*out_w) columns of the images
     zero-padded by `padding` on every side, with no padded copy made.
 
-    Each kernel tap (i, j) copies the block of images that falls inside
-    the padded frame at its offset, if any does; the rest of its slab
-    stays zero.
+    When the output grid is the input grid (odd k at padding k//2, every
+    conv the network builds), tap (i, j) reads each H*W plane shifted by
+    d = (i-p)*W + (j-p): one contiguous copy per plane, then zeros over
+    the |d| entries the shift leaves and the |j-p| columns that wrapped
+    round a row edge. Otherwise each tap copies the block of images that
+    falls inside the padded frame at its offset, if any does; the rest of
+    its slab stays zero.
     """
     batch, channels, height, width = images.shape
     out_h, out_w = height + 2 * padding - k + 1, width + 2 * padding - k + 1
+    if (out_h, out_w) == (height, width):
+        return _im2col_shifted(images, k, padding)
     cols = np.zeros((batch, channels, k, k, out_h, out_w), dtype=images.dtype)
     for i in range(k):
         r0, r1 = max(0, padding - i), min(out_h, height + padding - i)
@@ -253,6 +259,32 @@ def _im2col(images: np.ndarray, k: int, padding: int) -> np.ndarray:
                     :, :, r0 + i - padding : r1 + i - padding, c0 + j - padding : c1 + j - padding
                 ]
     return cols.reshape(batch, channels * k * k, out_h * out_w)
+
+
+def _im2col_shifted(images: np.ndarray, k: int, padding: int) -> np.ndarray:
+    batch, channels, height, width = images.shape
+    size = height * width
+    planes = images.reshape(batch, channels, size)
+    cols = np.empty((batch, channels, k, k, size), dtype=images.dtype)
+    grid = cols.reshape(batch, channels, k, k, height, width)
+    for i in range(k):
+        for j in range(k):
+            tap, shift = cols[:, :, i, j], j - padding
+            d = (i - padding) * width + shift
+            if abs(d) >= size:
+                tap.fill(0)
+                continue
+            if d >= 0:
+                tap[..., : size - d] = planes[..., d:]
+                tap[..., size - d :] = 0
+            else:
+                tap[..., -d:] = planes[..., : size + d]
+                tap[..., :-d] = 0
+            if shift > 0:
+                grid[:, :, i, j, :, max(0, width - shift) :] = 0
+            elif shift < 0:
+                grid[:, :, i, j, :, :-shift] = 0
+    return cols.reshape(batch, channels * k * k, size)
 
 
 def pool2d(x: Tensor, kind: str, k: int) -> Tensor:
@@ -301,8 +333,9 @@ def _max_pool_backward(
 
     Works on rows of windows, x as (R, k, W) against out and g as (R, W/k),
     a block of rows at a time so that each block's taps, masks and dx stay
-    in cache. g's bits are ANDed with an all-ones or all-zeros mask, not
-    multiplied by the hit, so a negative g leaves +0.0, not -0.0, off the max.
+    in cache. g's bits, read as unsigned integers, are multiplied by the
+    hit (0 or 1), not g itself, so a negative g leaves +0.0, not -0.0, off
+    the max. After the AND every hit is free, so XOR takes it out of free.
     """
     width = x.shape[-1]
     uint = np.dtype(f"u{g.itemsize}")
@@ -312,21 +345,17 @@ def _max_pool_backward(
     dx_bits = dx.view(uint).reshape(rows.shape)
     spans = blocks(len(rows), k * width * x.itemsize)
     size = (spans[0].stop, width // k)
-    taken, free, hit = (np.empty(size, dtype=bool) for _ in range(3))
-    mask = np.empty(size, dtype=uint)
+    free, hit = (np.empty(size, dtype=bool) for _ in range(2))
     for block in spans:
         n = block.stop - block.start
-        taken_b, free_b, hit_b, mask_b = taken[:n], free[:n], hit[:n], mask[:n]
-        taken_b.fill(False)
+        free_b, hit_b = free[:n], hit[:n]
+        free_b.fill(True)
         for i in range(k):
             for j in range(k):
                 np.equal(rows[block, i, j::k], out_rows[block], out=hit_b)
-                np.invert(taken_b, out=free_b)
-                np.bitwise_and(hit_b, free_b, out=hit_b)
-                np.copyto(mask_b, hit_b)
-                np.negative(mask_b, out=mask_b)
-                np.bitwise_and(bits[block], mask_b, out=dx_bits[block, i, j::k])
-                np.bitwise_or(taken_b, hit_b, out=taken_b)
+                np.logical_and(hit_b, free_b, out=hit_b)
+                np.multiply(bits[block], hit_b, out=dx_bits[block, i, j::k])
+                np.logical_xor(free_b, hit_b, out=free_b)
 
 
 def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -519,6 +519,22 @@ def lif_sequence_unfused(
     return stack(outputs)
 
 
+def lif_forward_8op(x: np.ndarray, cfg: LifConfig) -> tuple[np.ndarray, list, list]:
+    """The LIF forward in eight ops a step, H - v_reset formed and V - v_th
+    compared with 0 at every step: the reference for `lif_sequence`'s
+    shorter step. Returns the spike stack and each step's V and H."""
+    rate = 1.0 / cfg.tau
+    h = np.full(x.shape[1:], cfg.v_reset, dtype=x.dtype)
+    spikes, v_steps, h_steps = np.empty_like(x), [], []
+    for t in range(len(x)):
+        v = np.add(h, np.multiply(np.subtract(x[t], np.subtract(h, cfg.v_reset)), rate))
+        np.greater_equal(np.subtract(v, cfg.v_threshold), 0, out=spikes[t])
+        h = np.multiply(v, np.subtract(1.0, spikes[t]))
+        v_steps.append(v)
+        h_steps.append(h)
+    return spikes, v_steps, h_steps
+
+
 # -- unfused TCJA: the attention block as 11 generic graph nodes ---------------
 
 

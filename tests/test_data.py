@@ -154,6 +154,68 @@ class TestEventIo:
             read_events(path, height=5)
 
 
+class TestValidate:
+    """Each of validate's messages, for the first bad record of its check."""
+
+    def _stream(self, **fields):
+        base = {name: np.zeros(4, dtype=np.int64) for name in "txyp"}
+        base["t"] = np.arange(4, dtype=np.int64)
+        return EventStream(**{**base, **fields}, width=8, height=6)
+
+    def test_valid_streams_pass(self):
+        toy_stream().validate()
+        self._stream().validate()
+        EventStream(*(np.zeros(0, dtype=np.int64),) * 4, width=1, height=1).validate()
+        small = {name: np.array([0, 1, 1, 0], dtype=np.uint8) for name in "xyp"}
+        self._stream(**small).validate()
+        self._stream(p=np.array([0.0, 1.0, -0.0, 1.0])).validate()
+        self._stream(p=np.array([False, True, True, False])).validate()
+
+    def test_field_lengths_differ(self):
+        with pytest.raises(DataError, match="^event field lengths differ$"):
+            self._stream(y=np.zeros(3, dtype=np.int64)).validate()
+
+    def test_timestamps_decrease(self):
+        with pytest.raises(DataError, match="^timestamps must be non-decreasing$"):
+            self._stream(t=np.array([0, 5, 5, 4])).validate()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([0, 3, -1, 9], r"^x=-1 out of range \[0, 8\) at record 2$"),
+            ([0, 8, -1, 9], r"^x=8 out of range \[0, 8\) at record 1$"),
+            ([0.0, 7.5, 8.0, -1], r"^x=8.0 out of range \[0, 8\) at record 2$"),
+            ([0, 2**40, 1, 1], r"^x=1099511627776 out of range \[0, 8\) at record 1$"),
+        ],
+    )
+    def test_x_out_of_range(self, values, message):
+        with pytest.raises(DataError, match=message):
+            self._stream(x=np.array(values)).validate()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint16])
+    def test_y_out_of_range(self, dtype):
+        with pytest.raises(DataError, match=r"^y=6 out of range \[0, 6\) at record 3$"):
+            self._stream(y=np.array([0, 5, 1, 6], dtype=dtype)).validate()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([0, 1, 2, 0], r"^polarity 2 not in \{0,1\} at record 2$"),
+            ([1, -1, 0, 3], r"^polarity -1 not in \{0,1\} at record 1$"),
+            ([0.0, 1.0, 1.0, 0.5], r"^polarity 0.5 not in \{0,1\} at record 3$"),
+            ([np.nan, 1.0, 1.0, 0.0], r"^polarity nan not in \{0,1\} at record 0$"),
+        ],
+    )
+    def test_polarity_outside_zero_one(self, values, message):
+        with pytest.raises(DataError, match=message):
+            self._stream(p=np.array(values)).validate()
+
+    def test_a_strided_field_is_checked_as_its_values(self):
+        wide = np.array([[0, 9], [3, 9], [-2, 9], [1, 9]], dtype=np.int64)
+        with pytest.raises(DataError, match=r"^x=-2 out of range \[0, 8\) at record 2$"):
+            self._stream(x=wide[:, 0]).validate()
+
+
 def _read_or_data_error(path, blob: bytes) -> None:
     path.write_bytes(blob)
     try:

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -283,6 +284,29 @@ class TestInPlaceForward:
         for got in (recorded.data, plain.data, traced.data):
             assert got.dtype == dtype and got.shape == x.shape
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("v_threshold", [1.0, 0.3])
+    @pytest.mark.parametrize("v_reset", [0.0, -0.0, -0.25])
+    @pytest.mark.parametrize("graph", [True, False])
+    def test_matches_the_eight_op_step(self, graph, v_reset, v_threshold, dtype):
+        # A -0.0 input gives V = -0.0 at v_reset = -0.0 and +0.0 at +0.0, so
+        # dropping H - v_reset at -0.0 would show; an input of 2*v_th puts
+        # step 0's V exactly on the threshold when v_reset is zero.
+        x = np.random.default_rng(23).uniform(-1, 3, size=(7, 5, 6)).astype(dtype)
+        x[:, 0], x[:, 1], x[0, 2] = 0.0, -0.0, 2 * dtype(v_threshold)
+        cfg = LifConfig(v_reset=v_reset, v_threshold=v_threshold)
+        trace = LifTrace()
+        with contextlib.nullcontext() if graph else no_grad():
+            out = lif_sequence(Tensor(x, requires_grad=True), cfg, trace=trace)
+        spikes, v_steps, h_steps = oracles.lif_forward_8op(x, cfg)
+        assert out.requires_grad == graph and 0.0 < spikes.mean() < 1.0
+        assert out.data.tobytes() == spikes.tobytes()
+        for got, want in ((trace.s, spikes), (trace.v, v_steps), (trace.h, h_steps)):
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        if v_reset == 0.0:
+            assert spikes[0, 2].all()
+            assert np.signbit(v_steps[0][1]).all() == (math.copysign(1.0, v_reset) < 0)
 
     def test_trace_holds_distinct_arrays_of_each_step(self):
         rng = np.random.default_rng(22)

@@ -269,18 +269,21 @@ class TestConv2d:
 class TestIm2col:
     """The pad-free column fill against np.pad plus one slab per tap."""
 
-    # Every padding of each kernel size, on H != W and on one-row images
-    # where the padded frame holds the kernel: at k = 5, padding 2, kernel
-    # rows 0, 1, 3 and 4 see only padding.
+    # Every padding of each kernel size, on H != W and on one-row,
+    # one-column and one-pixel images where the padded frame holds the
+    # kernel: at k = 5, padding 2, kernel rows 0, 1, 3 and 4 see only
+    # padding. Odd k at padding k//2 takes the shifted-plane path; there a
+    # shift of a whole plane or more (1x6, 6x1, 1x1) leaves a tap all zero
+    # and a shift by whole rows wraps every column (6x1).
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "height,width,ksize,padding",
         [
             (h, w, k, p)
-            for h, w in ((7, 6), (5, 9), (1, 6))
+            for h, w in ((7, 6), (5, 9), (1, 6), (6, 1), (1, 1))
             for k in (1, 2, 3, 5)
             for p in range(k)
-            if k <= h + 2 * p
+            if k <= min(h, w) + 2 * p
         ],
     )
     def test_matches_padded_slabs(self, height, width, ksize, padding, dtype):
@@ -296,6 +299,13 @@ class TestIm2col:
         images = np.random.default_rng(5).standard_normal((2, 3, 3, 9))
         got = tensor._im2col(images, 8, 3)
         assert_same_bits(got, oracles.im2col_padded(images, 8, 3))
+
+    @pytest.mark.parametrize("height,width", [(2, 2), (1, 3), (3, 1), (2, 5)])
+    def test_column_shifts_wider_than_the_image(self, height, width):
+        # k = 7 at padding 3: a column shift of up to 3 can exceed the width,
+        # and then every column of the tap wrapped round a row edge.
+        images = np.random.default_rng(6).standard_normal((2, 3, height, width))
+        assert_same_bits(tensor._im2col(images, 7, 3), oracles.im2col_padded(images, 7, 3))
 
     def test_a_strided_view_matches_padded_slabs(self):
         images = np.random.default_rng(4).standard_normal((3, 4, 8, 10))[:, ::2, :, 1:-1]
@@ -394,6 +404,23 @@ class TestPool:
         oracles.probe_sum(out, g).backward()
         assert_same_bits(out.data, oracles.pool2d_loops(x, "max", k))
         assert_same_bits(xt.grad, oracles.pool2d_grad_loops(x, g, "max", k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_max_backward_signed_zero_ties(self, k, dtype):
+        # Windows whose max is a zero tied with zeros of either sign, under
+        # negative gradients and -0.0: the first zero in row-major order
+        # takes g and every other entry +0.0.
+        rng = np.random.default_rng(30 + k)
+        x = rng.choice(np.array([-0.0, 0.0, -1.0], dtype=dtype), size=(3, 4 * k, 5 * k))
+        x[0, :k, :k] = -1.0
+        x[0, 0, 1], x[0, 1, 0] = -0.0, 0.0
+        g = -rng.uniform(0.5, 2.0, size=(3, 4, 5)).astype(dtype)
+        g[1, 0] = -0.0
+        xt = Tensor(x, requires_grad=True)
+        oracles.probe_sum(pool2d(xt, "max", k), g).backward()
+        assert_same_bits(xt.grad, oracles.pool2d_grad_loops(x, g, "max", k))
+        assert np.signbit(xt.grad).sum() > 0 and not np.signbit(xt.grad[0, 1, 0])
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError, match="not divisible"):
