@@ -48,7 +48,8 @@ _LIF_KEYS_IN_TRAIN = ("surrogate", "detach_reset")
 _LIF_DEFAULTS = asdict(LifConfig())
 # gen-synthetic has one flag per `gen_synthetic` parameter, named after it
 # except where listed here, with its default. The config's synthetic section
-# shares those defaults, except for the dataset sizes and the seed.
+# shares those defaults, except for the dataset sizes and the seed; its
+# class count is `num_classes`.
 _GEN_PARAMS = inspect.signature(data_mod.gen_synthetic).parameters
 _GEN_FLAG_NAMES = {"noise_per_tick": "noise"}
 
@@ -62,7 +63,7 @@ DEFAULT_CONFIG: dict = {
         "width": None,
         "height": None,
         "synthetic": {
-            **{key: _GEN_PARAMS[key].default for key in ("kind", "classes", "height", "width")},
+            **{key: _GEN_PARAMS[key].default for key in ("height", "width")},
             "n_train": 400,
             "n_test": 100,
             "seed": 7,
@@ -157,7 +158,7 @@ def load_config(config_path: str | None, overrides: list[str]) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if config_path is not None:
         path = Path(config_path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text())
@@ -204,13 +205,8 @@ def _load_samples(
         )
     else:
         syn = data_cfg["synthetic"]
-        if syn["classes"] != num_classes:
-            raise ConfigError(
-                f"num_classes={num_classes} does not match synthetic classes={syn['classes']}"
-            )
         common = dict(
-            kind=syn["kind"],
-            classes=syn["classes"],
+            classes=num_classes,
             height=syn["height"],
             width=syn["width"],
             t_steps=t_steps,

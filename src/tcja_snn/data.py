@@ -102,7 +102,7 @@ def read_events(
     whichever of the two are given.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"event file not found: {path}")
     if path.suffix == ".csv":
         if width is None or height is None:
@@ -357,7 +357,6 @@ _DIRECTIONS = (
 
 
 def gen_synthetic(
-    kind: str = "moving-bar",
     classes: int = 4,
     height: int = 16,
     width: int = 16,
@@ -372,8 +371,6 @@ def gen_synthetic(
     produces per brightness change; this keeps integrated count frames
     strong enough to drive spiking layers.
     """
-    if kind != "moving-bar":
-        raise DataError(f"unknown synthetic kind {kind!r}")
     if classes not in (2, 4, 8):
         raise DataError(f"classes must be 2, 4, or 8, got {classes}")
     rng = np.random.default_rng(seed)
@@ -478,7 +475,7 @@ def load_dataset(
     """Read a manifest directory back into labeled streams on one sensor grid."""
     root = Path(root)
     manifest = root / "manifest.csv"
-    if not manifest.exists():
+    if not manifest.is_file():
         raise DataError(f"manifest not found: {manifest}")
     dataset = []
     grid = None
@@ -501,6 +498,8 @@ def load_dataset(
                     f" the first file's {grid[0]}x{grid[1]}"
                 )
             dataset.append((stream, int(label)))
+    if not dataset:
+        raise DataError(f"{manifest}: manifest lists no samples")
     return dataset
 
 

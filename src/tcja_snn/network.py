@@ -1,10 +1,10 @@
 """Architecture strings, layer stacks, and the temporal forward pass.
 
 Arch specs are dash-separated tokens: ``128C3`` (conv, 128 outputs,
-kernel 3, stride 1), ``MP2``/``AP2`` (max/avg pool), ``LIF`` (spiking
-neuron), ``0.5DP`` (spiking dropout), ``512FC`` (fully connected),
-``Voting`` (group-average readout), and ``TCJA`` (attention insertion
-point). The network runs a batch of samples as one (T, B, C, H, W)
+odd kernel 3, stride 1, keeps H x W), ``MP2``/``AP2`` (max/avg pool),
+``LIF`` (spiking neuron), ``0.5DP`` (spiking dropout), ``512FC`` (fully
+connected), ``Voting`` (group-average readout), and ``TCJA`` (attention
+insertion point). The network runs a batch of samples as one (T, B, C, H, W)
 stack, and every layer maps a full (T, B, ...) stack to a full (T, B, ...)
 stack: spiking layers run their recurrence over T internally, so attention
 blocks that need all time steps at once see them materialized by
@@ -105,6 +105,8 @@ def parse_arch(
     layers: list[LayerSpec] = []
     for pos, token in enumerate(spec.strip().split("-")):
         if m := _CONV_RE.match(token):
+            if int(m.group(2)) % 2 == 0:
+                raise ArchParseError(f"conv kernel {m.group(2)} at position {pos} is even")
             layers.append(ConvSpec(out_channels=int(m.group(1)), kernel=int(m.group(2))))
         elif token == "LIF":
             layers.append(LifSpec())
@@ -184,14 +186,13 @@ PRESETS: dict[str, str] = {
 
 
 class ConvLayer:
-    """Conv2D over the time-batched stack, stride 1, same-style padding."""
+    """Conv2D over the time-batched stack, stride 1, keeping H x W."""
 
-    def __init__(self, kernel: Tensor, padding: int):
+    def __init__(self, kernel: Tensor):
         self.kernel = kernel
-        self.padding = padding
 
     def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        return conv2d(x, self.kernel, padding=self.padding)
+        return conv2d(x, self.kernel)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("kernel", self.kernel)]
@@ -402,7 +403,7 @@ def analytic_param_count(
 
 def _walk_dims(arch: ArchSpec, num_classes: int):
     """Yield (kind, dims) per parameterized layer while tracking shapes:
-    conv (C_in, C_out, k, H_out, W_out), fc (F_in, F_out) and tcja (C, T)."""
+    conv (C_in, C_out, k, H, W), fc (F_in, F_out) and tcja (C, T)."""
     if arch.input_dims is None or arch.time_steps is None:
         raise ValueError("arch spec needs input_dims and time_steps to build")
     if min(*arch.input_dims, arch.time_steps, num_classes) < 1:
@@ -417,9 +418,6 @@ def _walk_dims(arch: ArchSpec, num_classes: int):
         if isinstance(layer, ConvSpec):
             if flat is not None:
                 raise ArchParseError(f"conv at position {i} after flatten")
-            pad = layer.kernel // 2
-            h = h + 2 * pad - layer.kernel + 1
-            w = w + 2 * pad - layer.kernel + 1
             yield "conv", (c, layer.out_channels, layer.kernel, h, w)
             c = layer.out_channels
         elif isinstance(layer, PoolSpec):
@@ -477,9 +475,7 @@ def build_network(
             c_in, c_out, k = next(dim_iter)[1][:3]
             bound = 1.0 / np.sqrt(c_in * k * k)
             kernel = rng.uniform(-bound, bound, size=(c_out, c_in, k, k))
-            net.layers.append(
-                ConvLayer(Tensor(kernel.astype(dtype), requires_grad=True), padding=k // 2)
-            )
+            net.layers.append(ConvLayer(Tensor(kernel.astype(dtype), requires_grad=True)))
         elif isinstance(layer, LifSpec):
             net.layers.append(LifLayer(lif_cfg, name=f"lif{lif_index}"))
             lif_index += 1

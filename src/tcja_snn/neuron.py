@@ -25,15 +25,7 @@ _SURROGATES = ("atan", "triangle")
 
 @dataclass(frozen=True)
 class LifConfig:
-    """Neuron constants shared by every unit of a spiking layer.
-
-    `strict_eq2` records the timing convention: when true, the input
-    sequence is read as the previous-tick currents of the membrane
-    recurrence above. The common convention of indexing inputs by the
-    same tick as the membrane yields bit-identical trajectories for
-    fresh-state sequences (pure relabeling), so this flag exists for
-    documentation and config compatibility rather than arithmetic.
-    """
+    """Neuron constants shared by every unit of a spiking layer."""
 
     tau: float = 2.0
     v_reset: float = 0.0
@@ -42,7 +34,6 @@ class LifConfig:
     alpha: float = 2.0
     gamma: float = 1.0
     detach_reset: bool = True
-    strict_eq2: bool = True
 
     def __post_init__(self):
         if self.tau <= 0:

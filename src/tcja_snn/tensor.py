@@ -179,13 +179,13 @@ class Tensor:
         return order
 
 
-def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
-    """2-D cross-correlation at stride 1 of every (Cin, H, W) image of `x`.
+def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
+    """2-D cross-correlation at stride 1 of every (Cin, H, W) image of `x`,
+    zero-padded by k//2 so that the output keeps the H x W grid.
 
-    `x` is (..., Cin, H, W) with at least one leading axis, `kernel` is
-    (Cout, Cin, k, k) and 0 <= padding < k. The leading axes are kept and
-    folded into one GEMM batch with a reshape view. Output spatial size is
-    H + 2p - k + 1 per side.
+    `x` is (..., Cin, H, W) with at least one leading axis and `kernel` is
+    (Cout, Cin, k, k) with k odd. The leading axes are kept and folded into
+    one GEMM batch with a reshape view.
     """
     if x.ndim < 4 or kernel.ndim != 4:
         raise ShapeError(
@@ -198,72 +198,43 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"kernel channel mismatch: input {x.shape} vs kernel {kernel.shape}"
         )
-    if k_h != k_w:
-        raise ShapeError(f"square kernels only, got {kernel.shape}")
+    if k_h != k_w or k_h % 2 == 0:
+        raise ShapeError(f"square kernels of odd size only, got {kernel.shape}")
     k = k_h
-    if not 0 <= padding < k:
-        raise ShapeError(f"padding {padding} outside [0, {k}) for kernel size {k}")
-    if k > height + 2 * padding or k > width + 2 * padding:
-        raise ShapeError(
-            f"kernel {k} exceeds padded input {height + 2 * padding}x{width + 2 * padding}"
-        )
-    out_h = height + 2 * padding - k + 1
-    out_w = width + 2 * padding - k + 1
 
     images = x.data.reshape(-1, c_in, height, width)
-    cols = _im2col(images, k, padding)
-    out = np.matmul(kernel.data.reshape(c_out, -1), cols).reshape(*x.shape[:-3], c_out, out_h, out_w)
+    cols = _im2col(images, k)
+    out = np.matmul(kernel.data.reshape(c_out, -1), cols).reshape(*x.shape[:-3], c_out, height, width)
     xt, kt = x, kernel
 
     def backward(g: np.ndarray) -> None:
         if kt.requires_grad:
-            g3 = g.reshape(-1, c_out, out_h * out_w)
+            g3 = g.reshape(-1, c_out, height * width)
             kt._accumulate(np.matmul(cols, g3.transpose(0, 2, 1)).sum(axis=0).T.reshape(kt.shape))
         if xt.requires_grad:
             # dx is the correlation of the output gradient, zero-padded by
-            # k-1-padding, with the flipped, channel-swapped kernel, taken a
-            # block of images at a time so each block's columns stay in cache.
+            # k-1-k//2 = k//2, with the flipped, channel-swapped kernel, taken
+            # a block of images at a time so each block's columns stay in cache.
             flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-            g4 = g.reshape(-1, c_out, out_h, out_w)
+            g4 = g.reshape(-1, c_out, height, width)
             dx = np.empty((len(g4), c_in, height * width), dtype=np.result_type(flipped, g))
             for block in blocks(len(g4), c_out * k * k * height * width * g.itemsize):
-                np.matmul(flipped, _im2col(g4[block], k, k - 1 - padding), out=dx[block])
+                np.matmul(flipped, _im2col(g4[block], k), out=dx[block])
             xt._accumulate(dx.reshape(xt.shape))
 
     return Tensor._node(out, (xt, kt), backward)
 
 
-def _im2col(images: np.ndarray, k: int, padding: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, C*k*k, out_h*out_w) columns of the images
-    zero-padded by `padding` on every side, with no padded copy made.
+def _im2col(images: np.ndarray, k: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, C*k*k, H*W) columns of the images zero-padded by
+    p = k//2 on every side (k odd), with no padded copy made.
 
-    When the output grid is the input grid (odd k at padding k//2, every
-    conv the network builds), tap (i, j) reads each H*W plane shifted by
-    d = (i-p)*W + (j-p): one contiguous copy per plane, then zeros over
-    the |d| entries the shift leaves and the |j-p| columns that wrapped
-    round a row edge. Otherwise each tap copies the block of images that
-    falls inside the padded frame at its offset, if any does; the rest of
-    its slab stays zero.
+    Tap (i, j) reads each H*W plane shifted by d = (i-p)*W + (j-p): one
+    contiguous copy per plane, then zeros over the |d| entries the shift
+    leaves and the |j-p| columns that wrapped round a row edge.
     """
     batch, channels, height, width = images.shape
-    out_h, out_w = height + 2 * padding - k + 1, width + 2 * padding - k + 1
-    if (out_h, out_w) == (height, width):
-        return _im2col_shifted(images, k, padding)
-    cols = np.zeros((batch, channels, k, k, out_h, out_w), dtype=images.dtype)
-    for i in range(k):
-        r0, r1 = max(0, padding - i), min(out_h, height + padding - i)
-        for j in range(k):
-            c0, c1 = max(0, padding - j), min(out_w, width + padding - j)
-            if r0 < r1 and c0 < c1:
-                cols[:, :, i, j, r0:r1, c0:c1] = images[
-                    :, :, r0 + i - padding : r1 + i - padding, c0 + j - padding : c1 + j - padding
-                ]
-    return cols.reshape(batch, channels * k * k, out_h * out_w)
-
-
-def _im2col_shifted(images: np.ndarray, k: int, padding: int) -> np.ndarray:
-    batch, channels, height, width = images.shape
-    size = height * width
+    padding, size = k // 2, height * width
     planes = images.reshape(batch, channels, size)
     cols = np.empty((batch, channels, k, k, size), dtype=images.dtype)
     grid = cols.reshape(batch, channels, k, k, height, width)

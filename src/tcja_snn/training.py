@@ -313,7 +313,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
     return Checkpoint.from_bytes(path.read_bytes())
 
@@ -323,7 +323,10 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, OptimizerState, dict, in
     named = dict(ckpt.records)
     try:
         meta = json.loads(named["meta.config"].tobytes().decode())
-        lif_cfg = LifConfig(**meta["lif"])
+        # Checkpoints written while LifConfig had `strict_eq2` still store it.
+        lif_kw = dict(meta["lif"])
+        lif_kw.pop("strict_eq2", None)
+        lif_cfg = LifConfig(**lif_kw)
         tcja_cfg = TcjaConfig(**meta["tcja"])
         dtype = precision_dtype(meta["precision"])
         input_dims = tuple(int(d) for d in meta["input_dims"])

@@ -123,8 +123,8 @@ def test_criterion_2_gradient_suite():
             "reshape": (lambda a: oracles.reshape(a, 8, 2), lambda: [rng.standard_normal((4, 4))]),
             "transpose": (oracles.transpose, lambda: [rng.standard_normal((3, 5))]),
             "fully_connected": (fully_connected, lambda: [rng.standard_normal((3, 1, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]),
-            "conv2d": (lambda x, k: conv2d(x, k, padding=1), lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 3, 3))]),
-            "conv2d_k5_pad2": (lambda x, k: conv2d(x, k, padding=2), lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 5, 5))]),
+            "conv2d": (conv2d, lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 3, 3))]),
+            "conv2d_k5_pad2": (conv2d, lambda: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 5, 5))]),
             "conv1d": (oracles.conv1d_multichannel, lambda: [rng.standard_normal((3, 5)), rng.standard_normal((3, 3, 2))]),
             "avg_pool": (lambda x: pool2d(x, "avg", 2), lambda: [rng.standard_normal((2, 4, 4))]),
             "max_pool": (lambda x: pool2d(x, "max", 2), lambda: [rng.standard_normal((2, 4, 4))]),

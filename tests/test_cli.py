@@ -23,7 +23,6 @@ def quick_config(tmp_path, **train_overrides):
         "out_dir": str(tmp_path / "run"),
         "data": {
             "synthetic": {
-                "classes": 4,
                 "height": 8,
                 "width": 8,
                 "n_train": 24,
@@ -79,7 +78,7 @@ class TestConfig:
             ("--train.epochs", "true"),  # bool is not an int
             ("--train.augment", "1"),  # int is not a bool
             ("--data", "5"),  # a section must stay an object
-            ("--data.synthetic", '{"kind": "moving-bar"}'),  # section missing keys
+            ("--data.synthetic", '{"kind": "moving-bar"}'),  # section of one unknown key
             ("--data.dir", "5"),  # null default takes a str
             ("--data.width", '"8"'),  # null default takes an int
             ("--data.width", "0"),
@@ -105,6 +104,31 @@ class TestConfig:
         assert "config error" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--lif.strict_eq2", "true"), ("--data.synthetic.kind", '"moving-bar"'),
+         ("--data.synthetic.classes", "4")],
+    )
+    def test_removed_key_exits_1(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "run"
+        code = main(["train", "--train.epochs", "0", "--out_dir", str(out_dir), flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: unknown config key {flag[2:]!r}\n"
+        assert not out_dir.exists()
+
+    def test_config_path_naming_a_directory_exits_1(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: config file not found: {tmp_path}\n"
+
+    def test_even_conv_kernel_exits_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code = main(["train", "--arch", "16C2-LIF-MP2-64FC-LIF-Voting", "--train.epochs", "0",
+                     "--out_dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: conv kernel 2 at position 0 is even")
+        assert not out_dir.exists()
+
     def test_unknown_precision_exits_1(self, tmp_path, capsys):
         path, out_dir = quick_config(tmp_path, precision="f16")
         assert main(["train", "--config", str(path)]) == 1
@@ -128,6 +152,39 @@ class TestTrainCommand:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["train", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_manifest_exits_2(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "manifest.csv").write_text("")
+        args = ["--data.dir", str(data_dir), "--out_dir", str(tmp_path / "run")]
+        if command == "eval":
+            path, out_dir = quick_config(tmp_path / "trained", epochs=0)
+            assert main(["train", "--config", str(path)]) == 0
+            capsys.readouterr()
+            args += ["--checkpoint", str(out_dir / "best.ckpt"), "--config", str(path)]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {data_dir / 'manifest.csv'}: manifest lists no samples\n"
+
+    @pytest.mark.parametrize("where", ["manifest line", "manifest"])
+    def test_dataset_path_naming_a_directory_exits_2(self, tmp_path, capsys, where):
+        data_dir = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(data_dir), "--n", "8", "--height", "8",
+                     "--width", "8", "--t-steps", "4"]) == 0
+        manifest = data_dir / "manifest.csv"
+        if where == "manifest line":
+            (data_dir / "sub").mkdir()
+            manifest.write_text(manifest.read_text() + "sub,0\n")
+            missing = data_dir / "sub"
+        else:
+            manifest.unlink()
+            manifest.mkdir()
+            missing = manifest
+        capsys.readouterr()
+        assert main(["train", "--data.dir", str(data_dir), "--out_dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.endswith(f"not found: {missing}\n")
 
     def test_quickstart_trains_and_is_reproducible(self, tmp_path):
         path_a, out_a = quick_config(tmp_path / "a", epochs=2)
@@ -196,6 +253,10 @@ class TestEvalCommand:
         ckpt.write_bytes(bytes(blob))
         assert main(["eval", "--checkpoint", str(ckpt), "--config", str(path)]) == 4
 
+    def test_checkpoint_path_naming_a_directory_exits_4(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == f"checkpoint error: checkpoint not found: {tmp_path}\n"
+
     @pytest.mark.parametrize(
         "blob",
         [
@@ -235,7 +296,7 @@ class TestEvalCommand:
         ckpt_args = [command, "--checkpoint", str(out_dir / "best.ckpt"), "--config", str(path)]
         assert main(ckpt_args + ["--time_steps", "6"]) == 4
         # A class-count mismatch is refused the same way.
-        assert main(ckpt_args + ["--num_classes", "2", "--data.synthetic.classes", "2"]) == 4
+        assert main(ckpt_args + ["--num_classes", "2"]) == 4
 
     @pytest.mark.parametrize(
         "arch",
@@ -243,6 +304,7 @@ class TestEvalCommand:
             "4C3-LIFXMP2-TCJA-16FC-LIF-Voting",  # unparseable token
             "4C3-LIF-MP2-TCJA-15FC-LIF-Voting",  # 15 voters cannot split into 4 classes
             "4C3-LIF-MP0-TCJA-16FC-LIF-Voting",  # zero-width pool
+            "4C2-LIF-MP2-TCJA-16FC-LIF-Voting",  # even conv kernel
         ],
     )
     def test_corrupt_or_ill_fitting_arch_exits_4(self, tmp_path, arch):
@@ -493,10 +555,12 @@ class TestGenSynthetic:
             assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
     def test_config_synthetic_defaults_are_gen_synthetic_defaults(self):
-        # The dataset sizes and seed differ on purpose; the rest is shared.
+        # The dataset sizes and seed differ on purpose, and the class count
+        # is num_classes; the rest is shared.
         params = inspect.signature(gen_synthetic).parameters
         synthetic = DEFAULT_CONFIG["data"]["synthetic"]
-        for key in ("kind", "classes", "height", "width", "noise_per_tick"):
+        assert sorted(synthetic) == ["height", "n_test", "n_train", "noise_per_tick", "seed", "width"]
+        for key in ("height", "width", "noise_per_tick"):
             assert synthetic[key] == params[key].default, key
         assert (synthetic["n_train"], synthetic["n_test"], synthetic["seed"]) == (400, 100, 7)
 

@@ -54,6 +54,12 @@ class TestParse:
         with pytest.raises(ArchParseError):
             parse_arch("xC3-LIF")
 
+    @pytest.mark.parametrize("spec", ["16C2-LIF", "8C3-LIF-MP2-4C4-LIF"])
+    def test_even_conv_kernel_rejected(self, spec):
+        # A conv keeps H x W, which takes an odd kernel padded by k//2.
+        with pytest.raises(ArchParseError, match="even"):
+            parse_arch(spec)
+
     def test_lif_must_follow_parameterized_layer(self):
         with pytest.raises(ArchParseError, match="must follow"):
             parse_arch("MP2-LIF")
@@ -342,7 +348,7 @@ class TestForward:
         # scripted recurrence driven by its own constant current.
         from tcja_snn.tensor import conv2d
 
-        current = conv2d(Tensor(x), net.layers[0].kernel, padding=1).data
+        current = conv2d(Tensor(x), net.layers[0].kernel).data
         _, s_expected, _ = oracles.lif_trace_loops(current)
         np.testing.assert_array_equal(out.data, s_expected)
 

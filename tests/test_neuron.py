@@ -167,14 +167,6 @@ class TestSequence:
             grads.append(x.grad.copy())
         assert not np.allclose(grads[0], grads[1])
 
-    def test_strict_eq2_flag_is_pure_relabeling(self):
-        # Reading inputs as previous-tick currents vs same-tick currents is a
-        # relabeling for a fresh-state sequence; trajectories must agree.
-        inputs = np.random.default_rng(5).uniform(-1, 3, size=(10, 3))
-        a = lif_sequence(Tensor(inputs), LifConfig(strict_eq2=True)).data
-        b = lif_sequence(Tensor(inputs), LifConfig(strict_eq2=False)).data
-        np.testing.assert_array_equal(a, b)
-
     def test_subthreshold_membrane_follows_affine_recurrence(self):
         # Between spikes: V_{t+1} = (1 - 1/tau) V_t + I / tau.
         cfg = LifConfig()

@@ -82,14 +82,15 @@ class TestConv2d:
         x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 3, 3)))
         out = conv2d(x, k)
-        np.testing.assert_array_equal(out.data, [[[[9.0]]]])
+        # Each output sums the window's taps that fall inside the image.
+        np.testing.assert_array_equal(out.data, [[[[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]]])
 
     def test_dirac_kernel_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 1, 5, 5))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out = conv2d(Tensor(x), Tensor(k), padding=1)
+        out = conv2d(Tensor(x), Tensor(k))
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
     def test_matches_loop_oracle(self):
@@ -97,27 +98,16 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 8, 8))
         k = rng.standard_normal((4, 3, 3, 3))
         out = conv2d(Tensor(x), Tensor(k))
-        np.testing.assert_allclose(out.data, oracles.conv2d_loops(x, k), atol=1e-12)
+        np.testing.assert_allclose(out.data, oracles.conv2d_loops(x, k, 1, 1), atol=1e-12)
 
-    # conv2d runs at stride 1 only; the oracles still take a stride and get 1.
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2)])
-    def test_stride_padding_match_oracle(self, stride, padding):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((1, 2, 6, 6))
-        k = rng.standard_normal((3, 2, 3, 3))
-        out = conv2d(Tensor(x), Tensor(k), padding=padding)
-        np.testing.assert_allclose(
-            out.data, oracles.conv2d_loops(x, k, stride, padding), atol=1e-12
-        )
-
-    @pytest.mark.parametrize(
-        "ksize,padding,stride", [(k, p, 1) for k in (3, 1, 5) for p in (0, 1, 2) if p < k]
-    )
+    # conv2d pads an odd k by k//2 at stride 1; the oracles take both and
+    # are given them.
+    @pytest.mark.parametrize("ksize,padding,stride", [(k, k // 2, 1) for k in (3, 1, 5)])
     def test_input_grad_matches_scatter(self, ksize, padding, stride):
         rng = np.random.default_rng(stride * 10 + padding)
         x = Tensor(rng.standard_normal((2, 3, 7, 6)), requires_grad=True)
         k = rng.standard_normal((4, 3, ksize, ksize))
-        out = conv2d(x, Tensor(k), padding=padding)
+        out = conv2d(x, Tensor(k))
         g = rng.standard_normal(out.shape)
         oracles.probe_sum(out, g).backward()
         want = oracles.conv2d_input_grad_scatter(g, k, x.shape, stride, padding)
@@ -125,12 +115,12 @@ class TestConv2d:
 
     @pytest.mark.parametrize("c_in,c_out", [(2, 5), (5, 2)])
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("ksize,padding", [(k, p) for k in (1, 3, 5) for p in range(k)])
+    @pytest.mark.parametrize("ksize,padding", [(k, k // 2) for k in (1, 3, 5)])
     def test_all_three_match_loop_oracles(self, ksize, padding, batch, c_in, c_out):
         rng = np.random.default_rng(100 * ksize + 10 * padding + batch)
         x = Tensor(rng.standard_normal((batch, c_in, 7, 6)), requires_grad=True)
         k = Tensor(rng.standard_normal((c_out, c_in, ksize, ksize)), requires_grad=True)
-        out = conv2d(x, k, padding=padding)
+        out = conv2d(x, k)
         g = rng.standard_normal(out.shape)
         oracles.probe_sum(out, g).backward()
         tol = dict(rtol=0, atol=1e-12)
@@ -160,7 +150,7 @@ class TestConv2d:
         g64 = rng.standard_normal((14, 64, 16, 16))
         x = Tensor(x64.astype(np.float32), requires_grad=True)
         k = Tensor(k64.astype(np.float32), requires_grad=True)
-        out = conv2d(x, k, padding=1)
+        out = conv2d(x, k)
         oracles.probe_sum(out, g64.astype(np.float32)).backward()
         for got, want in (
             (out.data, oracles.conv2d_taps(x64, k64, 1)),
@@ -170,19 +160,30 @@ class TestConv2d:
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
-    @pytest.mark.parametrize("ksize,padding", [(1, 1), (3, 3), (3, -1)])
-    def test_padding_outside_kernel_rejected(self, ksize, padding):
-        with pytest.raises(ShapeError, match="padding"):
-            conv2d(Tensor(np.ones((1, 1, 6, 6))), Tensor(np.ones((1, 1, ksize, ksize))), padding)
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (1, 1, 4, 4), (1, 1, 3, 5)])
+    def test_even_or_non_square_kernel_rejected(self, shape):
+        with pytest.raises(ShapeError, match="odd size"):
+            conv2d(Tensor(np.ones((1, 1, 6, 6))), Tensor(np.ones(shape)))
 
-    def test_output_underflow_rejected(self):
-        with pytest.raises(ShapeError, match="underflow|exceeds"):
-            conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+    def test_kernel_wider_than_the_image_keeps_the_grid(self):
+        # k = 5 on 2x3 images: every tap but the centre row's reaches padding.
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, 3, 2, 3)), requires_grad=True)
+        k = Tensor(rng.standard_normal((4, 3, 5, 5)), requires_grad=True)
+        out = conv2d(x, k)
+        g = rng.standard_normal(out.shape)
+        oracles.probe_sum(out, g).backward()
+        tol = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, oracles.conv2d_loops(x.data, k.data, 1, 2), **tol)
+        np.testing.assert_allclose(k.grad, oracles.conv2d_kernel_grad_loops(x.data, g, 5, 2), **tol)
+        np.testing.assert_allclose(
+            x.grad, oracles.conv2d_input_grad_scatter(g, k.data, x.shape, 1, 2), **tol
+        )
 
     def test_gradients(self):
         grad_check(
             lambda rng: [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 3, 3))],
-            lambda x, k: conv2d(x, k, padding=1),
+            conv2d,
             n_cases=3,
         )
 
@@ -194,7 +195,7 @@ class TestConv2d:
         results = []
         for shape in (x.shape, (6, 2, 5, 5)):
             xt, kt = Tensor(x.reshape(shape), requires_grad=True), Tensor(kernel, requires_grad=True)
-            out = conv2d(xt, kt, padding=1)
+            out = conv2d(xt, kt)
             oracles.probe_sum(out, probe.reshape(out.shape)).backward()
             results.append((out.data.reshape(probe.shape), xt.grad.reshape(x.shape), kt.grad))
         for got, want in zip(*results):
@@ -207,31 +208,24 @@ class TestConv2d:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "height,width,ksize,padding",
-        [
-            (h, w, k, p)
-            for h, w in ((4, 4), (1, 6))
-            for k in (1, 2, 3, 5)
-            for p in range(k)
-            if k <= h + 2 * p
-        ],
+        [(h, w, k, k // 2) for h, w in ((4, 4), (1, 6)) for k in (1, 3, 5)],
     )
     def test_blocked_input_grad_does_not_depend_on_the_block(
         self, monkeypatch, height, width, ksize, padding, dtype
     ):
         # 7 images run as blocks of 1, 2 and 3 images, each with a short last
-        # block, against one block of all 7. At k = 5, padding 2 on one-row
-        # images, kernel rows 0, 1, 3 and 4 see only padding.
+        # block, against one block of all 7. At k = 5 on one-row images,
+        # kernel rows 0, 1, 3 and 4 see only padding.
         rng = np.random.default_rng(10 * ksize + padding)
         x = rng.standard_normal((7, 3, height, width)).astype(dtype)
         kernel = rng.standard_normal((2, 3, ksize, ksize)).astype(dtype)
-        out_shape = (7, 2, height + 2 * padding - ksize + 1, width + 2 * padding - ksize + 1)
-        g = rng.standard_normal(out_shape).astype(dtype)
+        g = rng.standard_normal((7, 2, height, width)).astype(dtype)
         image_bytes = 2 * ksize * ksize * height * width * np.dtype(dtype).itemsize
         results = {}
         for per_block in (7, 1, 2, 3):
             monkeypatch.setattr(tensor, "BLOCK_BYTES", per_block * image_bytes)
             xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
-            oracles.probe_sum(conv2d(xt, kt, padding=padding), g).backward()
+            oracles.probe_sum(conv2d(xt, kt), g).backward()
             results[per_block] = xt.grad, kt.grad
         for per_block in (1, 2, 3):
             for got, want in zip(results[per_block], results[7]):
@@ -259,7 +253,7 @@ class TestConv2d:
         x = (rng.random((batch, c_in, size, size)) < 0.2).astype(dtype)
         g = rng.standard_normal((batch, c_out, size, size)).astype(dtype)
         kt = Tensor((rng.standard_normal((c_out, c_in, 3, 3)) * 0.1).astype(dtype), requires_grad=True)
-        oracles.probe_sum(conv2d(Tensor(x), kt, padding=1), g).backward()
+        oracles.probe_sum(conv2d(Tensor(x), kt), g).backward()
         cols = oracles.im2col_padded(x, 3, 1)
         g3 = g.reshape(batch, c_out, size * size)
         want = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kt.shape)
@@ -269,47 +263,38 @@ class TestConv2d:
 class TestIm2col:
     """The pad-free column fill against np.pad plus one slab per tap."""
 
-    # Every padding of each kernel size, on H != W and on one-row,
-    # one-column and one-pixel images where the padded frame holds the
-    # kernel: at k = 5, padding 2, kernel rows 0, 1, 3 and 4 see only
-    # padding. Odd k at padding k//2 takes the shifted-plane path; there a
-    # shift of a whole plane or more (1x6, 6x1, 1x1) leaves a tap all zero
-    # and a shift by whole rows wraps every column (6x1).
+    # Each odd kernel size at padding k//2, on H != W and on one-row,
+    # one-column and one-pixel images: at k = 5 on one row, kernel rows
+    # 0, 1, 3 and 4 see only padding. A shift of a whole plane or more
+    # (1x6, 6x1, 1x1) leaves a tap all zero and a shift by whole rows
+    # wraps every column (6x1).
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "height,width,ksize,padding",
-        [
-            (h, w, k, p)
-            for h, w in ((7, 6), (5, 9), (1, 6), (6, 1), (1, 1))
-            for k in (1, 2, 3, 5)
-            for p in range(k)
-            if k <= min(h, w) + 2 * p
-        ],
+        [(h, w, k, k // 2) for h, w in ((7, 6), (5, 9), (1, 6), (6, 1), (1, 1)) for k in (1, 3, 5)],
     )
     def test_matches_padded_slabs(self, height, width, ksize, padding, dtype):
         rng = np.random.default_rng(10 * ksize + padding)
         images = rng.standard_normal((2, 3, height, width)).astype(dtype)
-        got = tensor._im2col(images, ksize, padding)
+        got = tensor._im2col(images, ksize)
         assert_same_bits(got, oracles.im2col_padded(images, ksize, padding))
 
     def test_taps_wholly_in_the_padding(self):
-        # k = 8, padding 3 over three rows: kernel rows 0, 1, 6 and 7 see
-        # only padding, and row 0's clipped source range would wrap round
-        # to two real rows.
+        # k = 7, padding 3 over three rows: kernel rows 0 and 6 see only
+        # padding, their shift of three whole rows leaving nothing to copy.
         images = np.random.default_rng(5).standard_normal((2, 3, 3, 9))
-        got = tensor._im2col(images, 8, 3)
-        assert_same_bits(got, oracles.im2col_padded(images, 8, 3))
+        assert_same_bits(tensor._im2col(images, 7), oracles.im2col_padded(images, 7, 3))
 
     @pytest.mark.parametrize("height,width", [(2, 2), (1, 3), (3, 1), (2, 5)])
     def test_column_shifts_wider_than_the_image(self, height, width):
         # k = 7 at padding 3: a column shift of up to 3 can exceed the width,
         # and then every column of the tap wrapped round a row edge.
         images = np.random.default_rng(6).standard_normal((2, 3, height, width))
-        assert_same_bits(tensor._im2col(images, 7, 3), oracles.im2col_padded(images, 7, 3))
+        assert_same_bits(tensor._im2col(images, 7), oracles.im2col_padded(images, 7, 3))
 
     def test_a_strided_view_matches_padded_slabs(self):
         images = np.random.default_rng(4).standard_normal((3, 4, 8, 10))[:, ::2, :, 1:-1]
-        assert_same_bits(tensor._im2col(images, 3, 1), oracles.im2col_padded(images, 3, 1))
+        assert_same_bits(tensor._im2col(images, 3), oracles.im2col_padded(images, 3, 1))
 
 
 class TestConv1d:
@@ -577,7 +562,7 @@ class TestNoGrad:
         w = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         x = Tensor(np.ones((1, 1, 4, 4)))
         with no_grad():
-            out = oracles.total(oracles.mul(conv2d(x, w, padding=1), 2.0))
+            out = oracles.total(oracles.mul(conv2d(x, w), 2.0))
             assert not out.requires_grad and out._backward is None and out._parents == ()
             with no_grad():
                 pass
@@ -585,7 +570,8 @@ class TestNoGrad:
         recorded = oracles.total(conv2d(x, w))
         assert recorded.requires_grad and recorded._parents
         recorded.backward()
-        np.testing.assert_array_equal(w.grad, 4.0)
+        # Tap (i, j) meets the 4x4 image at 3, 4 or 3 rows times 3, 4 or 3 columns.
+        np.testing.assert_array_equal(w.grad, np.outer([3.0, 4.0, 3.0], [3.0, 4.0, 3.0])[None, None])
 
     def test_restores_recording_after_an_error(self):
         w = Tensor(np.ones(2), requires_grad=True)
@@ -600,8 +586,8 @@ class TestDeterminism:
         rng = np.random.default_rng(123)
         x = rng.standard_normal((2, 3, 8, 8))
         k = rng.standard_normal((4, 3, 3, 3))
-        a = conv2d(Tensor(x), Tensor(k), padding=1).data
-        b = conv2d(Tensor(x), Tensor(k), padding=1).data
+        a = conv2d(Tensor(x), Tensor(k)).data
+        b = conv2d(Tensor(x), Tensor(k)).data
         np.testing.assert_array_equal(a, b)
 
 

@@ -420,8 +420,9 @@ def assert_evaluate_equals_each_sample_alone(net, samples, want_chunks):
 
 class TestCheckpoint:
     # sha256 of the desk preset's freshly built, untrained checkpoint, as
-    # the one-join encoder wrote it before writes were streamed.
-    DESK_UNTRAINED_SHA256 = "e49ee748e046b64c944f6d0632b3799443a96e5b1ade061468dc1e7a6395cee8"
+    # the one-join encoder wrote it before writes were streamed, with
+    # meta.config as it stands since `lif.strict_eq2` was removed.
+    DESK_UNTRAINED_SHA256 = "e057a43852006f590dc90c61bf5204e71f5dccc0416f30458f7060269a8d500d"
 
     def test_file_bytes_pinned(self, tmp_path):
         arch = parse_arch(PRESETS["desk"], input_dims=(2, 16, 16), time_steps=8)
@@ -555,6 +556,24 @@ class TestCheckpoint:
             records.append((name, arr))
         with pytest.raises(CheckpointError):
             restore_network(Checkpoint(arch=ckpt.arch, records=records))
+
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_stored_strict_eq2_is_dropped_on_restore(self, stored):
+        # Checkpoints written while LifConfig had `strict_eq2` store it
+        # under meta.config's "lif"; the flag changed no arithmetic.
+        net = tiny_net()
+        ckpt = make_checkpoint(net, OptimizerState(), np.random.default_rng(0), 0)
+        records = []
+        for name, arr in ckpt.records:
+            if name == "meta.config":
+                meta = json.loads(arr.tobytes())
+                meta["lif"]["strict_eq2"] = stored
+                arr = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            records.append((name, arr))
+        restored = restore_network(Checkpoint(arch=ckpt.arch, records=records))[0]
+        assert restored.lif_cfg == net.lif_cfg
+        for (name, got), (_, want) in zip(restored.parameters(), net.parameters()):
+            assert got.data.tobytes() == want.data.tobytes(), name
 
     def test_rng_state_roundtrips(self, tmp_path):
         net = tiny_net()
