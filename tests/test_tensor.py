@@ -42,6 +42,44 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
+def conv2d_at_padding(x: np.ndarray, kernel: np.ndarray, padding: int, g: np.ndarray):
+    """conv2d's output, input gradient and kernel gradient at any zero
+    padding of an odd kernel, under the output gradient `g`, for the oracles
+    that take any padding. At p = k//2 this is conv2d itself.
+
+    Padding p > k//2 is conv2d of the input zero-padded by p - k//2 more, the
+    extra rows and columns dropped from the input gradient. Padding p < k//2
+    is conv2d's output cropped by k//2 - p, its gradient zero on the crop.
+    """
+    half = kernel.shape[-1] // 2
+    grow, crop = max(padding - half, 0), max(half - padding, 0)
+    xt = Tensor(np.pad(x, [(0, 0)] * (x.ndim - 2) + [(grow, grow)] * 2), requires_grad=True)
+    kt = Tensor(kernel, requires_grad=True)
+    out = conv2d(xt, kt)
+    inner = (..., slice(crop, out.shape[-2] - crop), slice(crop, out.shape[-1] - crop))
+    g_full = np.zeros(out.shape, dtype=g.dtype)
+    g_full[inner] = g
+    oracles.probe_sum(out, g_full).backward()
+    rows, cols = slice(grow, xt.shape[-2] - grow), slice(grow, xt.shape[-1] - grow)
+    return out.data[inner], xt.grad[..., rows, cols], kt.grad
+
+
+def im2col_at_padding(images: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """tensor._im2col's columns at any zero padding of an odd k, laid out as
+    oracles.im2col_padded lays them out. At p = k//2 this is _im2col itself.
+
+    Padding p > k//2 is _im2col of the images zero-padded by p - k//2 more;
+    padding p < k//2 keeps the columns of the output positions cropped by
+    k//2 - p on every side.
+    """
+    half = k // 2
+    grow, crop = max(padding - half, 0), max(half - padding, 0)
+    padded = np.pad(images, ((0, 0), (0, 0), (grow, grow), (grow, grow)))
+    batch, rows = len(padded), images.shape[1] * k * k
+    height, width = padded.shape[-2:]
+    grid = tensor._im2col(padded, k).reshape(batch, rows, height, width)
+    return grid[..., crop : height - crop, crop : width - crop].reshape(batch, rows, -1)
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert oracles.sigmoid(Tensor(np.zeros(3))).data == pytest.approx([0.5, 0.5, 0.5])
@@ -100,36 +138,49 @@ class TestConv2d:
         out = conv2d(Tensor(x), Tensor(k))
         np.testing.assert_allclose(out.data, oracles.conv2d_loops(x, k, 1, 1), atol=1e-12)
 
-    # conv2d pads an odd k by k//2 at stride 1; the oracles take both and
-    # are given them.
-    @pytest.mark.parametrize("ksize,padding,stride", [(k, k // 2, 1) for k in (3, 1, 5)])
+    # conv2d pads an odd k by k//2 at stride 1; other paddings run through
+    # conv2d_at_padding. The oracles take any stride and padding.
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2)])
+    def test_stride_padding_match_oracle(self, stride, padding):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((1, 2, 6, 6))
+        k = rng.standard_normal((3, 2, 3, 3))
+        g = np.ones((1, 3, 6 + 2 * padding - 2, 6 + 2 * padding - 2))
+        out, _, _ = conv2d_at_padding(x, k, padding, g)
+        np.testing.assert_allclose(
+            out, oracles.conv2d_loops(x, k, stride, padding), atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "ksize,padding,stride", [(k, p, 1) for k in (3, 1, 5) for p in (0, 1, 2) if p < k]
+    )
     def test_input_grad_matches_scatter(self, ksize, padding, stride):
         rng = np.random.default_rng(stride * 10 + padding)
-        x = Tensor(rng.standard_normal((2, 3, 7, 6)), requires_grad=True)
+        x = rng.standard_normal((2, 3, 7, 6))
         k = rng.standard_normal((4, 3, ksize, ksize))
-        out = conv2d(x, Tensor(k))
-        g = rng.standard_normal(out.shape)
-        oracles.probe_sum(out, g).backward()
+        grown = 2 * padding - ksize + 1
+        g = rng.standard_normal((2, 4, 7 + grown, 6 + grown))
+        _, dx, _ = conv2d_at_padding(x, k, padding, g)
         want = oracles.conv2d_input_grad_scatter(g, k, x.shape, stride, padding)
-        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("c_in,c_out", [(2, 5), (5, 2)])
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("ksize,padding", [(k, k // 2) for k in (1, 3, 5)])
+    @pytest.mark.parametrize("ksize,padding", [(k, p) for k in (1, 3, 5) for p in range(k)])
     def test_all_three_match_loop_oracles(self, ksize, padding, batch, c_in, c_out):
         rng = np.random.default_rng(100 * ksize + 10 * padding + batch)
-        x = Tensor(rng.standard_normal((batch, c_in, 7, 6)), requires_grad=True)
-        k = Tensor(rng.standard_normal((c_out, c_in, ksize, ksize)), requires_grad=True)
-        out = conv2d(x, k)
-        g = rng.standard_normal(out.shape)
-        oracles.probe_sum(out, g).backward()
+        x = rng.standard_normal((batch, c_in, 7, 6))
+        k = rng.standard_normal((c_out, c_in, ksize, ksize))
+        grown = 2 * padding - ksize + 1
+        g = rng.standard_normal((batch, c_out, 7 + grown, 6 + grown))
+        out, dx, dk = conv2d_at_padding(x, k, padding, g)
         tol = dict(rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.data, oracles.conv2d_loops(x.data, k.data, 1, padding), **tol)
+        np.testing.assert_allclose(out, oracles.conv2d_loops(x, k, 1, padding), **tol)
         np.testing.assert_allclose(
-            k.grad, oracles.conv2d_kernel_grad_loops(x.data, g, ksize, padding), **tol
+            dk, oracles.conv2d_kernel_grad_loops(x, g, ksize, padding), **tol
         )
         np.testing.assert_allclose(
-            x.grad, oracles.conv2d_input_grad_scatter(g, k.data, x.shape, 1, padding), **tol
+            dx, oracles.conv2d_input_grad_scatter(g, k, x.shape, 1, padding), **tol
         )
 
     def test_taps_oracle_matches_loop_oracle(self):
@@ -208,7 +259,13 @@ class TestConv2d:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "height,width,ksize,padding",
-        [(h, w, k, k // 2) for h, w in ((4, 4), (1, 6)) for k in (1, 3, 5)],
+        [
+            (h, w, k, p)
+            for h, w in ((4, 4), (1, 6))
+            for k in (1, 3, 5)
+            for p in range(k)
+            if k <= h + 2 * p
+        ],
     )
     def test_blocked_input_grad_does_not_depend_on_the_block(
         self, monkeypatch, height, width, ksize, padding, dtype
@@ -219,14 +276,17 @@ class TestConv2d:
         rng = np.random.default_rng(10 * ksize + padding)
         x = rng.standard_normal((7, 3, height, width)).astype(dtype)
         kernel = rng.standard_normal((2, 3, ksize, ksize)).astype(dtype)
-        g = rng.standard_normal((7, 2, height, width)).astype(dtype)
-        image_bytes = 2 * ksize * ksize * height * width * np.dtype(dtype).itemsize
+        out_shape = (7, 2, height + 2 * padding - ksize + 1, width + 2 * padding - ksize + 1)
+        g = rng.standard_normal(out_shape).astype(dtype)
+        # conv2d's own images: grown by the padding beyond k//2.
+        grow = max(padding - ksize // 2, 0)
+        image_bytes = (
+            2 * ksize * ksize * (height + 2 * grow) * (width + 2 * grow) * np.dtype(dtype).itemsize
+        )
         results = {}
         for per_block in (7, 1, 2, 3):
             monkeypatch.setattr(tensor, "BLOCK_BYTES", per_block * image_bytes)
-            xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
-            oracles.probe_sum(conv2d(xt, kt), g).backward()
-            results[per_block] = xt.grad, kt.grad
+            results[per_block] = conv2d_at_padding(x, kernel, padding, g)[1:]
         for per_block in (1, 2, 3):
             for got, want in zip(results[per_block], results[7]):
                 assert_same_bits(got, want)
@@ -263,20 +323,27 @@ class TestConv2d:
 class TestIm2col:
     """The pad-free column fill against np.pad plus one slab per tap."""
 
-    # Each odd kernel size at padding k//2, on H != W and on one-row,
-    # one-column and one-pixel images: at k = 5 on one row, kernel rows
-    # 0, 1, 3 and 4 see only padding. A shift of a whole plane or more
-    # (1x6, 6x1, 1x1) leaves a tap all zero and a shift by whole rows
-    # wraps every column (6x1).
+    # Every padding of each odd kernel size, on H != W and on one-row,
+    # one-column and one-pixel images where the padded frame holds the
+    # kernel: at k = 5, padding 2, kernel rows 0, 1, 3 and 4 see only
+    # padding. At padding k//2 a shift of a whole plane or more (1x6, 6x1,
+    # 1x1) leaves a tap all zero and a shift by whole rows wraps every
+    # column (6x1). Other paddings run through im2col_at_padding.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "height,width,ksize,padding",
-        [(h, w, k, k // 2) for h, w in ((7, 6), (5, 9), (1, 6), (6, 1), (1, 1)) for k in (1, 3, 5)],
+        [
+            (h, w, k, p)
+            for h, w in ((7, 6), (5, 9), (1, 6), (6, 1), (1, 1))
+            for k in (1, 3, 5)
+            for p in range(k)
+            if k <= min(h, w) + 2 * p
+        ],
     )
     def test_matches_padded_slabs(self, height, width, ksize, padding, dtype):
         rng = np.random.default_rng(10 * ksize + padding)
         images = rng.standard_normal((2, 3, height, width)).astype(dtype)
-        got = tensor._im2col(images, ksize)
+        got = im2col_at_padding(images, ksize, padding)
         assert_same_bits(got, oracles.im2col_padded(images, ksize, padding))
 
     def test_taps_wholly_in_the_padding(self):
