@@ -204,6 +204,11 @@ def _load_samples(
             streams, labels, seed=config["train"]["seed"]
         )
     else:
+        if num_classes not in data_mod.SYNTHETIC_CLASSES:
+            raise ConfigError(
+                f"num_classes must be one of {data_mod.SYNTHETIC_CLASSES} for synthetic data,"
+                f" got {num_classes}"
+            )
         syn = data_cfg["synthetic"]
         common = dict(
             classes=num_classes,
@@ -368,6 +373,10 @@ def cmd_gen_synthetic(args, overrides: list[str]) -> int:
         value, least = getattr(args, dest), _MINIMUMS[leaf]
         if value < least:
             raise ConfigError(f"--{dest.replace('_', '-')} must be >= {least}, got {value!r}")
+    if args.classes not in data_mod.SYNTHETIC_CLASSES:
+        raise ConfigError(
+            f"--classes must be one of {data_mod.SYNTHETIC_CLASSES}, got {args.classes}"
+        )
     dataset = data_mod.gen_synthetic(
         **{name: getattr(args, _GEN_FLAG_NAMES.get(name, name)) for name in _GEN_PARAMS}
     )

@@ -343,6 +343,9 @@ def split_train_test(
 
 
 _EVENTS_PER_CELL = 3
+# The class counts the generator supports: the bar sweeps along the first
+# 2, 4 or 8 of its directions.
+SYNTHETIC_CLASSES = (2, 4, 8)
 
 _DIRECTIONS = (
     (1, 0),  # east
@@ -371,8 +374,8 @@ def gen_synthetic(
     produces per brightness change; this keeps integrated count frames
     strong enough to drive spiking layers.
     """
-    if classes not in (2, 4, 8):
-        raise DataError(f"classes must be 2, 4, or 8, got {classes}")
+    if classes not in SYNTHETIC_CLASSES:
+        raise DataError(f"classes must be one of {SYNTHETIC_CLASSES}, got {classes}")
     rng = np.random.default_rng(seed)
     ticks = t_steps * max(1, round(max(height, width) / t_steps))
     dataset = []

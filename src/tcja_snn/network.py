@@ -32,9 +32,10 @@ class ArchParseError(ValueError):
 # Bytes per activation stack of a recorded graph: samples run in chunks, as
 # many as fit, so a chunk's samples share the per-op overhead. A training
 # chunk's graph saves up to one (T, B, ...) stack per layer: its widest stack
-# gets CHUNK_BYTES. A forward without a graph holds a layer's input and
-# output: its two widest stacks get the same len(layers) * CHUNK_BYTES.
-CHUNK_BYTES = 512 * 1024
+# gets CHUNK_BYTES. A forward without a graph peaks while a conv holds its
+# input, output and columns (2.75 widest stacks on desk, whose conv2 columns
+# are 2.25): four widest stacks get the same len(layers) * CHUNK_BYTES.
+CHUNK_BYTES = 1024 * 1024
 
 
 # -- layer descriptors ---------------------------------------------------------
@@ -351,7 +352,7 @@ class Network:
     @property
     def eval_chunk_size(self) -> int:
         """Samples per chunk of a forward without a graph; at least one."""
-        return max(1, len(self.layers) * CHUNK_BYTES // (2 * self._stack_bytes))
+        return max(1, len(self.layers) * CHUNK_BYTES // (4 * self._stack_bytes))
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None, observe=None) -> Tensor:
         """Run the stack on a (T, B, C, H, W) batch of B samples; the output

@@ -168,6 +168,14 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err == f"data error: {data_dir / 'manifest.csv'}: manifest lists no samples\n"
 
+    def test_unsupported_synthetic_class_count_exits_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        args = ["train", "--num_classes", "3", "--train.epochs", "0", "--out_dir", str(out_dir)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: num_classes must be one of (2, 4, 8) for synthetic data, got 3\n"
+        assert not (out_dir / "best.ckpt").exists()
+
     @pytest.mark.parametrize("where", ["manifest line", "manifest"])
     def test_dataset_path_naming_a_directory_exits_2(self, tmp_path, capsys, where):
         data_dir = tmp_path / "data"
@@ -568,6 +576,12 @@ class TestGenSynthetic:
         out = tmp_path / "data"
         assert main(["gen-synthetic", "--out", str(out), "--n", "4", "--bogus", "1"]) == 1
         assert "--bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unsupported_class_count_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(out), "--classes", "3"]) == 1
+        assert capsys.readouterr().err == "config error: --classes must be one of (2, 4, 8), got 3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -300,13 +300,15 @@ class TestConv2d:
         )
 
     # The presets' convs at their chunk batch: desk 2 -> 16 at 16x16 and
-    # 16 -> 16 at 8x8 over 4 samples of T = 8, scaled-train 2 -> 64 at 32x32
-    # and 64 -> 64 at 16x16 over one sample of T = 14. Each image's kernel
-    # product runs with C*k*k as the GEMM rows and is held here to the bytes
-    # of the (Cout, C*k*k) product.
+    # 16 -> 16 at 8x8 over 8 samples (f32) or 4 (f64) of T = 8, scaled-train
+    # 2 -> 64 at 32x32 and 64 -> 64 at 16x16 over one sample of T = 14. Each
+    # image's kernel product runs with C*k*k as the GEMM rows and is held here
+    # to the bytes of the (Cout, C*k*k) product.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "batch,c_in,c_out,size", [(32, 2, 16, 16), (32, 16, 16, 8), (14, 2, 64, 32), (14, 64, 64, 16)]
+        "batch,c_in,c_out,size",
+        [(64, 2, 16, 16), (64, 16, 16, 8), (32, 2, 16, 16), (32, 16, 16, 8),
+         (14, 2, 64, 32), (14, 64, 64, 16)],
     )
     def test_kernel_grad_matches_the_cout_rows_formula(self, batch, c_in, c_out, size, dtype):
         rng = np.random.default_rng(c_in + c_out + size)

@@ -307,8 +307,8 @@ DESK_WIDEST = 8 * 16 * 16 * 16
 class TestChunkSize:
     def test_derived_from_the_widest_activation_and_the_float_type(self):
         net = desk_batch(n=0, dtype=np.float32)[0]
-        assert net.chunk_size == network.CHUNK_BYTES // (DESK_WIDEST * 4) == 4
-        assert desk_batch(n=0, dtype=np.float64)[0].chunk_size == 2
+        assert net.chunk_size == network.CHUNK_BYTES // (DESK_WIDEST * 4) == 8
+        assert desk_batch(n=0, dtype=np.float64)[0].chunk_size == 4
 
     def test_a_stack_over_the_budget_runs_alone(self):
         arch = parse_arch(
@@ -332,8 +332,8 @@ class TestChunkSize:
         (PRESETS["cifar10dvs"], (2, 48, 48), 10, 10, 1, 1),
         (PRESETS["ncaltech101"], (2, 48, 48), 14, 101, 1, 1),
         (PRESETS["fashion"], (1, 28, 28), 8, 10, 1, 1),
-        (PRESETS["desk"], (2, 16, 16), 8, 4, 4, 2),
-        ("16C3-LIF-MP2-TCJA-16C3-LIF-MP2-64FC-LIF-Voting", (2, 16, 16), 8, 4, 4, 2),
+        (PRESETS["desk"], (2, 16, 16), 8, 4, 8, 4),
+        ("16C3-LIF-MP2-TCJA-16C3-LIF-MP2-64FC-LIF-Voting", (2, 16, 16), 8, 4, 8, 4),
         ("64C3-LIF-MP2-TCJA-64C3-LIF-MP2-0.5DP-256FC-LIF-Voting", (2, 32, 32), 14, 4, 1, 1),
     ]
 
@@ -343,10 +343,12 @@ class TestChunkSize:
         assert build_network(arch, classes, dtype=np.float32).chunk_size == f32
         assert build_network(arch, classes, dtype=np.float64).chunk_size == f64
 
-    def test_evaluation_chunk_fits_two_stacks_into_the_graph_budget(self):
+    def test_evaluation_chunk_fits_four_stacks_into_the_graph_budget(self):
+        # A conv's input, output and columns: desk's conv2 columns alone are
+        # 2.25 widest stacks.
         net = desk_batch(n=0, dtype=np.float32)[0]
         budget = len(net.layers) * network.CHUNK_BYTES
-        assert net.eval_chunk_size == budget // (2 * DESK_WIDEST * 4) == 20  # >= a 16-file request
+        assert net.eval_chunk_size == budget // (4 * DESK_WIDEST * 4) == 20  # >= a 16-file request
         assert desk_batch(n=0, dtype=np.float64)[0].eval_chunk_size == 10
 
 
@@ -354,7 +356,7 @@ class TestBatchedParity:
     """Chunked training and evaluation against the per-sample reference loop."""
 
     @pytest.mark.parametrize("fusion", ["multiply", "add"])
-    @pytest.mark.parametrize("chunk", [1, 3, 4])
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 8])
     def test_outputs_loss_and_gradients_match_per_sample(self, monkeypatch, fusion, chunk):
         net, samples = desk_batch(fusion=fusion)
         want_out, want_loss, want_grads = oracles.per_sample_pass(net, samples)
@@ -366,7 +368,7 @@ class TestBatchedParity:
         )
         assert np.abs(got_out - want_out).max() <= 1e-10
         # One optimizer batch of all ten samples: the last chunk is ragged
-        # for chunks of 3 and 4. The step leaves the batch's mean gradient
+        # for chunks of 3, 4 and 8. The step leaves the batch's mean gradient
         # in each grad.
         cfg = TrainConfig(lr=1e-3, batch_size=len(samples), epochs=1, optimizer="sgd")
         result = train(net, samples, [], cfg, np.random.default_rng(0))
