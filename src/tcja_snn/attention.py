@@ -39,6 +39,11 @@ class TcjaConfig:
         if self.fusion not in _FUSIONS:
             raise ValueError(f"fusion must be one of {_FUSIONS}, got {self.fusion!r}")
 
+    def kernel_sizes(self, channels: int, time_steps: int) -> tuple[int, int]:
+        """(k_t, k_c) capped at dim - 1, so each convolution window stays
+        strictly shorter than the axis it slides along."""
+        return min(self.k_t, time_steps - 1), min(self.k_c, channels - 1)
+
 
 @dataclass
 class TcjaParams:
@@ -71,17 +76,13 @@ def init_tcja_params(
     rng: np.random.Generator,
     dtype=np.float64,
 ) -> TcjaParams:
-    """Uniform +-1/sqrt(fan_in) kernels, fan_in = input rows times kernel size.
-
-    Kernel sizes are capped at dim - 1 so each convolution window stays
-    strictly shorter than the axis it slides along.
-    """
+    """Uniform +-1/sqrt(fan_in) kernels, fan_in = input rows times kernel
+    size, at the sizes `cfg.kernel_sizes` caps."""
     if time_steps < 2 or channels < 2:
         raise ValueError(
             f"attention needs C >= 2 and T >= 2, got C={channels} T={time_steps}"
         )
-    k_t = min(cfg.k_t, time_steps - 1)
-    k_c = min(cfg.k_c, channels - 1)
+    k_t, k_c = cfg.kernel_sizes(channels, time_steps)
     bound_w = 1.0 / np.sqrt(channels * k_t)
     bound_e = 1.0 / np.sqrt(time_steps * k_c)
     w = rng.uniform(-bound_w, bound_w, size=(channels, channels, k_t))

@@ -247,6 +247,11 @@ def _build_from_config(config: dict, dims: tuple[int, int, int], rng: np.random.
         rng=rng,
         dtype=dtype,
     )
+    if (out := net.shapes[-1]) != (net.num_classes,):
+        raise ConfigError(
+            f"arch {config['arch']!r} puts out {out} per sample and step,"
+            f" not the ({net.num_classes},) that num_classes={net.num_classes} needs"
+        )
     return net, train_cfg
 
 
@@ -275,6 +280,11 @@ def _matching_test_samples(net: Network, config: dict) -> list[data_mod.FrameSam
         raise CheckpointError(
             f"checkpoint has {net.num_classes} classes,"
             f" config asks for {config['num_classes']}"
+        )
+    if (out := net.shapes[-1]) != (net.num_classes,):
+        raise CheckpointError(
+            f"checkpoint arch puts out {out} per sample and step,"
+            f" not one score for each of its {net.num_classes} classes"
         )
     _, test_samples = _load_samples(config, test_only=True)
     expected = list(net.arch.input_dims)

@@ -417,20 +417,15 @@ def _moving_bar_stream(
                 cells.add((px, py))
         base = tick * 1000
         seq = 0
-        for px, py in sorted(cells):  # ON where the bar is now
-            for _ in range(_EVENTS_PER_CELL):
-                ts.append(base + seq)
-                xs.append(px)
-                ys.append(py)
-                ps.append(1)
-                seq += 1
-        for px, py in sorted(prev_cells - cells):  # OFF where it just left
-            for _ in range(_EVENTS_PER_CELL):
-                ts.append(base + seq)
-                xs.append(px)
-                ys.append(py)
-                ps.append(0)
-                seq += 1
+        # ON where the bar is now, then OFF where it just left.
+        for area, polarity in ((cells, 1), (prev_cells - cells, 0)):
+            for px, py in sorted(area):
+                for _ in range(_EVENTS_PER_CELL):
+                    ts.append(base + seq)
+                    xs.append(px)
+                    ys.append(py)
+                    ps.append(polarity)
+                    seq += 1
         for _ in range(noise_per_tick):
             ts.append(base + seq)
             xs.append(int(rng.integers(0, width)))

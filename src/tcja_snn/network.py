@@ -14,6 +14,7 @@ Every sample's values are computed as if it ran alone.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -104,7 +105,8 @@ def parse_arch(
     if not spec or not spec.strip():
         raise ArchParseError("empty spec")
     layers: list[LayerSpec] = []
-    for pos, token in enumerate(spec.strip().split("-")):
+    tokens = spec.strip().split("-")
+    for pos, token in enumerate(tokens):
         if m := _CONV_RE.match(token):
             if int(m.group(2)) % 2 == 0:
                 raise ArchParseError(f"conv kernel {m.group(2)} at position {pos} is even")
@@ -127,17 +129,23 @@ def parse_arch(
             layers.append(TcjaSpec())
         else:
             raise ArchParseError(f"unknown token {token!r} at position {pos}")
-    _validate_layers(layers)
+    _validate_layers(layers, tokens)
     return ArchSpec(layers=tuple(layers), input_dims=input_dims, time_steps=time_steps)
 
 
-def _validate_layers(layers: list[LayerSpec]) -> None:
+def _validate_layers(layers: list[LayerSpec], tokens: list[str]) -> None:
+    """Each layer must see the shape it works on: LIF needs a conv or FC
+    just before it, conv, pool and TCJA need the (C, H, W) frames that the
+    first FC flattens, and Voting needs the flat width that an FC leaves."""
+    after_fc = False
     for i, layer in enumerate(layers):
-        if isinstance(layer, LifSpec):
-            if i == 0 or not isinstance(layers[i - 1], (ConvSpec, FcSpec)):
-                raise ArchParseError(
-                    f"LIF at position {i} must follow a conv or FC layer"
-                )
+        if isinstance(layer, LifSpec) and not (i and isinstance(layers[i - 1], (ConvSpec, FcSpec))):
+            raise ArchParseError(f"LIF at position {i} must follow a conv or FC layer")
+        if isinstance(layer, (ConvSpec, PoolSpec, TcjaSpec)) and after_fc:
+            raise ArchParseError(f"{tokens[i]} at position {i} must come before the first FC layer")
+        if isinstance(layer, VotingSpec) and not after_fc:
+            raise ArchParseError(f"Voting at position {i} must come after an FC layer")
+        after_fc = after_fc or isinstance(layer, FcSpec)
 
 
 def render(spec: ArchSpec) -> str:
@@ -186,6 +194,13 @@ PRESETS: dict[str, str] = {
 # -- built layers ----------------------------------------------------------------
 
 
+class _NoParams:
+    """Base of the layers that own no parameters."""
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return []
+
+
 class ConvLayer:
     """Conv2D over the time-batched stack, stride 1, keeping H x W."""
 
@@ -199,7 +214,7 @@ class ConvLayer:
         return [("kernel", self.kernel)]
 
 
-class LifLayer:
+class LifLayer(_NoParams):
     def __init__(self, cfg: LifConfig, name: str):
         self.cfg = cfg
         self.name = name
@@ -207,11 +222,8 @@ class LifLayer:
     def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return lif_sequence(x, self.cfg)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return []
 
-
-class PoolLayer:
+class PoolLayer(_NoParams):
     def __init__(self, kind: str, k: int):
         self.kind = kind
         self.k = k
@@ -219,11 +231,8 @@ class PoolLayer:
     def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return pool2d(x, self.kind, self.k)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return []
 
-
-class DropoutLayer:
+class DropoutLayer(_NoParams):
     """Spiking dropout: one Bernoulli mask per sample, shared over all T,
     drawn from `rng` as one (B, ...) draw, the same numbers as B draws of
     one sample's mask in turn; without an rng (evaluation) the layer passes
@@ -241,9 +250,6 @@ class DropoutLayer:
         mask = (rng.random(x.shape[1:]) < keep).astype(x.dtype) / keep
         return dropout(x, mask)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return []
-
 
 class FcLayer:
     def __init__(self, weight: Tensor, bias: Tensor):
@@ -257,15 +263,12 @@ class FcLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-class VotingLayer:
+class VotingLayer(_NoParams):
     def __init__(self, num_classes: int):
         self.num_classes = num_classes
 
     def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return voting_layer(x, self.num_classes)
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return []
 
 
 class TcjaLayer:
@@ -333,15 +336,14 @@ class Network:
             t.grad = None
 
     @property
+    def shapes(self) -> list[tuple[int, ...]]:
+        """Per-sample shape each layer takes, then the output's; see `walk`."""
+        return walk(self.arch, self.num_classes)
+
+    @property
     def _stack_bytes(self) -> int:
         """Bytes of one sample's widest activation over its T steps."""
-        widest = int(np.prod(self.arch.input_dims))
-        for kind, info in _walk_dims(self.arch, self.num_classes):
-            if kind == "conv":
-                _, c_out, _, h, w = info
-                widest = max(widest, c_out * h * w)
-            elif kind == "fc":
-                widest = max(widest, info[1])
+        widest = max(math.prod(shape) for shape in self.shapes)
         return self.arch.time_steps * widest * np.dtype(self.dtype).itemsize
 
     @property
@@ -381,70 +383,53 @@ class Network:
         return h
 
 
-def analytic_param_count(
-    arch: ArchSpec, num_classes: int, tcja_cfg: TcjaConfig
-) -> int:
-    """Closed-form parameter total from layer dimensions alone."""
-    total = 0
-    for kind, info in _walk_dims(arch, num_classes):
-        if kind == "conv":
-            c_in, c_out, k = info[:3]
-            total += c_out * c_in * k * k
-        elif kind == "fc":
-            f_in, f_out = info
-            total += f_in * f_out + f_out
-        elif kind == "tcja":
-            c, t = info
-            k_t = min(tcja_cfg.k_t, t - 1)
-            k_c = min(tcja_cfg.k_c, c - 1)
-            tla_n, cla_n, _ = attention.param_count(c, t, k_t, k_c)
-            total += tla_n + cla_n
-    return total
-
-
-def _walk_dims(arch: ArchSpec, num_classes: int):
-    """Yield (kind, dims) per parameterized layer while tracking shapes:
-    conv (C_in, C_out, k, H, W), fc (F_in, F_out) and tcja (C, T)."""
+def walk(arch: ArchSpec, num_classes: int) -> list[tuple[int, ...]]:
+    """The per-sample shape each layer of `arch` takes, then the output's:
+    (C, H, W) until an FC layer flattens it to (F,). Refuses input dims and
+    pools that do not fit; the layer order is checked by `parse_arch`."""
     if arch.input_dims is None or arch.time_steps is None:
         raise ValueError("arch spec needs input_dims and time_steps to build")
-    if min(*arch.input_dims, arch.time_steps, num_classes) < 1:
+    if len(arch.input_dims) != 3 or min(*arch.input_dims, arch.time_steps, num_classes) < 1:
         raise ValueError(
-            f"input dims {arch.input_dims}, T={arch.time_steps} and"
-            f" {num_classes} classes must be positive"
+            f"input dims {arch.input_dims} must be (C, H, W), and they, T={arch.time_steps}"
+            f" and {num_classes} classes must be positive"
         )
-    c, h, w = arch.input_dims
-    t = arch.time_steps
-    flat: int | None = None
+    shapes = [tuple(arch.input_dims)]
     for i, layer in enumerate(arch.layers):
+        shape = shapes[-1]
         if isinstance(layer, ConvSpec):
-            if flat is not None:
-                raise ArchParseError(f"conv at position {i} after flatten")
-            yield "conv", (c, layer.out_channels, layer.kernel, h, w)
-            c = layer.out_channels
+            shape = (layer.out_channels, *shape[1:])
         elif isinstance(layer, PoolSpec):
+            c, h, w = shape
             if h % layer.k or w % layer.k:
-                raise ArchParseError(
-                    f"pool at position {i}: {h}x{w} not divisible by {layer.k}"
-                )
-            h //= layer.k
-            w //= layer.k
+                raise ArchParseError(f"pool at position {i}: {h}x{w} not divisible by {layer.k}")
+            shape = (c, h // layer.k, w // layer.k)
         elif isinstance(layer, FcSpec):
-            f_in = flat if flat is not None else c * h * w
-            yield "fc", (f_in, layer.out_features)
-            flat = layer.out_features
-        elif isinstance(layer, TcjaSpec):
-            if flat is not None:
-                raise ArchParseError(f"TCJA at position {i} after flatten")
-            yield "tcja", (c, t)
+            shape = (layer.out_features,)
         elif isinstance(layer, VotingSpec):
-            f_in = flat if flat is not None else c * h * w
-            if f_in % num_classes:
+            if shape[0] % num_classes:
                 raise ArchParseError(
-                    f"voting at position {i}: width {f_in} not divisible by"
+                    f"voting at position {i}: width {shape[0]} not divisible by"
                     f" {num_classes} classes"
                 )
-            flat = num_classes
-        # LIF and dropout leave dimensions unchanged.
+            shape = (num_classes,)
+        shapes.append(shape)  # LIF, dropout and TCJA keep the shape
+    return shapes
+
+
+def analytic_param_count(arch: ArchSpec, num_classes: int, tcja_cfg: TcjaConfig) -> int:
+    """Closed-form parameter total from layer dimensions alone."""
+    total = 0
+    for layer, shape in zip(arch.layers, walk(arch, num_classes)):
+        if isinstance(layer, ConvSpec):
+            total += layer.out_channels * shape[0] * layer.kernel**2
+        elif isinstance(layer, FcSpec):
+            total += (math.prod(shape) + 1) * layer.out_features
+        elif isinstance(layer, TcjaSpec):
+            c, t = shape[0], arch.time_steps
+            tla_n, cla_n, _ = attention.param_count(c, t, *tcja_cfg.kernel_sizes(c, t))
+            total += tla_n + cla_n
+    return total
 
 
 def build_network(
@@ -461,45 +446,32 @@ def build_network(
     rng = rng or np.random.default_rng(0)
     dtype = np.dtype(dtype)
 
-    dims = list(_walk_dims(arch, num_classes))  # validates shapes up front
-    net = Network(
-        arch=arch,
-        num_classes=num_classes,
-        lif_cfg=lif_cfg,
-        tcja_cfg=tcja_cfg,
-        dtype=dtype,
-    )
-    dim_iter = iter(dims)
-    lif_index = 0
-    for layer in arch.layers:
-        if isinstance(layer, ConvSpec):
-            c_in, c_out, k = next(dim_iter)[1][:3]
-            bound = 1.0 / np.sqrt(c_in * k * k)
-            kernel = rng.uniform(-bound, bound, size=(c_out, c_in, k, k))
-            net.layers.append(ConvLayer(Tensor(kernel.astype(dtype), requires_grad=True)))
-        elif isinstance(layer, LifSpec):
-            net.layers.append(LifLayer(lif_cfg, name=f"lif{lif_index}"))
-            lif_index += 1
-        elif isinstance(layer, PoolSpec):
-            net.layers.append(PoolLayer(layer.kind, layer.k))
-        elif isinstance(layer, DropoutSpec):
-            net.layers.append(DropoutLayer(layer.p))
-        elif isinstance(layer, FcSpec):
-            f_in, f_out = next(dim_iter)[1]
-            bound = 1.0 / np.sqrt(f_in)
-            weight = rng.uniform(-bound, bound, size=(f_in, f_out))
-            bias = np.zeros(f_out)
-            net.layers.append(
-                FcLayer(
-                    Tensor(weight.astype(dtype), requires_grad=True),
-                    Tensor(bias.astype(dtype), requires_grad=True),
-                )
-            )
-        elif isinstance(layer, VotingSpec):
-            net.layers.append(VotingLayer(num_classes))
-        elif isinstance(layer, TcjaSpec):
-            c, t = next(dim_iter)[1]
-            params = attention.init_tcja_params(c, t, tcja_cfg, rng, dtype=dtype)
-            net.layers.append(TcjaLayer(params))
-    return net
+    def weight(size: tuple[int, ...], fan_in: int) -> Tensor:
+        bound = 1.0 / np.sqrt(fan_in)
+        return Tensor(rng.uniform(-bound, bound, size=size).astype(dtype), requires_grad=True)
 
+    net = Network(
+        arch=arch, num_classes=num_classes, lif_cfg=lif_cfg, tcja_cfg=tcja_cfg, dtype=dtype
+    )
+    for spec, shape in zip(arch.layers, walk(arch, num_classes)):
+        if isinstance(spec, ConvSpec):
+            c_in, k = shape[0], spec.kernel
+            layer = ConvLayer(weight((spec.out_channels, c_in, k, k), c_in * k * k))
+        elif isinstance(spec, LifSpec):
+            lifs = sum(isinstance(built, LifLayer) for built in net.layers)
+            layer = LifLayer(lif_cfg, name=f"lif{lifs}")
+        elif isinstance(spec, PoolSpec):
+            layer = PoolLayer(spec.kind, spec.k)
+        elif isinstance(spec, DropoutSpec):
+            layer = DropoutLayer(spec.p)
+        elif isinstance(spec, FcSpec):
+            f_in = math.prod(shape)
+            bias = Tensor(np.zeros(spec.out_features, dtype), requires_grad=True)
+            layer = FcLayer(weight((f_in, spec.out_features), f_in), bias)
+        elif isinstance(spec, VotingSpec):
+            layer = VotingLayer(num_classes)
+        else:
+            c, t = shape[0], arch.time_steps
+            layer = TcjaLayer(attention.init_tcja_params(c, t, tcja_cfg, rng, dtype=dtype))
+        net.layers.append(layer)
+    return net

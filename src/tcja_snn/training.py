@@ -361,9 +361,9 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, OptimizerState, dict, in
         p.data = named[key].astype(dtype)
         m_key, v_key = f"adam.m.{name}", f"adam.v.{name}"
         if m_key in named:
-            opt_state.m[name] = named[m_key].astype(dtype).copy()
+            opt_state.m[name] = named[m_key].astype(dtype)
         if v_key in named:
-            opt_state.v[name] = named[v_key].astype(dtype).copy()
+            opt_state.v[name] = named[v_key].astype(dtype)
     return net, opt_state, rng_state, epoch
 
 

@@ -129,6 +129,22 @@ class TestConfig:
         assert err.startswith("config error: conv kernel 2 at position 0 is even")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "arch, message",
+        [
+            ("2C3-LIF-8FC-LIF-MP2", "MP2 at position 4 must come before the first FC layer"),
+            ("16C3-LIF-Voting", "Voting at position 2 must come after an FC layer"),
+            ("16C3-LIF-MP2-64FC-LIF", "arch '16C3-LIF-MP2-64FC-LIF' puts out (64,) per sample"),
+        ],
+        ids=["pool-after-fc", "voting-without-fc", "64-wide-output"],
+    )
+    def test_layer_order_or_output_width_exits_1(self, tmp_path, capsys, arch, message):
+        out_dir = tmp_path / "run"
+        code = main(["train", "--arch", arch, "--train.epochs", "0", "--out_dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out_dir.exists()
+
     def test_unknown_precision_exits_1(self, tmp_path, capsys):
         path, out_dir = quick_config(tmp_path, precision="f16")
         assert main(["train", "--config", str(path)]) == 1
@@ -313,6 +329,7 @@ class TestEvalCommand:
             "4C3-LIF-MP2-TCJA-15FC-LIF-Voting",  # 15 voters cannot split into 4 classes
             "4C3-LIF-MP0-TCJA-16FC-LIF-Voting",  # zero-width pool
             "4C2-LIF-MP2-TCJA-16FC-LIF-Voting",  # even conv kernel
+            "4C3-LIF-16FC-LIF-MP2-TCJA-Voting",  # pool and TCJA after the flatten
         ],
     )
     def test_corrupt_or_ill_fitting_arch_exits_4(self, tmp_path, arch):
@@ -323,6 +340,24 @@ class TestEvalCommand:
         ckpt = load_checkpoint(out_dir / "best.ckpt")
         save_checkpoint(out_dir / "bad.ckpt", Checkpoint(arch=arch, records=ckpt.records))
         assert main(["eval", "--checkpoint", str(out_dir / "bad.ckpt"), "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+    def test_output_not_one_score_per_class_exits_4(self, tmp_path, capsys, command):
+        # Voting owns no parameters: without it the trained tensors still fit,
+        # but the 16 FC outputs are no 4 class scores.
+        from tcja_snn.training import Checkpoint, load_checkpoint, save_checkpoint
+
+        path, out_dir = quick_config(tmp_path, epochs=0)
+        assert main(["train", "--config", str(path)]) == 0
+        ckpt = load_checkpoint(out_dir / "best.ckpt")
+        bad = out_dir / "bad.ckpt"
+        save_checkpoint(bad, Checkpoint(arch="4C3-LIF-MP2-TCJA-16FC-LIF", records=ckpt.records))
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(bad), "--config", str(path)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "checkpoint error: checkpoint arch puts out (16,) per sample and step"
+        )
+        assert not (out_dir / "predictions.csv").exists()
 
 
 class TestInspectAttention:

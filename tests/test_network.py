@@ -1,3 +1,7 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,7 @@ from tcja_snn.network import (
     render,
     voting_layer,
 )
-from tcja_snn.tensor import ShapeError, Tensor, fully_connected
+from tcja_snn.tensor import ShapeError, Tensor, fully_connected, no_grad
 from tcja_snn.training import smse_loss
 
 import oracles
@@ -63,6 +67,27 @@ class TestParse:
     def test_lif_must_follow_parameterized_layer(self):
         with pytest.raises(ArchParseError, match="must follow"):
             parse_arch("MP2-LIF")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("2C3-LIF-8FC-LIF-MP2", "MP2 at position 4 must come before the first FC"),
+            ("8FC-LIF-4C3-LIF", "4C3 at position 2 must come before the first FC"),
+            ("4C3-LIF-8FC-LIF-TCJA", "TCJA at position 4 must come before the first FC"),
+            ("16C3-LIF-Voting", "Voting at position 2 must come after an FC"),
+            ("0.5DP-Voting-8FC", "Voting at position 1 must come after an FC"),
+        ],
+        ids=["pool", "conv", "tcja", "voting", "voting-first"],
+    )
+    def test_layer_order_rules(self, spec, message):
+        # Conv, pool and TCJA work on (C, H, W) frames, which the first FC
+        # flattens; Voting splits the flat width an FC leaves.
+        with pytest.raises(ArchParseError, match=message):
+            parse_arch(spec)
+
+    def test_flat_layers_may_follow_voting(self):
+        spec = parse_arch("4C3-LIF-0.5DP-8FC-LIF-Voting-0.5DP-4FC-LIF-Voting")
+        assert spec.layers[5:7] == (VotingSpec(), DropoutSpec(0.5))
 
     def test_voting_and_tcja_and_ap(self):
         spec = parse_arch("16C3-LIF-TCJA-AP2-16FC-LIF-Voting")
@@ -319,6 +344,57 @@ class TestBuild:
         b = build_network(arch, 4, rng=np.random.default_rng(5))
         for (_, pa), (_, pb) in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def _scaled_arch() -> str:
+    """The arch string of perfbench's scaled-train workload."""
+    source = (Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text()
+    return re.search(r'^SCALED_ARCH = "(.+)"$', source, re.M).group(1)
+
+
+# Arch, the smallest square input side its pools divide, and its classes.
+WALK_CASES = {
+    "dvs128": (PRESETS["dvs128"], 32, 10),
+    "cifar10dvs": (PRESETS["cifar10dvs"], 16, 10),
+    "ncaltech101": (PRESETS["ncaltech101"], 16, 101),
+    "fashion": (PRESETS["fashion"], 4, 10),
+    "desk": (PRESETS["desk"], 4, 4),
+    "scaled": (_scaled_arch(), 4, 4),
+}
+
+
+class TestWalk:
+    """The shapes that build, count and size the network are the ones its
+    forward produces."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_CASES))
+    def test_walk_is_the_forward(self, name):
+        text, side, classes = WALK_CASES[name]
+        t_steps, batch = 3, 2
+        arch = parse_arch(text, input_dims=(2, side, side), time_steps=t_steps)
+        cfg = TcjaConfig()
+        net = build_network(arch, classes, tcja_cfg=cfg, rng=np.random.default_rng(0))
+        seen = [(2, side, side)]
+
+        def observe(layer, x_in, out):
+            assert x_in.shape[:2] == out.shape[:2] == (t_steps, batch)
+            assert x_in.shape[2:] == seen[-1]
+            seen.append(out.shape[2:])
+
+        frames = np.random.default_rng(1).random((t_steps, batch, 2, side, side)) * 2
+        with no_grad():
+            net.forward(Tensor(frames.astype(np.float32)), observe=observe)
+        assert len(seen) == len(arch.layers) + 1
+        assert net.shapes == seen
+        assert seen[-1] == (classes,)
+        assert net._stack_bytes == t_steps * max(math.prod(s) for s in seen) * 4
+        assert analytic_param_count(arch, classes, cfg) == net.param_count()
+
+    @pytest.mark.parametrize("dims", [(2, 8), (2, 8, 8, 1), (0, 8, 8)])
+    def test_input_dims_must_be_three_positive_sizes(self, dims):
+        arch = parse_arch("4C3-LIF", input_dims=dims, time_steps=2)
+        with pytest.raises(ValueError, match=r"must be \(C, H, W\)"):
+            build_network(arch, num_classes=2)
 
 
 class TestForward:
