@@ -44,6 +44,9 @@ class LifConfig:
             )
         if self.surrogate not in _SURROGATES:
             raise ValueError(f"surrogate must be one of {_SURROGATES}, got {self.surrogate!r}")
+        for name in ("alpha", "gamma"):  # `not >` also refuses NaN
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass

@@ -6,9 +6,8 @@ with the highest mean firing rate, first index winning ties. Training and
 evaluation run chunks of `Network.chunk_size` and `.eval_chunk_size`
 samples, one (T, B, ...) forward pass per chunk. Training is fully
 deterministic under a fixed seed: one RNG stream drives parameter init,
-shuffling, dropout, and augmentation in a fixed draw order: per chunk,
-each sample's partner and augment draws in turn, then each dropout
-layer's masks for the chunk.
+shuffling, dropout, and augmentation in the draw order that `run_epoch`
+states.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ PRECISIONS = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 
 class NumericsError(RuntimeError):
-    """Raised when a loss goes non-finite; carries the offending batch index."""
+    """Raised when a training loss, or a parameter after an optimizer step,
+    goes non-finite; the message names the epoch, the batch and the parameter."""
 
 
 class CheckpointError(ValueError):
@@ -376,14 +376,48 @@ class TrainResult:
     best_accuracy: float
 
 
+def run_epoch(
+    net: Network, train_samples: list[FrameSample], cfg: TrainConfig,
+    opt_state: OptimizerState, rng: np.random.Generator, epoch: int,
+) -> float:
+    """Train one epoch in place and return its mean loss per sample. This is
+    the one statement of the training draw order: the permutation, then per
+    chunk each sample's partner and augment draws in turn, then each dropout
+    layer's masks for the chunk."""
+    order = rng.permutation(len(train_samples))
+    loss_sum = 0.0
+    for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
+        batch = [train_samples[int(i)] for i in order[start : start + cfg.batch_size]]
+        net.zero_grads()
+        batch_loss = 0.0
+        for chunk in chunks(batch, net.chunk_size):
+            if cfg.augment:  # per sample: the partner draw, then augment's own
+                n = len(train_samples)
+                chunk = [data_mod.augment(s, rng, partner=train_samples[int(rng.integers(0, n))])
+                         for s in chunk]
+            out = net.forward(stack_frames(chunk, net.dtype), rng=rng)
+            loss = smse_loss(out, np.stack([sample.label for sample in chunk]))
+            value = loss.item()
+            if not np.isfinite(value):
+                raise NumericsError(f"non-finite loss in epoch {epoch}, batch {batch_idx}")
+            batch_loss += value
+            loss.backward()
+        for _, p in net.parameters():
+            if p.grad is not None:
+                p.grad /= len(batch)
+        optimizer_step(net.parameters(), opt_state, cfg)
+        for name, p in net.parameters():
+            if not np.isfinite(p.data).all():
+                raise NumericsError(
+                    f"non-finite parameter {name!r} in epoch {epoch}, batch {batch_idx}"
+                )
+        loss_sum += batch_loss
+    return loss_sum / len(order)
+
+
 def train(
-    net: Network,
-    train_samples: list[FrameSample],
-    test_samples: list[FrameSample],
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    out_dir: str | Path | None = None,
-    log=None,
+    net: Network, train_samples: list[FrameSample], test_samples: list[FrameSample],
+    cfg: TrainConfig, rng: np.random.Generator, out_dir: str | Path | None = None, log=None,
 ) -> TrainResult:
     """Run the full loop; optionally persist metrics and checkpoints to `out_dir`.
 
@@ -404,39 +438,10 @@ def train(
 
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        order = rng.permutation(len(train_samples))
-        loss_sum = 0.0
-        for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [train_samples[int(i)] for i in order[start : start + cfg.batch_size]]
-            net.zero_grads()
-            batch_loss = 0.0
-            for chunk in chunks(batch, net.chunk_size):
-                if cfg.augment:  # per sample: the partner draw, then augment's own
-                    chunk = [
-                        data_mod.augment(
-                            s, rng, partner=train_samples[int(rng.integers(0, len(train_samples)))]
-                        )
-                        for s in chunk
-                    ]
-                out = net.forward(stack_frames(chunk, net.dtype), rng=rng)
-                loss = smse_loss(out, np.stack([sample.label for sample in chunk]))
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericsError(
-                        f"non-finite loss in epoch {epoch}, batch {batch_idx}"
-                    )
-                batch_loss += value
-                loss.backward()
-            for _, p in net.parameters():
-                if p.grad is not None:
-                    p.grad /= len(batch)
-            optimizer_step(net.parameters(), opt_state, cfg)
-            loss_sum += batch_loss
-        train_loss = loss_sum / len(order)
+        train_loss = run_epoch(net, train_samples, cfg, opt_state, rng, epoch)
         result = evaluate(net, test_samples)
         wall = time.perf_counter() - tic
-        row = {"epoch": epoch, "train_loss": train_loss, "test_acc": result.accuracy}
-        history.append(row)
+        history.append({"epoch": epoch, "train_loss": train_loss, "test_acc": result.accuracy})
         metrics_rows.append(f"{epoch},{train_loss:.10g},{result.accuracy:.10g}")
         timing_rows.append(f"{epoch},{wall:.3f}")
         if log is not None:

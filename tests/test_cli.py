@@ -94,6 +94,10 @@ class TestConfig:
             ("--data.synthetic.n_test", "-1"),
             ("--data.synthetic.seed", "-1"),
             ("--data.synthetic.noise_per_tick", "-1"),
+            ("--lif.alpha", "0"),
+            ("--lif.alpha", "NaN"),
+            ("--lif.gamma", "0"),  # the triangle surrogate divides by gamma²
+            ("--lif.gamma", "-1"),
         ],
     )
     def test_bad_value_type_or_range_exits_1(self, tmp_path, capsys, flag, value):
@@ -191,6 +195,15 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err == "config error: num_classes must be one of (2, 4, 8) for synthetic data, got 3\n"
         assert not (out_dir / "best.ckpt").exists()
+
+    def test_overflowing_learning_rate_exits_3(self, tmp_path, capsys):
+        # The spiking head keeps the loss finite; the parameter check names the overflow.
+        path, out_dir = quick_config(tmp_path, lr=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):  # the Adam step overflows f32
+            assert main(["train", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric abort: non-finite parameter 'layer0.kernel' in epoch 0, batch 0\n"
+        assert not (out_dir / "last.ckpt").exists()
 
     @pytest.mark.parametrize("where", ["manifest line", "manifest"])
     def test_dataset_path_naming_a_directory_exits_2(self, tmp_path, capsys, where):

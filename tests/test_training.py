@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcja_snn import network
+from tcja_snn import network, training
 from tcja_snn.attention import TcjaConfig
 from tcja_snn.data import FrameSample, frames_dataset, gen_synthetic, one_hot
 from tcja_snn.network import PRESETS, build_network, parse_arch
@@ -26,6 +26,7 @@ from tcja_snn.training import (
     optimizer_step,
     predict_label,
     restore_network,
+    run_epoch,
     save_checkpoint,
     smse_loss,
     stack_frames,
@@ -713,3 +714,54 @@ class TestTrainLoop:
         assert all(np.isfinite(v) for v in losses[0])
         # The config flag alone switches augmentation on.
         assert losses[0] != losses[2]
+
+    def test_nonfinite_parameter_aborts_naming_it(self):
+        # The LIF head keeps the loss finite, so only the parameter check can fire.
+        train_samples, test_samples = tiny_dataset()
+        net = tiny_net()
+        net.layers[0].kernel.data[...] = np.nan
+        cfg = TrainConfig(epochs=1, batch_size=8)
+        message = "non-finite parameter 'layer0.kernel' in epoch 0, batch 0"
+        with pytest.raises(NumericsError, match=message):
+            train(net, train_samples, test_samples, cfg, np.random.default_rng(0))
+
+    def test_module_seams_are_looked_up_at_call_time(self, monkeypatch, tmp_path):
+        # perfbench times training by replacing these module attributes.
+        calls = {}
+        for name in ("optimizer_step", "smse_loss", "evaluate", "make_checkpoint"):
+            def counted(*args, _fn=getattr(training, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+        monkeypatch.setattr(network.Network, "chunk_size", 3)
+        train_samples, test_samples = tiny_dataset()
+        cfg = TrainConfig(epochs=2, batch_size=8)
+        result = train(tiny_net(seed=2), train_samples, test_samples, cfg,
+                       np.random.default_rng(3), out_dir=tmp_path)
+        accs = [row["test_acc"] for row in result.history]
+        best_snapshots = sum(acc > max(accs[:i], default=-1.0) for i, acc in enumerate(accs))
+        batches, chunks_per_batch = 3, 3  # 24 samples by 8, each batch as 3 + 3 + 2
+        assert calls == {
+            "optimizer_step": batches * cfg.epochs,
+            "smse_loss": chunks_per_batch * batches * cfg.epochs,
+            "evaluate": cfg.epochs,
+            "make_checkpoint": best_snapshots + 1,
+        }
+
+    def test_train_is_run_epoch_in_a_loop(self, tmp_path):
+        train_samples, test_samples = tiny_dataset()
+        arch = "4C3-LIF-MP2-0.5DP-16FC-LIF-Voting"
+        cfg = TrainConfig(epochs=2, batch_size=8, augment=True)
+        result = train(tiny_net(seed=4, arch_text=arch), train_samples, test_samples, cfg,
+                       np.random.default_rng(5), out_dir=tmp_path)
+        net = tiny_net(seed=4, arch_text=arch)
+        opt_state, rng, history = OptimizerState(), np.random.default_rng(5), []
+        for epoch in range(cfg.epochs):
+            loss = run_epoch(net, train_samples, cfg, opt_state, rng, epoch)
+            acc = evaluate(net, test_samples).accuracy
+            history.append({"epoch": epoch, "train_loss": loss, "test_acc": acc})
+        assert result.history == history
+        # The last checkpoint holds the parameters, Adam moments, step and RNG state.
+        looped = b"".join(make_checkpoint(net, opt_state, rng, cfg.epochs)._pieces())
+        assert (tmp_path / "last.ckpt").read_bytes() == looped
