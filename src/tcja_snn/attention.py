@@ -69,31 +69,6 @@ class AttentionMaps:
     f_map: np.ndarray
 
 
-def init_tcja_params(
-    channels: int,
-    time_steps: int,
-    cfg: TcjaConfig,
-    rng: np.random.Generator,
-    dtype=np.float64,
-) -> TcjaParams:
-    """Uniform +-1/sqrt(fan_in) kernels, fan_in = input rows times kernel
-    size, at the sizes `cfg.kernel_sizes` caps."""
-    if time_steps < 2 or channels < 2:
-        raise ValueError(
-            f"attention needs C >= 2 and T >= 2, got C={channels} T={time_steps}"
-        )
-    k_t, k_c = cfg.kernel_sizes(channels, time_steps)
-    bound_w = 1.0 / np.sqrt(channels * k_t)
-    bound_e = 1.0 / np.sqrt(time_steps * k_c)
-    w = rng.uniform(-bound_w, bound_w, size=(channels, channels, k_t))
-    e = rng.uniform(-bound_e, bound_e, size=(time_steps, time_steps, k_c))
-    return TcjaParams(
-        w=Tensor(w.astype(dtype), requires_grad=True),
-        e=Tensor(e.astype(dtype), requires_grad=True),
-        fusion=cfg.fusion,
-    )
-
-
 def squeeze(x: np.ndarray) -> np.ndarray:
     """Average each (channel, step) frame over space: (T, ..., C, H, W) -> (..., C, T)."""
     if x.ndim < 4:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from .attention import AttentionMaps, TcjaConfig, score_maps
-from .network import PRESETS, ArchParseError, Network, TcjaLayer, build_network, parse_arch
+from .network import PRESETS, ArchParseError, Network, TcjaLayer
 from .neuron import LifConfig
 from .tensor import Tensor, no_grad
 from .training import (
@@ -32,7 +32,7 @@ from .training import (
     TrainConfig,
     evaluate,
     load_checkpoint,
-    precision_dtype,
+    network_from_meta,
     restore_network,
     stack_frames,
     train,
@@ -233,26 +233,11 @@ def _build_from_config(config: dict, dims: tuple[int, int, int], rng: np.random.
     train_kw = dict(config["train"])
     lif_kw = {key: train_kw.pop(key) for key in _LIF_KEYS_IN_TRAIN}
     del train_kw["seed"]
-    precision = train_kw.pop("precision")
+    # The config's own time_steps, num_classes and tcja keys are the description's.
+    meta = {**config, "input_dims": dims, "precision": train_kw.pop("precision"),
+            "lif": {**lif_kw, **config["lif"]}}
     train_cfg = TrainConfig(**train_kw)
-    dtype = precision_dtype(precision)
-    lif_cfg = LifConfig(**lif_kw, **config["lif"])
-    tcja_cfg = TcjaConfig(**config["tcja"])
-    arch = parse_arch(config["arch"], input_dims=dims, time_steps=config["time_steps"])
-    net = build_network(
-        arch,
-        num_classes=config["num_classes"],
-        lif_cfg=lif_cfg,
-        tcja_cfg=tcja_cfg,
-        rng=rng,
-        dtype=dtype,
-    )
-    if (out := net.shapes[-1]) != (net.num_classes,):
-        raise ConfigError(
-            f"arch {config['arch']!r} puts out {out} per sample and step,"
-            f" not the ({net.num_classes},) that num_classes={net.num_classes} needs"
-        )
-    return net, train_cfg
+    return network_from_meta(config["arch"], meta, rng), train_cfg
 
 
 def cmd_train(args, overrides: list[str]) -> int:
@@ -280,11 +265,6 @@ def _matching_test_samples(net: Network, config: dict) -> list[data_mod.FrameSam
         raise CheckpointError(
             f"checkpoint has {net.num_classes} classes,"
             f" config asks for {config['num_classes']}"
-        )
-    if (out := net.shapes[-1]) != (net.num_classes,):
-        raise CheckpointError(
-            f"checkpoint arch puts out {out} per sample and step,"
-            f" not one score for each of its {net.num_classes} classes"
         )
     _, test_samples = _load_samples(config, test_only=True)
     expected = list(net.arch.input_dims)

@@ -386,7 +386,7 @@ class Network:
 def walk(arch: ArchSpec, num_classes: int) -> list[tuple[int, ...]]:
     """The per-sample shape each layer of `arch` takes, then the output's:
     (C, H, W) until an FC layer flattens it to (F,). Refuses input dims and
-    pools that do not fit; the layer order is checked by `parse_arch`."""
+    layers that do not fit; the layer order is checked by `parse_arch`."""
     if arch.input_dims is None or arch.time_steps is None:
         raise ValueError("arch spec needs input_dims and time_steps to build")
     if len(arch.input_dims) != 3 or min(*arch.input_dims, arch.time_steps, num_classes) < 1:
@@ -413,6 +413,10 @@ def walk(arch: ArchSpec, num_classes: int) -> list[tuple[int, ...]]:
                     f" {num_classes} classes"
                 )
             shape = (num_classes,)
+        elif isinstance(layer, TcjaSpec) and min(shape[0], arch.time_steps) < 2:
+            raise ArchParseError(
+                f"TCJA at position {i} needs C, T >= 2, got C={shape[0]} T={arch.time_steps}"
+            )
         shapes.append(shape)  # LIF, dropout and TCJA keep the shape
     return shapes
 
@@ -440,7 +444,8 @@ def build_network(
     rng: np.random.Generator | None = None,
     dtype=np.float32,
 ) -> Network:
-    """Instantiate layers with uniform +-1/sqrt(fan_in) weights."""
+    """Instantiate layers with uniform +-1/sqrt(fan_in) weights; a TCJA
+    kernel's fan_in is its input rows times its kernel size (C*k_t, T*k_c)."""
     lif_cfg = lif_cfg or LifConfig()
     tcja_cfg = tcja_cfg or TcjaConfig()
     rng = rng or np.random.default_rng(0)
@@ -472,6 +477,8 @@ def build_network(
             layer = VotingLayer(num_classes)
         else:
             c, t = shape[0], arch.time_steps
-            layer = TcjaLayer(attention.init_tcja_params(c, t, tcja_cfg, rng, dtype=dtype))
+            k_t, k_c = tcja_cfg.kernel_sizes(c, t)
+            w = weight((c, c, k_t), c * k_t)
+            layer = TcjaLayer(TcjaParams(w, weight((t, t, k_c), t * k_c), tcja_cfg.fusion))
         net.layers.append(layer)
     return net

@@ -36,17 +36,20 @@ class LifConfig:
     detach_reset: bool = True
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.v_threshold <= self.v_reset:
+        # Every range is finite and stated as `not a < x < b`, which NaN fails too.
+        # 1/tau is the share of the gap to the input closed per step: at most all.
+        if not 1 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 1, got {self.tau}")
+        if not -math.inf < self.v_reset < self.v_threshold < math.inf:
             raise ValueError(
-                f"v_threshold ({self.v_threshold}) must exceed v_reset ({self.v_reset})"
+                f"v_threshold ({self.v_threshold}) must exceed v_reset ({self.v_reset}),"
+                " both finite"
             )
         if self.surrogate not in _SURROGATES:
             raise ValueError(f"surrogate must be one of {_SURROGATES}, got {self.surrogate!r}")
-        for name in ("alpha", "gamma"):  # `not >` also refuses NaN
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("alpha", "gamma"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass

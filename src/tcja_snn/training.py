@@ -46,12 +46,6 @@ class CheckpointError(ValueError):
     """Raised for unreadable or mismatched checkpoint files."""
 
 
-def precision_dtype(name: str) -> np.dtype:
-    if name not in PRECISIONS:
-        raise ValueError(f"precision must be {' or '.join(PRECISIONS)}, got {name!r}")
-    return PRECISIONS[name]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
@@ -61,8 +55,8 @@ class TrainConfig:
     augment: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:  # NaN fails the range too
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
 
@@ -284,6 +278,29 @@ def _meta_dict(net: Network) -> dict:
     }
 
 
+def network_from_meta(arch: str, meta: dict, rng: np.random.Generator) -> Network:
+    """The network that `arch` and a `_meta_dict`-shaped description give,
+    its weights drawn from `rng`; refuses one whose output is not one score
+    per class."""
+    if (precision := meta["precision"]) not in PRECISIONS:
+        raise ValueError(f"precision must be {' or '.join(PRECISIONS)}, got {precision!r}")
+    # Checkpoints written while LifConfig had `strict_eq2` still store it.
+    lif_kw = dict(meta["lif"])
+    lif_kw.pop("strict_eq2", None)
+    input_dims = tuple(int(d) for d in meta["input_dims"])
+    spec = parse_arch(arch, input_dims=input_dims, time_steps=int(meta["time_steps"]))
+    net = build_network(
+        spec, num_classes=int(meta["num_classes"]), lif_cfg=LifConfig(**lif_kw),
+        tcja_cfg=TcjaConfig(**meta["tcja"]), rng=rng, dtype=PRECISIONS[precision],
+    )
+    if (out := net.shapes[-1]) != (net.num_classes,):
+        raise ValueError(
+            f"arch {arch!r} puts out {out} per sample and step,"
+            f" not the ({net.num_classes},) that num_classes={net.num_classes} needs"
+        )
+    return net
+
+
 def make_checkpoint(
     net: Network,
     opt_state: OptimizerState,
@@ -323,33 +340,14 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, OptimizerState, dict, in
     named = dict(ckpt.records)
     try:
         meta = json.loads(named["meta.config"].tobytes().decode())
-        # Checkpoints written while LifConfig had `strict_eq2` still store it.
-        lif_kw = dict(meta["lif"])
-        lif_kw.pop("strict_eq2", None)
-        lif_cfg = LifConfig(**lif_kw)
-        tcja_cfg = TcjaConfig(**meta["tcja"])
-        dtype = precision_dtype(meta["precision"])
-        input_dims = tuple(int(d) for d in meta["input_dims"])
-        time_steps, num_classes = int(meta["time_steps"]), int(meta["num_classes"])
         opt_state = OptimizerState(step=int(named["opt.step"][0]))
         rng_state = json.loads(named["meta.rng"].tobytes().decode())
         epoch = int(named["meta.epoch"][0])
+        net = network_from_meta(ckpt.arch, meta, np.random.default_rng(0))
     except KeyError as err:
         raise CheckpointError(f"checkpoint is missing record or key {err}") from err
-    except (IndexError, TypeError, ValueError) as err:
-        raise CheckpointError(f"corrupt checkpoint metadata: {err}") from err
-    try:
-        arch = parse_arch(ckpt.arch, input_dims=input_dims, time_steps=time_steps)
-        net = build_network(
-            arch,
-            num_classes=num_classes,
-            lif_cfg=lif_cfg,
-            tcja_cfg=tcja_cfg,
-            rng=np.random.default_rng(0),
-            dtype=dtype,
-        )
-    except ValueError as err:
-        raise CheckpointError(f"checkpoint arch {ckpt.arch!r} cannot be built: {err}") from err
+    except (IndexError, OverflowError, TypeError, ValueError) as err:
+        raise CheckpointError(f"checkpoint cannot be rebuilt: {err}") from err
     for name, p in net.parameters():
         key = f"param.{name}"
         if key not in named:
@@ -358,12 +356,12 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, OptimizerState, dict, in
             raise CheckpointError(
                 f"tensor {key!r} shape {named[key].shape} does not match {p.shape}"
             )
-        p.data = named[key].astype(dtype)
+        p.data = named[key].astype(net.dtype)
         m_key, v_key = f"adam.m.{name}", f"adam.v.{name}"
         if m_key in named:
-            opt_state.m[name] = named[m_key].astype(dtype)
+            opt_state.m[name] = named[m_key].astype(net.dtype)
         if v_key in named:
-            opt_state.v[name] = named[v_key].astype(dtype)
+            opt_state.v[name] = named[v_key].astype(net.dtype)
     return net, opt_state, rng_state, epoch
 
 

@@ -12,7 +12,6 @@ from tcja_snn.attention import (
     _conv1d_vjp,
     ccf,
     cla,
-    init_tcja_params,
     param_count,
     recalibrate,
     score_maps,
@@ -20,6 +19,7 @@ from tcja_snn.attention import (
     tcja_forward,
     tla,
 )
+from tcja_snn.network import ArchParseError, TcjaLayer, build_network, parse_arch
 from tcja_snn.tensor import ShapeError, Tensor
 
 import oracles
@@ -439,22 +439,29 @@ class TestParamCount:
             param_count(0, 1, 1, 1)
 
 
+def built_tcja_params(channels, time_steps, cfg, seed):
+    """The kernels `build_network` draws for a TCJA block at C and T."""
+    arch = parse_arch(f"{channels}C3-LIF-TCJA", input_dims=(1, 4, 4), time_steps=time_steps)
+    net = build_network(arch, num_classes=1, tcja_cfg=cfg, rng=np.random.default_rng(seed))
+    (layer,) = [layer for layer in net.layers if isinstance(layer, TcjaLayer)]
+    return layer.params
+
+
 class TestInit:
     def test_kernel_sizes_capped_below_dims(self):
-        rng = np.random.default_rng(18)
-        params = init_tcja_params(3, 2, TcjaConfig(k_t=4, k_c=4), rng)
+        params = built_tcja_params(3, 2, TcjaConfig(k_t=4, k_c=4), seed=18)
         assert params.w.shape == (3, 3, 1)  # k_t capped at T - 1
         assert params.e.shape == (2, 2, 2)  # k_c capped at C - 1
 
     def test_init_bounds(self):
-        rng = np.random.default_rng(19)
-        params = init_tcja_params(8, 6, TcjaConfig(k_t=3, k_c=3), rng)
+        params = built_tcja_params(8, 6, TcjaConfig(k_t=3, k_c=3), seed=19)
         assert np.all(np.abs(params.w.data) <= 1 / np.sqrt(8 * 3))
         assert np.all(np.abs(params.e.data) <= 1 / np.sqrt(6 * 3))
 
     def test_tiny_dims_rejected(self):
-        with pytest.raises(ValueError):
-            init_tcja_params(1, 8, TcjaConfig(), np.random.default_rng(0))
+        for channels, time_steps in [(1, 8), (8, 1)]:
+            with pytest.raises(ArchParseError, match="TCJA at position 2 needs C, T >= 2"):
+                built_tcja_params(channels, time_steps, TcjaConfig(), seed=0)
 
 
 class TestComplexityTrend:

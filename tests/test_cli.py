@@ -2,10 +2,14 @@ import argparse
 import csv
 import inspect
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
 from tcja_snn.data import gen_synthetic, write_dataset
@@ -98,6 +102,21 @@ class TestConfig:
             ("--lif.alpha", "NaN"),
             ("--lif.gamma", "0"),  # the triangle surrogate divides by gamma²
             ("--lif.gamma", "-1"),
+            # Every float must be finite; NaN fails each range.
+            ("--lif.tau", "NaN"),
+            ("--train.lr", "NaN"),
+            ("--lif.v_threshold", "NaN"),
+            ("--lif.v_reset", "NaN"),
+            ("--train.lr", "Infinity"),
+            ("--lif.alpha", "Infinity"),
+            ("--lif.tau", "Infinity"),
+            ("--lif.gamma", "Infinity"),
+            ("--lif.v_threshold", "Infinity"),
+            ("--lif.v_reset", "-Infinity"),
+            ("--lif.tau", "0.5"),  # the leak factor 1 - 1/tau would be negative
+            # A TCJA block needs C >= 2 and T >= 2 where it sits.
+            ("--arch", "1C3-LIF-TCJA-4FC-LIF"),
+            ("--time_steps", "1"),
         ],
     )
     def test_bad_value_type_or_range_exits_1(self, tmp_path, capsys, flag, value):
@@ -368,7 +387,8 @@ class TestEvalCommand:
         capsys.readouterr()
         assert main([command, "--checkpoint", str(bad), "--config", str(path)]) == 4
         assert capsys.readouterr().err.startswith(
-            "checkpoint error: checkpoint arch puts out (16,) per sample and step"
+            "checkpoint error: checkpoint cannot be rebuilt:"
+            " arch '4C3-LIF-MP2-TCJA-16FC-LIF' puts out (16,) per sample and step"
         )
         assert not (out_dir / "predictions.csv").exists()
 
@@ -758,3 +778,64 @@ class TestPgm:
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n2 2\n255\n")
         assert list(blob[-4:]) == [0, 128, 255, 64]
+
+
+# Arch strings from the grammar's tokens: uniform draws, which mostly fail
+# to parse, and conv blocks before an FC head, which mostly train.
+_TOKENS = ["1C3", "2C1", "4C3", "LIF", "MP2", "AP2", "0.5DP", "TCJA", "4FC", "6FC", "8FC",
+           "Voting"]
+_BLOCK = st.tuples(
+    st.sampled_from(["1C3", "2C1", "4C3"]), st.just("LIF"),
+    st.sampled_from([(), ("MP2",), ("AP2",)]), st.sampled_from([(), ("TCJA",)]),
+).map(lambda parts: [*parts[:2], *parts[2], *parts[3]])
+_HEAD = st.sampled_from([["4FC", "LIF"], ["8FC", "LIF", "Voting"], ["12FC", "LIF", "Voting"],
+                         ["6FC", "LIF", "Voting"]])
+_UNIFORM = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=6)
+_STRUCTURED = st.tuples(
+    st.lists(_BLOCK, min_size=1, max_size=2), st.sampled_from([[], ["0.5DP"]]), _HEAD
+).map(lambda parts: [token for block in parts[0] for token in block] + parts[1] + parts[2])
+_ARCHS = st.integers(0, 3).flatmap(lambda i: _UNIFORM if i == 0 else _STRUCTURED).map("-".join)
+# Config values at the edges of their ranges, and keys of both kinds.
+_EDGES = [0, -1, math.nan, math.inf, -math.inf, 1e300, -1e300]
+_KEYS = [("train", "lr"), ("train", "epochs"), ("train", "batch_size"), ("lif", "tau"),
+         ("lif", "v_reset"), ("lif", "v_threshold"), ("lif", "alpha"), ("lif", "gamma"),
+         ("tcja", "k_t"), ("tcja", "k_c")]
+
+
+class TestFuzz:
+    """No arch string or config value gets a traceback out of `train`,
+    `eval` or `inspect-attention`: each returns a documented exit code."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arch=_ARCHS,
+        time_steps=st.integers(1, 3),
+        side=st.integers(4, 8),
+        precision=st.sampled_from(["f32", "f64"]),
+        edits=st.lists(st.tuples(st.sampled_from(_KEYS), st.sampled_from(_EDGES)), max_size=1),
+    )
+    def test_every_command_returns_a_documented_exit_code(
+        self, arch, time_steps, side, precision, edits
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config = {
+                "arch": arch, "time_steps": time_steps, "out_dir": str(tmp / "run"),
+                "data": {"synthetic": {"height": side, "width": side, "n_train": 4, "n_test": 2}},
+                "train": {"epochs": 1, "batch_size": 4, "precision": precision},
+                "lif": {}, "tcja": {},
+            }
+            for (section, key), value in edits:
+                config[section][key] = value
+            path = tmp / "config.json"
+            path.write_text(json.dumps(config))
+            ckpt = ["--checkpoint", str(tmp / "run" / "last.ckpt"), "--config", str(path),
+                    "--out", str(tmp / "out")]
+            # An overflowing run is to end in exit 3, not in numpy's warning.
+            with np.errstate(all="ignore"):
+                trained = main(["train", "--config", str(path)])
+                evaluated = main(["eval", *ckpt])
+                inspected = main(["inspect-attention", *ckpt])
+        assert {trained, evaluated, inspected} <= set(range(6))
+        if trained == 0:
+            assert evaluated == 0 and inspected in (0, 5)

@@ -24,8 +24,16 @@ from tcja_snn.network import (
     render,
     voting_layer,
 )
+from tcja_snn.neuron import LifConfig
 from tcja_snn.tensor import ShapeError, Tensor, fully_connected, no_grad
-from tcja_snn.training import smse_loss
+from tcja_snn.training import (
+    OptimizerState,
+    _meta_dict,
+    make_checkpoint,
+    network_from_meta,
+    restore_network,
+    smse_loss,
+)
 
 import oracles
 
@@ -395,6 +403,35 @@ class TestWalk:
         arch = parse_arch("4C3-LIF", input_dims=dims, time_steps=2)
         with pytest.raises(ValueError, match=r"must be \(C, H, W\)"):
             build_network(arch, num_classes=2)
+
+
+class TestBuilderInverse:
+    """`training.network_from_meta` inverts the checkpoint's `_meta_dict`:
+    `train` and `restore_network` build one network from one description."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_CASES))
+    def test_restore_rebuilds_the_network(self, name):
+        text, side, classes = WALK_CASES[name]
+        arch = parse_arch(text, input_dims=(2, side, side), time_steps=3)
+        dtype = np.float64 if sorted(WALK_CASES).index(name) % 2 else np.float32
+        lif_cfg = LifConfig(tau=3.0, v_reset=-0.5, v_threshold=0.75, surrogate="triangle",
+                            alpha=3.0, gamma=0.5, detach_reset=False)
+        tcja_cfg = TcjaConfig(k_t=1, k_c=3, fusion="add")
+        net = build_network(arch, classes, lif_cfg=lif_cfg, tcja_cfg=tcja_cfg,
+                            rng=np.random.default_rng(5), dtype=dtype)
+        ckpt = make_checkpoint(net, OptimizerState(), np.random.default_rng(0), epoch=0)
+        rebuilt = network_from_meta(text, _meta_dict(net), np.random.default_rng(5))
+        restored = restore_network(ckpt)[0]
+        for other in (rebuilt, restored):
+            assert render(other.arch) == render(net.arch) == text
+            assert other.arch == net.arch and other.num_classes == classes
+            assert other.shapes == net.shapes
+            assert other.lif_cfg == lif_cfg and other.tcja_cfg == tcja_cfg
+            assert other.dtype == net.dtype == dtype
+            assert [key for key, _ in other.parameters()] == [key for key, _ in net.parameters()]
+            for (key, got), (_, want) in zip(other.parameters(), net.parameters()):
+                assert got.data.dtype == want.data.dtype, key
+                assert got.data.tobytes() == want.data.tobytes(), key
 
 
 class TestForward:

@@ -547,6 +547,7 @@ class TestCheckpoint:
             ("time_steps", 0),
             ("input_dims", [0, 8, 8]),
             ("input_dims", ["a", 8, 8]),
+            ("time_steps", float("inf")),  # int() overflows
         ],
     )
     def test_bad_stored_size_rejected(self, key, value):
