@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from .attention import AttentionMaps, TcjaConfig, score_maps
-from .network import PRESETS, ArchParseError, Network, TcjaLayer
+from .network import PRESETS, Network, TcjaLayer
 from .neuron import LifConfig
 from .tensor import Tensor, no_grad
 from .training import (
@@ -420,10 +420,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
     try:
-        return _COMMANDS[args.command](args, extras)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+        # A diverging run's overflows stay silent: its own checks name the
+        # non-finite loss or parameter (exit 3).
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args, extras)
     except NumericsError as err:
         print(f"numeric abort: {err}", file=sys.stderr)
         return 3
@@ -433,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except (data_mod.DataError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
-    except (ArchParseError, ValueError) as err:
+    except ValueError as err:  # ConfigError, ArchParseError and the value checks
         print(f"config error: {err}", file=sys.stderr)
         return 1
 

@@ -159,7 +159,7 @@ def render(spec: ArchSpec) -> str:
         elif isinstance(layer, PoolSpec):
             tokens.append(("MP" if layer.kind == "max" else "AP") + str(layer.k))
         elif isinstance(layer, DropoutSpec):
-            tokens.append(f"{layer.p:g}DP")
+            tokens.append(np.format_float_positional(layer.p, trim="-") + "DP")
         elif isinstance(layer, FcSpec):
             tokens.append(f"{layer.out_features}FC")
         elif isinstance(layer, VotingSpec):
@@ -194,13 +194,6 @@ PRESETS: dict[str, str] = {
 # -- built layers ----------------------------------------------------------------
 
 
-class _NoParams:
-    """Base of the layers that own no parameters."""
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return []
-
-
 class ConvLayer:
     """Conv2D over the time-batched stack, stride 1, keeping H x W."""
 
@@ -210,11 +203,8 @@ class ConvLayer:
     def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return conv2d(x, self.kernel)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("kernel", self.kernel)]
 
-
-class LifLayer(_NoParams):
+class LifLayer:
     def __init__(self, cfg: LifConfig, name: str):
         self.cfg = cfg
         self.name = name
@@ -223,7 +213,7 @@ class LifLayer(_NoParams):
         return lif_sequence(x, self.cfg)
 
 
-class PoolLayer(_NoParams):
+class PoolLayer:
     def __init__(self, kind: str, k: int):
         self.kind = kind
         self.k = k
@@ -232,7 +222,7 @@ class PoolLayer(_NoParams):
         return pool2d(x, self.kind, self.k)
 
 
-class DropoutLayer(_NoParams):
+class DropoutLayer:
     """Spiking dropout: one Bernoulli mask per sample, shared over all T,
     drawn from `rng` as one (B, ...) draw, the same numbers as B draws of
     one sample's mask in turn; without an rng (evaluation) the layer passes
@@ -259,11 +249,8 @@ class FcLayer:
     def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return fully_connected(x, self.weight, self.bias)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("weight", self.weight), ("bias", self.bias)]
 
-
-class VotingLayer(_NoParams):
+class VotingLayer:
     def __init__(self, num_classes: int):
         self.num_classes = num_classes
 
@@ -277,9 +264,6 @@ class TcjaLayer:
 
     def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return attention.tcja_forward(x, self.params)
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("w", self.params.w), ("e", self.params.e)]
 
 
 def voting_layer(spikes: Tensor, num_classes: int) -> Tensor:
@@ -312,33 +296,28 @@ def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
 
 @dataclass
 class Network:
-    """A built layer stack with owned parameters."""
+    """A built layer stack, its parameters named `layer{i}.{name}` in draw
+    order, and the per-sample shape each layer takes, then the output's
+    (see `walk`)."""
 
     arch: ArchSpec
     layers: list = field(default_factory=list)
+    params: list[tuple[str, Tensor]] = field(default_factory=list)
+    shapes: list[tuple[int, ...]] = field(default_factory=list)
     num_classes: int = 0
     lif_cfg: LifConfig = field(default_factory=LifConfig)
     tcja_cfg: TcjaConfig = field(default_factory=TcjaConfig)
     dtype: np.dtype = np.float64
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for i, layer in enumerate(self.layers):
-            for sub, tensor in layer.parameters():
-                named.append((f"layer{i}.{sub}", tensor))
-        return named
+        return self.params
 
     def param_count(self) -> int:
-        return sum(t.size for _, t in self.parameters())
+        return sum(t.size for _, t in self.params)
 
     def zero_grads(self) -> None:
-        for _, t in self.parameters():
+        for _, t in self.params:
             t.grad = None
-
-    @property
-    def shapes(self) -> list[tuple[int, ...]]:
-        """Per-sample shape each layer takes, then the output's; see `walk`."""
-        return walk(self.arch, self.num_classes)
 
     @property
     def _stack_bytes(self) -> int:
@@ -444,24 +423,32 @@ def build_network(
     rng: np.random.Generator | None = None,
     dtype=np.float32,
 ) -> Network:
-    """Instantiate layers with uniform +-1/sqrt(fan_in) weights; a TCJA
-    kernel's fan_in is its input rows times its kernel size (C*k_t, T*k_c)."""
+    """Instantiate layers with uniform +-1/sqrt(fan_in) weights and zero FC
+    biases; a TCJA kernel's fan_in is its input rows times its kernel size
+    (C*k_t, T*k_c)."""
     lif_cfg = lif_cfg or LifConfig()
     tcja_cfg = tcja_cfg or TcjaConfig()
     rng = rng or np.random.default_rng(0)
     dtype = np.dtype(dtype)
-
-    def weight(size: tuple[int, ...], fan_in: int) -> Tensor:
-        bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=size).astype(dtype), requires_grad=True)
-
     net = Network(
-        arch=arch, num_classes=num_classes, lif_cfg=lif_cfg, tcja_cfg=tcja_cfg, dtype=dtype
+        arch=arch, shapes=walk(arch, num_classes), num_classes=num_classes, lif_cfg=lif_cfg,
+        tcja_cfg=tcja_cfg, dtype=dtype,
     )
-    for spec, shape in zip(arch.layers, walk(arch, num_classes)):
+
+    def register(name: str, values: np.ndarray) -> Tensor:
+        # The layer being built is the next one: layer{len(net.layers)}.
+        tensor = Tensor(values.astype(dtype), requires_grad=True)
+        net.params.append((f"layer{len(net.layers)}.{name}", tensor))
+        return tensor
+
+    def weight(name: str, size: tuple[int, ...], fan_in: int) -> Tensor:
+        bound = 1.0 / np.sqrt(fan_in)
+        return register(name, rng.uniform(-bound, bound, size=size))
+
+    for spec, shape in zip(arch.layers, net.shapes):
         if isinstance(spec, ConvSpec):
             c_in, k = shape[0], spec.kernel
-            layer = ConvLayer(weight((spec.out_channels, c_in, k, k), c_in * k * k))
+            layer = ConvLayer(weight("kernel", (spec.out_channels, c_in, k, k), c_in * k * k))
         elif isinstance(spec, LifSpec):
             lifs = sum(isinstance(built, LifLayer) for built in net.layers)
             layer = LifLayer(lif_cfg, name=f"lif{lifs}")
@@ -471,14 +458,14 @@ def build_network(
             layer = DropoutLayer(spec.p)
         elif isinstance(spec, FcSpec):
             f_in = math.prod(shape)
-            bias = Tensor(np.zeros(spec.out_features, dtype), requires_grad=True)
-            layer = FcLayer(weight((f_in, spec.out_features), f_in), bias)
+            layer = FcLayer(weight("weight", (f_in, spec.out_features), f_in),
+                            register("bias", np.zeros(spec.out_features)))
         elif isinstance(spec, VotingSpec):
             layer = VotingLayer(num_classes)
         else:
             c, t = shape[0], arch.time_steps
             k_t, k_c = tcja_cfg.kernel_sizes(c, t)
-            w = weight((c, c, k_t), c * k_t)
-            layer = TcjaLayer(TcjaParams(w, weight((t, t, k_c), t * k_c), tcja_cfg.fusion))
+            w = weight("w", (c, c, k_t), c * k_t)
+            layer = TcjaLayer(TcjaParams(w, weight("e", (t, t, k_c), t * k_c), tcja_cfg.fusion))
         net.layers.append(layer)
     return net

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import struct
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -162,9 +163,6 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
     """Accuracy, per-class accuracy, and mean firing rate per spiking layer.
 
     Runs the samples in chunks, with the same figures as one at a time."""
-    correct = 0
-    per_class_total: dict[int, int] = {}
-    per_class_hit: dict[int, int] = {}
     rate_sums: dict[str, float] = {}
     predictions = []
 
@@ -180,19 +178,13 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
             out = net.forward(stack_frames(chunk, net.dtype), observe=observe)
         for j, sample in enumerate(chunk):
             rates = out.data[:, j].mean(axis=0)
-            pred = _top_class(rates)
-            true = sample.class_index
-            predictions.append((len(predictions), true, pred, rates))
-            per_class_total[true] = per_class_total.get(true, 0) + 1
-            if pred == true:
-                correct += 1
-                per_class_hit[true] = per_class_hit.get(true, 0) + 1
+            predictions.append((len(predictions), sample.class_index, _top_class(rates), rates))
     n = len(samples)
+    totals = Counter(true for _, true, _, _ in predictions)
+    hits = Counter(true for _, true, pred, _ in predictions if pred == true)
     return EvalResult(
-        accuracy=correct / n if n else 0.0,
-        per_class={
-            lab: per_class_hit.get(lab, 0) / tot for lab, tot in sorted(per_class_total.items())
-        },
+        accuracy=hits.total() / n if n else 0.0,
+        per_class={lab: hits[lab] / total for lab, total in sorted(totals.items())},
         firing_rates={name: s / n for name, s in rate_sums.items()} if n else {},
         predictions=predictions,
     )
@@ -280,17 +272,32 @@ def _meta_dict(net: Network) -> dict:
 
 def network_from_meta(arch: str, meta: dict, rng: np.random.Generator) -> Network:
     """The network that `arch` and a `_meta_dict`-shaped description give,
-    its weights drawn from `rng`; refuses one whose output is not one score
-    per class."""
+    its weights drawn from `rng`; refuses LIF settings that its float type
+    cannot hold and an output that is not one score per class."""
     if (precision := meta["precision"]) not in PRECISIONS:
         raise ValueError(f"precision must be {' or '.join(PRECISIONS)}, got {precision!r}")
     # Checkpoints written while LifConfig had `strict_eq2` still store it.
     lif_kw = dict(meta["lif"])
     lif_kw.pop("strict_eq2", None)
+    lif_cfg = LifConfig(**lif_kw)
+    # Each constant that the neuron and its surrogate cast to the float type
+    # must be finite in it, and the factors 1/tau and 1/gamma² non-zero. An
+    # overflow gives inf and an underflow 0 (Python's `**` would raise).
+    with np.errstate(all="ignore"):
+        constants = {
+            "v_reset": lif_cfg.v_reset, "v_threshold": lif_cfg.v_threshold,
+            "alpha": lif_cfg.alpha, "pi/2 * alpha": np.pi / 2.0 * lif_cfg.alpha,
+            "gamma": lif_cfg.gamma, "1/tau": 1.0 / lif_cfg.tau,
+            "1/gamma²": 1.0 / np.float64(lif_cfg.gamma) ** 2,
+        }
+        for name, value in constants.items():
+            held = PRECISIONS[precision].type(value)
+            if not np.isfinite(held) or held == 0 and name.startswith("1/"):
+                raise ValueError(f"LIF settings do not fit {precision}: {name} becomes {held}")
     input_dims = tuple(int(d) for d in meta["input_dims"])
     spec = parse_arch(arch, input_dims=input_dims, time_steps=int(meta["time_steps"]))
     net = build_network(
-        spec, num_classes=int(meta["num_classes"]), lif_cfg=LifConfig(**lif_kw),
+        spec, num_classes=int(meta["num_classes"]), lif_cfg=lif_cfg,
         tcja_cfg=TcjaConfig(**meta["tcja"]), rng=rng, dtype=PRECISIONS[precision],
     )
     if (out := net.shapes[-1]) != (net.num_classes,):

@@ -114,6 +114,14 @@ class TestConfig:
             ("--lif.v_threshold", "Infinity"),
             ("--lif.v_reset", "-Infinity"),
             ("--lif.tau", "0.5"),  # the leak factor 1 - 1/tau would be negative
+            # Each LIF constant must be finite in the network's float type, f32
+            # here, and the factors 1/tau and 1/gamma² non-zero.
+            ("--lif.v_threshold", "1e300"),
+            ("--lif.v_reset", "-1e300"),
+            ("--lif.tau", "1e300"),
+            ("--lif.alpha", "1e300"),
+            ("--lif.alpha", "3e38"),  # pi/2 * alpha overflows f32
+            ("--lif.gamma", "1e200"),
             # A TCJA block needs C >= 2 and T >= 2 where it sits.
             ("--arch", "1C3-LIF-TCJA-4FC-LIF"),
             ("--time_steps", "1"),
@@ -216,10 +224,10 @@ class TestTrainCommand:
         assert not (out_dir / "best.ckpt").exists()
 
     def test_overflowing_learning_rate_exits_3(self, tmp_path, capsys):
-        # The spiking head keeps the loss finite; the parameter check names the overflow.
+        # The spiking head keeps the loss finite; the parameter check names the
+        # overflow, and numpy's overflow warnings stay silent.
         path, out_dir = quick_config(tmp_path, lr=1e300)
-        with np.errstate(over="ignore", invalid="ignore"):  # the Adam step overflows f32
-            assert main(["train", "--config", str(path)]) == 3
+        assert main(["train", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err == "numeric abort: non-finite parameter 'layer0.kernel' in epoch 0, batch 0\n"
         assert not (out_dir / "last.ckpt").exists()
@@ -391,6 +399,38 @@ class TestEvalCommand:
             " arch '4C3-LIF-MP2-TCJA-16FC-LIF' puts out (16,) per sample and step"
         )
         assert not (out_dir / "predictions.csv").exists()
+
+    def test_rendered_dropout_ratio_restores(self, tmp_path):
+        # The checkpoint stores the arch as `render` writes it back.
+        from tcja_snn.training import load_checkpoint
+
+        arch = "4C3-LIF-MP2-0.00001DP-16FC-LIF-Voting"
+        path, out_dir = quick_config(tmp_path)
+        assert main(["train", "--config", str(path), "--arch", arch]) == 0
+        assert load_checkpoint(out_dir / "last.ckpt").arch == arch
+        assert main(["eval", "--checkpoint", str(out_dir / "last.ckpt"), "--config", str(path)]) == 0
+
+    def test_lif_setting_that_the_float_type_cannot_hold_exits_4(self, tmp_path, capsys):
+        # A threshold of 1e300 fits f64, which trains with it; stored as f32, it cannot be rebuilt.
+        from tcja_snn.training import Checkpoint, load_checkpoint, save_checkpoint
+
+        path, out_dir = quick_config(tmp_path, precision="f64")
+        assert main(["train", "--config", str(path), "--lif.v_threshold", "1e300"]) == 0
+        ckpt = load_checkpoint(out_dir / "last.ckpt")
+        records = []
+        for name, arr in ckpt.records:
+            if name == "meta.config":
+                meta = {**json.loads(arr.tobytes()), "precision": "f32"}
+                arr = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            records.append((name, arr))
+        bad = out_dir / "bad.ckpt"
+        save_checkpoint(bad, Checkpoint(arch=ckpt.arch, records=records))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad), "--config", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "checkpoint error: checkpoint cannot be rebuilt:"
+            " LIF settings do not fit f32: v_threshold becomes inf\n"
+        )
 
 
 class TestInspectAttention:
@@ -782,7 +822,9 @@ class TestPgm:
 
 # Arch strings from the grammar's tokens: uniform draws, which mostly fail
 # to parse, and conv blocks before an FC head, which mostly train.
-_TOKENS = ["1C3", "2C1", "4C3", "LIF", "MP2", "AP2", "0.5DP", "TCJA", "4FC", "6FC", "8FC",
+# Dropout ratios include ones that `render` must write back digit for digit.
+_DROPOUTS = ["0.5DP", "0.00001DP", "0.1234567DP"]
+_TOKENS = ["1C3", "2C1", "4C3", "LIF", "MP2", "AP2", *_DROPOUTS, "TCJA", "4FC", "6FC", "8FC",
            "Voting"]
 _BLOCK = st.tuples(
     st.sampled_from(["1C3", "2C1", "4C3"]), st.just("LIF"),
@@ -792,7 +834,8 @@ _HEAD = st.sampled_from([["4FC", "LIF"], ["8FC", "LIF", "Voting"], ["12FC", "LIF
                          ["6FC", "LIF", "Voting"]])
 _UNIFORM = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=6)
 _STRUCTURED = st.tuples(
-    st.lists(_BLOCK, min_size=1, max_size=2), st.sampled_from([[], ["0.5DP"]]), _HEAD
+    st.lists(_BLOCK, min_size=1, max_size=2), st.sampled_from([[], *([dp] for dp in _DROPOUTS)]),
+    _HEAD,
 ).map(lambda parts: [token for block in parts[0] for token in block] + parts[1] + parts[2])
 _ARCHS = st.integers(0, 3).flatmap(lambda i: _UNIFORM if i == 0 else _STRUCTURED).map("-".join)
 # Config values at the edges of their ranges, and keys of both kinds.
@@ -812,17 +855,19 @@ class TestFuzz:
         time_steps=st.integers(1, 3),
         side=st.integers(4, 8),
         precision=st.sampled_from(["f32", "f64"]),
+        surrogate=st.sampled_from(["atan", "triangle"]),
         edits=st.lists(st.tuples(st.sampled_from(_KEYS), st.sampled_from(_EDGES)), max_size=1),
     )
     def test_every_command_returns_a_documented_exit_code(
-        self, arch, time_steps, side, precision, edits
+        self, arch, time_steps, side, precision, surrogate, edits
     ):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             config = {
                 "arch": arch, "time_steps": time_steps, "out_dir": str(tmp / "run"),
                 "data": {"synthetic": {"height": side, "width": side, "n_train": 4, "n_test": 2}},
-                "train": {"epochs": 1, "batch_size": 4, "precision": precision},
+                "train": {"epochs": 1, "batch_size": 4, "precision": precision,
+                          "surrogate": surrogate},
                 "lif": {}, "tcja": {},
             }
             for (section, key), value in edits:
@@ -831,11 +876,9 @@ class TestFuzz:
             path.write_text(json.dumps(config))
             ckpt = ["--checkpoint", str(tmp / "run" / "last.ckpt"), "--config", str(path),
                     "--out", str(tmp / "out")]
-            # An overflowing run is to end in exit 3, not in numpy's warning.
-            with np.errstate(all="ignore"):
-                trained = main(["train", "--config", str(path)])
-                evaluated = main(["eval", *ckpt])
-                inspected = main(["inspect-attention", *ckpt])
+            trained = main(["train", "--config", str(path)])
+            evaluated = main(["eval", *ckpt])
+            inspected = main(["inspect-attention", *ckpt])
         assert {trained, evaluated, inspected} <= set(range(6))
         if trained == 0:
             assert evaluated == 0 and inspected in (0, 5)

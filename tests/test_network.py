@@ -93,6 +93,12 @@ class TestParse:
         with pytest.raises(ArchParseError, match=message):
             parse_arch(spec)
 
+    @pytest.mark.parametrize("ratio", ["0.00001", "0.1234567", "0.1"])
+    def test_dropout_ratio_renders_back_exactly(self, ratio):
+        # Neither rounded to six digits nor in exponent form, which the grammar lacks.
+        spec = parse_arch(f"4C3-LIF-{ratio}DP-8FC-LIF")
+        assert parse_arch(render(spec)) == spec
+
     def test_flat_layers_may_follow_voting(self):
         spec = parse_arch("4C3-LIF-0.5DP-8FC-LIF-Voting-0.5DP-4FC-LIF-Voting")
         assert spec.layers[5:7] == (VotingSpec(), DropoutSpec(0.5))
