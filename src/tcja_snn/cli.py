@@ -430,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
         return 4
-    except (data_mod.DataError, FileNotFoundError) as err:
+    except (data_mod.DataError, OSError) as err:  # OSError: a path it cannot read or write
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:  # ConfigError, ArchParseError and the value checks

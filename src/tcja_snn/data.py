@@ -119,19 +119,22 @@ def read_events(
 
 def _read_csv(path: Path, width: int, height: int) -> EventStream:
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}: malformed line {lineno}: {line!r}")
-            try:
-                rows.append(tuple(int(v) for v in parts))
-            except ValueError:
-                raise DataError(f"{path}: malformed line {lineno}: {line!r}") from None
-    arr = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+    try:
+        with open(path, newline="") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise DataError(f"{path}: malformed line {lineno}: {line!r}")
+                try:
+                    rows.append(tuple(int(v) for v in parts))
+                except ValueError:
+                    raise DataError(f"{path}: malformed line {lineno}: {line!r}") from None
+        arr = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+    except (UnicodeDecodeError, OverflowError) as err:  # not text, or a value past int64
+        raise DataError(f"{path}: {err}") from None
     return EventStream(*arr.T, width=width, height=height)
 
 
@@ -475,27 +478,31 @@ def load_dataset(
     manifest = root / "manifest.csv"
     if not manifest.is_file():
         raise DataError(f"manifest not found: {manifest}")
+    try:
+        with open(manifest, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as err:  # not text, or a field past csv's limit
+        raise DataError(f"{manifest}: {err}") from None
     dataset = []
     grid = None
-    with open(manifest, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{manifest}: malformed line {lineno}: {row!r}")
-            path, label = row
-            if not label.strip().isdecimal():
-                raise DataError(
-                    f"{manifest}: line {lineno}: label {label!r} is not a non-negative integer"
-                )
-            stream = read_events(root / path, width=width, height=height)
-            grid = grid or (stream.width, stream.height)
-            if (stream.width, stream.height) != grid:
-                raise DataError(
-                    f"{root / path}: sensor grid {stream.width}x{stream.height} differs from"
-                    f" the first file's {grid[0]}x{grid[1]}"
-                )
-            dataset.append((stream, int(label)))
+    for lineno, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataError(f"{manifest}: malformed line {lineno}: {row!r}")
+        path, label = row
+        if not label.strip().isdecimal():
+            raise DataError(
+                f"{manifest}: line {lineno}: label {label!r} is not a non-negative integer"
+            )
+        stream = read_events(root / path, width=width, height=height)
+        grid = grid or (stream.width, stream.height)
+        if (stream.width, stream.height) != grid:
+            raise DataError(
+                f"{root / path}: sensor grid {stream.width}x{stream.height} differs from"
+                f" the first file's {grid[0]}x{grid[1]}"
+            )
+        dataset.append((stream, int(label)))
     if not dataset:
         raise DataError(f"{manifest}: manifest lists no samples")
     return dataset

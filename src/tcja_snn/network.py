@@ -39,52 +39,97 @@ class ArchParseError(ValueError):
 CHUNK_BYTES = 1024 * 1024
 
 
-# -- layer descriptors ---------------------------------------------------------
+# -- layers --------------------------------------------------------------------
+# Each arch token parses to one frozen layer: its first fields are the token's
+# sizes, and `build_network` fills in the rest (weights, settings, names).
 
 
 @dataclass(frozen=True)
-class ConvSpec:
+class ConvLayer:
+    """Conv2D over the time-batched stack, stride 1, keeping H x W."""
+
     out_channels: int
-    kernel: int
+    size: int
+    kernel: Tensor | None = None
+
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        return conv2d(x, self.kernel)
 
 
 @dataclass(frozen=True)
-class LifSpec:
-    pass
+class LifLayer:
+    cfg: LifConfig | None = None
+    name: str | None = None
+
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        return lif_sequence(x, self.cfg)
 
 
 @dataclass(frozen=True)
-class PoolSpec:
+class PoolLayer:
     kind: str  # "max" | "avg"
     k: int
 
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        return pool2d(x, self.kind, self.k)
+
 
 @dataclass(frozen=True)
-class DropoutSpec:
+class DropoutLayer:
+    """Spiking dropout: one Bernoulli mask per sample, shared over all T,
+    drawn from `rng` as one (B, ...) draw, the same numbers as B draws of
+    one sample's mask in turn; without an rng (evaluation) the layer passes
+    its input."""
+
     p: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.p < 1.0:
+            raise ArchParseError(f"dropout ratio {self.p} out of [0, 1)")
+
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        if rng is None or self.p == 0.0:
+            return x
+        keep = 1.0 - self.p
+        mask = (rng.random(x.shape[1:]) < keep).astype(x.dtype) / keep
+        return dropout(x, mask)
+
 
 @dataclass(frozen=True)
-class FcSpec:
+class FcLayer:
     out_features: int
+    weight: Tensor | None = None
+    bias: Tensor | None = None
+
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        return fully_connected(x, self.weight, self.bias)
 
 
 @dataclass(frozen=True)
-class VotingSpec:
-    pass
+class VotingLayer:
+    num_classes: int = 0
+
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        return voting_layer(x, self.num_classes)
 
 
 @dataclass(frozen=True)
-class TcjaSpec:
-    """Insertion marker; kernel sizes and fusion come from the run config."""
+class TcjaLayer:
+    """Insertion point; kernel sizes and fusion come from the run config."""
+
+    params: TcjaParams | None = None
+
+    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        return attention.tcja_forward(x, self.params)
 
 
-LayerSpec = ConvSpec | LifSpec | PoolSpec | DropoutSpec | FcSpec | VotingSpec | TcjaSpec
+# Not a class: perfbench traces the `apply` of every class named `*Layer` here.
+Layer = ConvLayer | LifLayer | PoolLayer | DropoutLayer | FcLayer | VotingLayer | TcjaLayer
 
 
 @dataclass(frozen=True)
 class ArchSpec:
-    layers: tuple[LayerSpec, ...]
+    layers: tuple[Layer, ...]
     input_dims: tuple[int, int, int] | None = None  # (C, H, W)
     time_steps: int | None = None
 
@@ -101,73 +146,70 @@ def parse_arch(
     input_dims: tuple[int, int, int] | None = None,
     time_steps: int | None = None,
 ) -> ArchSpec:
-    """Parse a dash-separated token string into layer descriptors."""
+    """Parse a dash-separated token string into layers, unbuilt."""
     if not spec or not spec.strip():
         raise ArchParseError("empty spec")
-    layers: list[LayerSpec] = []
+    layers: list[Layer] = []
     tokens = spec.strip().split("-")
     for pos, token in enumerate(tokens):
         if m := _CONV_RE.match(token):
             if int(m.group(2)) % 2 == 0:
                 raise ArchParseError(f"conv kernel {m.group(2)} at position {pos} is even")
-            layers.append(ConvSpec(out_channels=int(m.group(1)), kernel=int(m.group(2))))
+            layers.append(ConvLayer(int(m.group(1)), int(m.group(2))))
         elif token == "LIF":
-            layers.append(LifSpec())
+            layers.append(LifLayer())
         elif m := _POOL_RE.match(token):
             kind = "max" if m.group(1) == "MP" else "avg"
-            layers.append(PoolSpec(kind=kind, k=int(m.group(2))))
+            layers.append(PoolLayer(kind, int(m.group(2))))
         elif m := _DP_RE.match(token):
-            p = float(m.group(1))
-            if not 0.0 <= p < 1.0:
-                raise ArchParseError(f"dropout ratio {p} out of [0, 1) at position {pos}")
-            layers.append(DropoutSpec(p=p))
+            layers.append(DropoutLayer(float(m.group(1))))
         elif m := _FC_RE.match(token):
-            layers.append(FcSpec(out_features=int(m.group(1))))
+            layers.append(FcLayer(int(m.group(1))))
         elif token == "Voting":
-            layers.append(VotingSpec())
+            layers.append(VotingLayer())
         elif token == "TCJA":
-            layers.append(TcjaSpec())
+            layers.append(TcjaLayer())
         else:
             raise ArchParseError(f"unknown token {token!r} at position {pos}")
     _validate_layers(layers, tokens)
     return ArchSpec(layers=tuple(layers), input_dims=input_dims, time_steps=time_steps)
 
 
-def _validate_layers(layers: list[LayerSpec], tokens: list[str]) -> None:
+def _validate_layers(layers: list[Layer], tokens: list[str]) -> None:
     """Each layer must see the shape it works on: LIF needs a conv or FC
     just before it, conv, pool and TCJA need the (C, H, W) frames that the
     first FC flattens, and Voting needs the flat width that an FC leaves."""
     after_fc = False
     for i, layer in enumerate(layers):
-        if isinstance(layer, LifSpec) and not (i and isinstance(layers[i - 1], (ConvSpec, FcSpec))):
+        if isinstance(layer, LifLayer) and not (i and isinstance(layers[i - 1], (ConvLayer, FcLayer))):
             raise ArchParseError(f"LIF at position {i} must follow a conv or FC layer")
-        if isinstance(layer, (ConvSpec, PoolSpec, TcjaSpec)) and after_fc:
+        if isinstance(layer, (ConvLayer, PoolLayer, TcjaLayer)) and after_fc:
             raise ArchParseError(f"{tokens[i]} at position {i} must come before the first FC layer")
-        if isinstance(layer, VotingSpec) and not after_fc:
+        if isinstance(layer, VotingLayer) and not after_fc:
             raise ArchParseError(f"Voting at position {i} must come after an FC layer")
-        after_fc = after_fc or isinstance(layer, FcSpec)
+        after_fc = after_fc or isinstance(layer, FcLayer)
 
 
 def render(spec: ArchSpec) -> str:
     """Inverse of parse_arch on the token grammar."""
     tokens = []
     for layer in spec.layers:
-        if isinstance(layer, ConvSpec):
-            tokens.append(f"{layer.out_channels}C{layer.kernel}")
-        elif isinstance(layer, LifSpec):
+        if isinstance(layer, ConvLayer):
+            tokens.append(f"{layer.out_channels}C{layer.size}")
+        elif isinstance(layer, LifLayer):
             tokens.append("LIF")
-        elif isinstance(layer, PoolSpec):
+        elif isinstance(layer, PoolLayer):
             tokens.append(("MP" if layer.kind == "max" else "AP") + str(layer.k))
-        elif isinstance(layer, DropoutSpec):
+        elif isinstance(layer, DropoutLayer):
             tokens.append(np.format_float_positional(layer.p, trim="-") + "DP")
-        elif isinstance(layer, FcSpec):
+        elif isinstance(layer, FcLayer):
             tokens.append(f"{layer.out_features}FC")
-        elif isinstance(layer, VotingSpec):
+        elif isinstance(layer, VotingLayer):
             tokens.append("Voting")
-        elif isinstance(layer, TcjaSpec):
+        elif isinstance(layer, TcjaLayer):
             tokens.append("TCJA")
         else:  # pragma: no cover
-            raise TypeError(f"unknown layer spec {layer!r}")
+            raise TypeError(f"unknown layer {layer!r}")
     return "-".join(tokens)
 
 
@@ -189,81 +231,6 @@ PRESETS: dict[str, str] = {
     "fashion": "128C3-LIF-AP2-128C3-LIF-AP2-0.5DP-512FC-LIF-0.5DP-10FC-LIF",
     "desk": "16C3-LIF-MP2-TCJA-16C3-LIF-MP2-64FC-LIF-Voting",
 }
-
-
-# -- built layers ----------------------------------------------------------------
-
-
-class ConvLayer:
-    """Conv2D over the time-batched stack, stride 1, keeping H x W."""
-
-    def __init__(self, kernel: Tensor):
-        self.kernel = kernel
-
-    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        return conv2d(x, self.kernel)
-
-
-class LifLayer:
-    def __init__(self, cfg: LifConfig, name: str):
-        self.cfg = cfg
-        self.name = name
-
-    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        return lif_sequence(x, self.cfg)
-
-
-class PoolLayer:
-    def __init__(self, kind: str, k: int):
-        self.kind = kind
-        self.k = k
-
-    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        return pool2d(x, self.kind, self.k)
-
-
-class DropoutLayer:
-    """Spiking dropout: one Bernoulli mask per sample, shared over all T,
-    drawn from `rng` as one (B, ...) draw, the same numbers as B draws of
-    one sample's mask in turn; without an rng (evaluation) the layer passes
-    its input."""
-
-    def __init__(self, p: float):
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-
-    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        if rng is None or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (rng.random(x.shape[1:]) < keep).astype(x.dtype) / keep
-        return dropout(x, mask)
-
-
-class FcLayer:
-    def __init__(self, weight: Tensor, bias: Tensor):
-        self.weight = weight
-        self.bias = bias
-
-    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        return fully_connected(x, self.weight, self.bias)
-
-
-class VotingLayer:
-    def __init__(self, num_classes: int):
-        self.num_classes = num_classes
-
-    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        return voting_layer(x, self.num_classes)
-
-
-class TcjaLayer:
-    def __init__(self, params: TcjaParams):
-        self.params = params
-
-    def apply(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        return attention.tcja_forward(x, self.params)
 
 
 def voting_layer(spikes: Tensor, num_classes: int) -> Tensor:
@@ -301,13 +268,13 @@ class Network:
     (see `walk`)."""
 
     arch: ArchSpec
-    layers: list = field(default_factory=list)
+    shapes: list[tuple[int, ...]]
+    num_classes: int
+    lif_cfg: LifConfig
+    tcja_cfg: TcjaConfig
+    dtype: np.dtype
+    layers: list[Layer] = field(default_factory=list)
     params: list[tuple[str, Tensor]] = field(default_factory=list)
-    shapes: list[tuple[int, ...]] = field(default_factory=list)
-    num_classes: int = 0
-    lif_cfg: LifConfig = field(default_factory=LifConfig)
-    tcja_cfg: TcjaConfig = field(default_factory=TcjaConfig)
-    dtype: np.dtype = np.float64
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return self.params
@@ -376,23 +343,23 @@ def walk(arch: ArchSpec, num_classes: int) -> list[tuple[int, ...]]:
     shapes = [tuple(arch.input_dims)]
     for i, layer in enumerate(arch.layers):
         shape = shapes[-1]
-        if isinstance(layer, ConvSpec):
+        if isinstance(layer, ConvLayer):
             shape = (layer.out_channels, *shape[1:])
-        elif isinstance(layer, PoolSpec):
+        elif isinstance(layer, PoolLayer):
             c, h, w = shape
             if h % layer.k or w % layer.k:
                 raise ArchParseError(f"pool at position {i}: {h}x{w} not divisible by {layer.k}")
             shape = (c, h // layer.k, w // layer.k)
-        elif isinstance(layer, FcSpec):
+        elif isinstance(layer, FcLayer):
             shape = (layer.out_features,)
-        elif isinstance(layer, VotingSpec):
+        elif isinstance(layer, VotingLayer):
             if shape[0] % num_classes:
                 raise ArchParseError(
                     f"voting at position {i}: width {shape[0]} not divisible by"
                     f" {num_classes} classes"
                 )
             shape = (num_classes,)
-        elif isinstance(layer, TcjaSpec) and min(shape[0], arch.time_steps) < 2:
+        elif isinstance(layer, TcjaLayer) and min(shape[0], arch.time_steps) < 2:
             raise ArchParseError(
                 f"TCJA at position {i} needs C, T >= 2, got C={shape[0]} T={arch.time_steps}"
             )
@@ -404,11 +371,11 @@ def analytic_param_count(arch: ArchSpec, num_classes: int, tcja_cfg: TcjaConfig)
     """Closed-form parameter total from layer dimensions alone."""
     total = 0
     for layer, shape in zip(arch.layers, walk(arch, num_classes)):
-        if isinstance(layer, ConvSpec):
-            total += layer.out_channels * shape[0] * layer.kernel**2
-        elif isinstance(layer, FcSpec):
+        if isinstance(layer, ConvLayer):
+            total += layer.out_channels * shape[0] * layer.size**2
+        elif isinstance(layer, FcLayer):
             total += (math.prod(shape) + 1) * layer.out_features
-        elif isinstance(layer, TcjaSpec):
+        elif isinstance(layer, TcjaLayer):
             c, t = shape[0], arch.time_steps
             tla_n, cla_n, _ = attention.param_count(c, t, *tcja_cfg.kernel_sizes(c, t))
             total += tla_n + cla_n
@@ -445,27 +412,23 @@ def build_network(
         bound = 1.0 / np.sqrt(fan_in)
         return register(name, rng.uniform(-bound, bound, size=size))
 
-    for spec, shape in zip(arch.layers, net.shapes):
-        if isinstance(spec, ConvSpec):
-            c_in, k = shape[0], spec.kernel
-            layer = ConvLayer(weight("kernel", (spec.out_channels, c_in, k, k), c_in * k * k))
-        elif isinstance(spec, LifSpec):
+    for layer, shape in zip(arch.layers, net.shapes):
+        if isinstance(layer, ConvLayer):
+            c_out, c_in, k = layer.out_channels, shape[0], layer.size
+            layer = ConvLayer(c_out, k, weight("kernel", (c_out, c_in, k, k), c_in * k * k))
+        elif isinstance(layer, LifLayer):
             lifs = sum(isinstance(built, LifLayer) for built in net.layers)
             layer = LifLayer(lif_cfg, name=f"lif{lifs}")
-        elif isinstance(spec, PoolSpec):
-            layer = PoolLayer(spec.kind, spec.k)
-        elif isinstance(spec, DropoutSpec):
-            layer = DropoutLayer(spec.p)
-        elif isinstance(spec, FcSpec):
-            f_in = math.prod(shape)
-            layer = FcLayer(weight("weight", (f_in, spec.out_features), f_in),
-                            register("bias", np.zeros(spec.out_features)))
-        elif isinstance(spec, VotingSpec):
+        elif isinstance(layer, FcLayer):
+            f_in, f_out = math.prod(shape), layer.out_features
+            w = weight("weight", (f_in, f_out), f_in)
+            layer = FcLayer(f_out, w, register("bias", np.zeros(f_out)))
+        elif isinstance(layer, VotingLayer):
             layer = VotingLayer(num_classes)
-        else:
+        elif isinstance(layer, TcjaLayer):
             c, t = shape[0], arch.time_steps
             k_t, k_c = tcja_cfg.kernel_sizes(c, t)
             w = weight("w", (c, c, k_t), c * k_t)
             layer = TcjaLayer(TcjaParams(w, weight("e", (t, t, k_c), t * k_c), tcja_cfg.fusion))
-        net.layers.append(layer)
+        net.layers.append(layer)  # pool and dropout layers run as parsed
     return net

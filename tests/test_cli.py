@@ -800,6 +800,39 @@ class TestManifestLabels:
             assert "manifest.csv: line " in err
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be created is a data error naming it."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        path, out_dir = quick_config(tmp_path_factory.mktemp("unwritable"), epochs=0)
+        assert main(["train", "--config", str(path)]) == 0
+        return path, out_dir / "best.ckpt"
+
+    @pytest.mark.parametrize(
+        "command, under",
+        [("train", False), ("train", True), ("eval", False), ("inspect-attention", False),
+         ("gen-synthetic", False)],
+        ids=["train", "train-under-a-file", "eval", "inspect-attention", "gen-synthetic"],
+    )
+    def test_path_naming_a_file_exits_2(self, tmp_path, capsys, trained, command, under):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        target = afile / "sub" if under else afile
+        config, checkpoint = trained
+        capsys.readouterr()
+        if command == "train":
+            args = ["--config", str(config), "--out_dir", str(target)]
+        elif command == "gen-synthetic":
+            args = ["--out", str(target), "--n", "8", "--height", "8", "--width", "8"]
+        else:
+            args = ["--checkpoint", str(checkpoint), "--config", str(config), "--out", str(target)]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(target) in err and "Traceback" not in err
+
+
 class TestReadme:
     def test_cli_block_lists_exactly_the_parser_subcommands(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcja_snn.data import (
@@ -216,16 +216,16 @@ class TestValidate:
             self._stream(x=wide[:, 0]).validate()
 
 
-def _read_or_data_error(path, blob: bytes) -> None:
+def _read_or_data_error(path, blob: bytes, **grid) -> None:
     path.write_bytes(blob)
     try:
-        read_events(path)
+        read_events(path, **grid)
     except DataError:
         pass
 
 
 class TestEventFuzz:
-    """Any .bin file either reads as a valid stream or raises DataError."""
+    """Any event file or manifest either reads or raises DataError."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=200), st.booleans())
@@ -245,6 +245,28 @@ class TestEventFuzz:
             for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=3)):
                 blob[bit // 8] ^= 1 << (bit % 8)
         _read_or_data_error(path, bytes(blob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200) | st.text("0123456789,-\n", max_size=80).map(str.encode))
+    @example(b"99999999999999999999,1,1,1\n")  # past int64
+    @example(b"0,1,1,\xff\n")  # not UTF-8
+    def test_arbitrary_csv_bytes(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz_events.csv"
+        _read_or_data_error(path, blob, width=8, height=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    @example(b"a.bin,\xff\n")  # not UTF-8
+    @example(b"a.bin," + b"0" * 200_000 + b"\n")  # a field past csv's limit
+    def test_arbitrary_manifest_bytes(self, tmp_path_factory, blob):
+        root = tmp_path_factory.getbasetemp() / "fuzz_manifest"
+        root.mkdir(exist_ok=True)
+        write_events(root / "a.bin", toy_stream())
+        (root / "manifest.csv").write_bytes(blob)
+        try:
+            load_dataset(root)
+        except DataError:
+            pass
 
 
 class TestIntegration:

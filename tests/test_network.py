@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -8,15 +9,14 @@ import pytest
 from tcja_snn.attention import TcjaConfig
 from tcja_snn.network import (
     ArchParseError,
-    ConvSpec,
+    ConvLayer,
     DropoutLayer,
-    DropoutSpec,
-    FcSpec,
-    LifSpec,
-    PoolSpec,
+    FcLayer,
+    LifLayer,
+    PoolLayer,
     PRESETS,
-    TcjaSpec,
-    VotingSpec,
+    TcjaLayer,
+    VotingLayer,
     analytic_param_count,
     build_network,
     dropout,
@@ -48,11 +48,11 @@ REFERENCE_LAYER_COUNTS = {
 class TestParse:
     def test_conv_lif_pool_prefix(self):
         spec = parse_arch("128C3-LIF-MP2")
-        assert spec.layers == (ConvSpec(128, 3), LifSpec(), PoolSpec("max", 2))
+        assert spec.layers == (ConvLayer(128, 3), LifLayer(), PoolLayer("max", 2))
 
     def test_dropout_fc_lif(self):
         spec = parse_arch("0.5DP-512FC-LIF")
-        assert spec.layers == (DropoutSpec(0.5), FcSpec(512), LifSpec())
+        assert spec.layers == (DropoutLayer(0.5), FcLayer(512), LifLayer())
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ArchParseError, match="empty"):
@@ -101,13 +101,13 @@ class TestParse:
 
     def test_flat_layers_may_follow_voting(self):
         spec = parse_arch("4C3-LIF-0.5DP-8FC-LIF-Voting-0.5DP-4FC-LIF-Voting")
-        assert spec.layers[5:7] == (VotingSpec(), DropoutSpec(0.5))
+        assert spec.layers[5:7] == (VotingLayer(), DropoutLayer(0.5))
 
     def test_voting_and_tcja_and_ap(self):
         spec = parse_arch("16C3-LIF-TCJA-AP2-16FC-LIF-Voting")
-        assert spec.layers[2] == TcjaSpec()
-        assert spec.layers[3] == PoolSpec("avg", 2)
-        assert spec.layers[-1] == VotingSpec()
+        assert spec.layers[2] == TcjaLayer()
+        assert spec.layers[3] == PoolLayer("avg", 2)
+        assert spec.layers[-1] == VotingLayer()
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_LAYER_COUNTS))
     def test_reference_architectures_parse_and_roundtrip(self, name):
@@ -404,6 +404,20 @@ class TestWalk:
         assert net._stack_bytes == t_steps * max(math.prod(s) for s in seen) * 4
         assert analytic_param_count(arch, classes, cfg) == net.param_count()
 
+    @pytest.mark.parametrize("name", sorted(WALK_CASES))
+    def test_build_only_fills_in_the_parsed_layers(self, name):
+        # A layer's build-given fields are the ones with defaults; cleared, the
+        # built layer is the parsed one, so render(net.arch) describes what runs.
+        text, side, classes = WALK_CASES[name]
+        arch = parse_arch(text, input_dims=(2, side, side), time_steps=3)
+        net = build_network(arch, classes, rng=np.random.default_rng(0))
+        assert len(net.layers) == len(net.arch.layers)
+        for built, parsed in zip(net.layers, net.arch.layers):
+            given = {f.name: f.default for f in dataclasses.fields(built)
+                     if f.default is not dataclasses.MISSING}
+            assert dataclasses.replace(built, **given) == parsed
+            assert built is parsed if not given else built != parsed
+
     @pytest.mark.parametrize("dims", [(2, 8), (2, 8, 8, 1), (0, 8, 8)])
     def test_input_dims_must_be_three_positive_sizes(self, dims):
         arch = parse_arch("4C3-LIF", input_dims=dims, time_steps=2)
@@ -533,7 +547,7 @@ class TestForward:
     def test_mid_stack_error_carries_layer_index(self):
         arch = parse_arch("2C3-LIF-MP2", input_dims=(2, 16, 16), time_steps=2)
         net = build_network(arch, num_classes=2)
-        net.layers[2].k = 3  # sabotage: 16x16 not divisible by 3
+        net.layers[2] = PoolLayer("max", 3)  # sabotage: 16x16 not divisible by 3
         with pytest.raises(ShapeError, match=r"layer 2 \(PoolLayer\)"):
             net.forward(Tensor(np.zeros((2, 1, 2, 16, 16), dtype=np.float32)))
 

@@ -1,7 +1,10 @@
 """perfbench times the engine by patching its attributes; a renamed seam
 would silently drop a metric, so the traced install must find every one."""
 
+import typing
 from pathlib import Path
+
+from tcja_snn import network
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -32,3 +35,10 @@ def test_traced_install_patches_every_seam(monkeypatch):
         rec.close()
     assert len(patched) == len(TRACED_SEAMS) == 28
     assert set(patched) == TRACED_SEAMS
+
+
+def test_every_layer_kind_is_traced():
+    # A layer kind without its own traced `apply` would run outside every span.
+    kinds = {f"{cls.__name__}.apply" for cls in typing.get_args(network.Layer)}
+    assert kinds == {seam for seam in TRACED_SEAMS if seam.endswith("Layer.apply")}
+    assert len(kinds) == 7
