@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import ctypes
 import inspect
 import json
 import sys
@@ -439,6 +440,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """The `tcja-snn` command: `main` with glibc malloc's mmap and trim
+    thresholds fixed, as perfbench fixes them. Left dynamic, the mmap
+    threshold rises only after a larger block is freed, so until then each
+    large activation array is mapped and faulted in afresh on every call.
+    In-process callers of `main` keep their own settings."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # not glibc
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB from the heap
+        mallopt(-1, 512 << 20)  # M_TRIM_THRESHOLD: keep up to 512 MiB of heap
     raise SystemExit(main())
 
 

@@ -33,9 +33,11 @@ class ArchParseError(ValueError):
 # Bytes per activation stack of a recorded graph: samples run in chunks, as
 # many as fit, so a chunk's samples share the per-op overhead. A training
 # chunk's graph saves up to one (T, B, ...) stack per layer: its widest stack
-# gets CHUNK_BYTES. A forward without a graph peaks while a conv holds its
-# input, output and columns (2.75 widest stacks on desk, whose conv2 columns
-# are 2.25): four widest stacks get the same len(layers) * CHUNK_BYTES.
+# gets CHUNK_BYTES. A forward without a graph, whose convs build their
+# columns a block at a time, peaks while the first LIF holds its input and
+# spike stack (2.25 widest stacks on desk). Four widest stacks, the rule from
+# when conv2's whole columns made it 2.75, get the same
+# len(layers) * CHUNK_BYTES, so the chunks stay where they were measured.
 CHUNK_BYTES = 1024 * 1024
 
 

@@ -55,12 +55,18 @@ def will_record(parents: Sequence["Tensor"]) -> bool:
 # per block: small enough that a block's data and temporaries stay in cache
 # between the passes over it, large enough that a small stack is one block.
 BLOCK_BYTES = 256 * 1024
+# Bytes of columns a conv forward without a graph builds per block. The
+# GEMM right after reads them once, so a block may fill more of the cache
+# than a backward's, and desk-size images, whose GEMMs are small, gain from
+# fewer blocks (BENCH_eval_columns.json).
+COLUMN_BYTES = 1024 * 1024
 
 
-def blocks(length: int, unit_bytes: int) -> list[slice]:
+def blocks(length: int, unit_bytes: int, budget: int | None = None) -> list[slice]:
     """Split range(length) into consecutive runs of units, each covering at
-    most BLOCK_BYTES at `unit_bytes` a unit, but at least one unit."""
-    step = max(1, BLOCK_BYTES // unit_bytes)
+    most `budget` (BLOCK_BYTES if None) at `unit_bytes` a unit, but at least
+    one unit."""
+    step = max(1, (budget or BLOCK_BYTES) // unit_bytes)
     return [slice(start, min(start + step, length)) for start in range(0, length, step)]
 
 
@@ -203,9 +209,20 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     k = k_h
 
     images = x.data.reshape(-1, c_in, height, width)
-    cols = _im2col(images, k)
-    out = np.matmul(kernel.data.reshape(c_out, -1), cols).reshape(*x.shape[:-3], c_out, height, width)
+    weights = kernel.data.reshape(c_out, -1)
     xt, kt = x, kernel
+    if will_record((xt, kt)):
+        cols = _im2col(images, k)  # the kernel gradient reads them
+        out = np.matmul(weights, cols)
+    else:
+        # No backward: build the columns a block of images at a time into
+        # one buffer, and write each block's rows while they are in cache.
+        out = np.empty((len(images), c_out, height * width), dtype=np.result_type(weights, images))
+        spans = blocks(len(images), c_in * k * k * height * width * images.itemsize, COLUMN_BYTES)
+        buffer = np.empty((spans[0].stop if spans else 0, c_in * k * k, height * width), dtype=images.dtype)
+        for block in spans:
+            np.matmul(weights, _im2col(images[block], k, out=buffer), out=out[block])
+    out = out.reshape(*x.shape[:-3], c_out, height, width)
 
     def backward(g: np.ndarray) -> None:
         if kt.requires_grad:
@@ -225,9 +242,10 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     return Tensor._node(out, (xt, kt), backward)
 
 
-def _im2col(images: np.ndarray, k: int) -> np.ndarray:
+def _im2col(images: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) -> (B, C*k*k, H*W) columns of the images zero-padded by
-    p = k//2 on every side (k odd), with no padded copy made.
+    p = k//2 on every side (k odd), with no padded copy made. With `out`, a
+    C-contiguous (B' >= B, C*k*k, H*W) buffer, they go into its first B rows.
 
     Tap (i, j) reads each H*W plane shifted by d = (i-p)*W + (j-p): one
     contiguous copy per plane, then zeros over the |d| entries the shift
@@ -236,7 +254,9 @@ def _im2col(images: np.ndarray, k: int) -> np.ndarray:
     batch, channels, height, width = images.shape
     padding, size = k // 2, height * width
     planes = images.reshape(batch, channels, size)
-    cols = np.empty((batch, channels, k, k, size), dtype=images.dtype)
+    if out is None:
+        out = np.empty((batch, channels * k * k, size), dtype=images.dtype)
+    cols = out[:batch].reshape(batch, channels, k, k, size)
     grid = cols.reshape(batch, channels, k, k, height, width)
     for i in range(k):
         for j in range(k):

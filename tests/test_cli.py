@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcja_snn import cli
 from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
 from tcja_snn.data import gen_synthetic, write_dataset
 
@@ -831,6 +832,50 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(target) in err and "Traceback" not in err
+
+
+class _FakeLibc:
+    """Stands in for `ctypes.CDLL(None)`, recording each `mallopt` call."""
+
+    def __init__(self, calls: list):
+        def mallopt(param: int, value: int) -> int:
+            calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+class TestEntrypoint:
+    """The `tcja-snn` command fixes glibc malloc's thresholds; `main` does not."""
+
+    def test_pins_malloc_then_runs_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: _FakeLibc(calls))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entrypoint()
+        assert exit_info.value.code == 0
+        assert calls == [(-3, 32 << 20), (-1, 512 << 20), "main"]
+
+    @pytest.mark.parametrize("error", [AttributeError, OSError])
+    def test_silent_without_mallopt(self, monkeypatch, capsys, error):
+        def cdll(name):
+            raise error("no mallopt")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(cli, "main", lambda: 0)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entrypoint()
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_main_leaves_the_allocator_alone(self, monkeypatch, tmp_path):
+        # In-process callers (perfbench, these tests) keep their own settings.
+        calls = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: _FakeLibc(calls))
+        config, _ = quick_config(tmp_path)
+        assert main(["train", "--config", str(config)]) == 0
+        assert calls == []
 
 
 class TestReadme:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,45 @@ class TestConv2d:
         want = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kt.shape)
         assert_same_bits(kt.grad, want)
 
+    # The presets' convs at their evaluation chunk: desk over 20 samples of
+    # T = 8 (f32), scaled-train over one sample of T = 14, and each at one
+    # image fewer, so that blocks of 2 and of 3 images both end short.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fewer", [0, 1])
+    @pytest.mark.parametrize(
+        "batch,c_in,c_out,size", [(160, 2, 16, 16), (160, 16, 16, 8), (14, 2, 64, 32), (14, 64, 64, 16)]
+    )
+    def test_blocked_forward_matches_the_recorded_one(
+        self, monkeypatch, batch, c_in, c_out, size, fewer, dtype
+    ):
+        # Without a graph the columns are built a block at a time: blocks of
+        # 1, 2 and 3 images and the default budget give the recorded forward's
+        # bytes, whether no_grad or no parent needing a gradient skips the graph.
+        rng = np.random.default_rng(c_in + c_out + size)
+        x = (rng.random((batch - fewer, c_in, size, size)) < 0.2).astype(dtype)
+        kernel = (rng.standard_normal((c_out, c_in, 3, 3)) * 0.1).astype(dtype)
+        recorded = conv2d(Tensor(x), Tensor(kernel, requires_grad=True))
+        assert recorded.requires_grad
+        image_bytes = c_in * 9 * size * size * np.dtype(dtype).itemsize
+        for budget in (image_bytes, 2 * image_bytes, 3 * image_bytes, tensor.COLUMN_BYTES):
+            monkeypatch.setattr(tensor, "COLUMN_BYTES", budget)
+            with no_grad():
+                plain = conv2d(Tensor(x), Tensor(kernel, requires_grad=True))
+            unneeded = conv2d(Tensor(x), Tensor(kernel))
+            for out in (plain, unneeded):
+                assert not out.requires_grad
+                assert_same_bits(out.data, recorded.data)
+
+    @pytest.mark.parametrize("leading", [(0,), (0, 3), (4, 0)])
+    def test_no_images_give_an_empty_output(self, leading):
+        x = np.ones((*leading, 2, 5, 5), dtype=np.float32)
+        kernel = np.ones((3, 2, 3, 3), dtype=np.float32)
+        recorded = conv2d(Tensor(x), Tensor(kernel, requires_grad=True))
+        with no_grad():
+            plain = conv2d(Tensor(x), Tensor(kernel, requires_grad=True))
+        assert plain.shape == (*leading, 3, 5, 5)
+        assert_same_bits(plain.data, recorded.data)
+
 
 class TestIm2col:
     """The pad-free column fill against np.pad plus one slab per tap."""
@@ -331,17 +372,17 @@ class TestIm2col:
     # padding. At padding k//2 a shift of a whole plane or more (1x6, 6x1,
     # 1x1) leaves a tap all zero and a shift by whole rows wraps every
     # column (6x1). Other paddings run through im2col_at_padding.
+    SLAB_CASES = [
+        (h, w, k, p)
+        for h, w in ((7, 6), (5, 9), (1, 6), (6, 1), (1, 1))
+        for k in (1, 3, 5)
+        for p in range(k)
+        if k <= min(h, w) + 2 * p
+    ]
+    WIDE_SHIFTS = [(2, 2), (1, 3), (3, 1), (2, 5)]
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "height,width,ksize,padding",
-        [
-            (h, w, k, p)
-            for h, w in ((7, 6), (5, 9), (1, 6), (6, 1), (1, 1))
-            for k in (1, 3, 5)
-            for p in range(k)
-            if k <= min(h, w) + 2 * p
-        ],
-    )
+    @pytest.mark.parametrize("height,width,ksize,padding", SLAB_CASES)
     def test_matches_padded_slabs(self, height, width, ksize, padding, dtype):
         rng = np.random.default_rng(10 * ksize + padding)
         images = rng.standard_normal((2, 3, height, width)).astype(dtype)
@@ -354,7 +395,7 @@ class TestIm2col:
         images = np.random.default_rng(5).standard_normal((2, 3, 3, 9))
         assert_same_bits(tensor._im2col(images, 7), oracles.im2col_padded(images, 7, 3))
 
-    @pytest.mark.parametrize("height,width", [(2, 2), (1, 3), (3, 1), (2, 5)])
+    @pytest.mark.parametrize("height,width", WIDE_SHIFTS)
     def test_column_shifts_wider_than_the_image(self, height, width):
         # k = 7 at padding 3: a column shift of up to 3 can exceed the width,
         # and then every column of the tap wrapped round a row edge.
@@ -364,6 +405,33 @@ class TestIm2col:
     def test_a_strided_view_matches_padded_slabs(self):
         images = np.random.default_rng(4).standard_normal((3, 4, 8, 10))[:, ::2, :, 1:-1]
         assert_same_bits(tensor._im2col(images, 3), oracles.im2col_padded(images, 3, 1))
+
+    # The cases above, through a NaN-filled buffer one image longer than the
+    # images: a reused buffer's stale values never show, and the spare image
+    # is left as it was. Images are grown as im2col_at_padding grows them.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "height,width,ksize",
+        [(h + 2 * max(p - k // 2, 0), w + 2 * max(p - k // 2, 0), k) for h, w, k, p in SLAB_CASES]
+        + [(3, 9, 7)]
+        + [(h, w, 7) for h, w in WIDE_SHIFTS],
+    )
+    def test_out_buffer_gets_every_value(self, height, width, ksize, dtype):
+        images = np.random.default_rng(height * width + ksize).standard_normal((2, 3, height, width))
+        assert_fills_a_nan_buffer(images.astype(dtype), ksize)
+
+    def test_out_buffer_from_a_strided_view(self):
+        images = np.random.default_rng(4).standard_normal((3, 4, 8, 10))[:, ::2, :, 1:-1]
+        assert_fills_a_nan_buffer(images, 3)
+
+
+def assert_fills_a_nan_buffer(images: np.ndarray, k: int) -> None:
+    batch, channels, height, width = images.shape
+    buffer = np.full((batch + 1, channels * k * k, height * width), np.nan, dtype=images.dtype)
+    got = tensor._im2col(images, k, out=buffer)
+    assert np.shares_memory(got, buffer)
+    assert_same_bits(got, tensor._im2col(images, k))
+    assert np.isnan(buffer[batch]).all()
 
 
 class TestConv1d:
@@ -509,6 +577,10 @@ class TestBlocks:
     def test_one_block_when_everything_fits(self):
         assert tensor.blocks(8, tensor.BLOCK_BYTES // 8) == [slice(0, 8)]
 
+    def test_a_budget_stands_in_for_block_bytes(self, monkeypatch):
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 100)
+        assert [(b.start, b.stop) for b in tensor.blocks(9, 40, 200)] == [(0, 5), (5, 9)]
+
 
 class TestFullyConnected:
     def test_identity_weight(self):
@@ -641,6 +713,24 @@ class TestNoGrad:
         recorded.backward()
         # Tap (i, j) meets the 4x4 image at 3, 4 or 3 rows times 3, 4 or 3 columns.
         np.testing.assert_array_equal(w.grad, np.outer([3.0, 4.0, 3.0], [3.0, 4.0, 3.0])[None, None])
+
+    def test_conv_keeps_one_column_block(self):
+        # Without a graph the conv builds one block of columns at a time, not
+        # the (14, 576, 256) array (8.3 MB) a kernel gradient would read.
+        rng = np.random.default_rng(2)
+        x = Tensor((rng.random((14, 64, 16, 16)) < 0.2).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32), requires_grad=True)
+        image_bytes = 64 * 9 * 16 * 16 * 4
+        block = tensor.blocks(14, image_bytes, tensor.COLUMN_BYTES)[0]
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = conv2d(x, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = x.data.nbytes + out.data.nbytes + (block.stop - block.start) * image_bytes + 64 * 1024
+        assert peak < bound, f"peak {peak / 2**20:.2f} MiB against {bound / 2**20:.2f} MiB"
 
     def test_restores_recording_after_an_error(self):
         w = Tensor(np.ones(2), requires_grad=True)
