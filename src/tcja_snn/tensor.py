@@ -54,11 +54,14 @@ def will_record(parents: Sequence["Tensor"]) -> bool:
 # Bytes a blocked backward (LIF, max pooling, conv's input gradient) covers
 # per block: small enough that a block's data and temporaries stay in cache
 # between the passes over it, large enough that a small stack is one block.
+# A recorded conv keeps its columns for the kernel gradient only while one
+# image's columns fit it; above that, the backward rebuilds them.
 BLOCK_BYTES = 256 * 1024
-# Bytes of columns a conv forward without a graph builds per block. The
-# GEMM right after reads them once, so a block may fill more of the cache
-# than a backward's, and desk-size images, whose GEMMs are small, gain from
-# fewer blocks (BENCH_eval_columns.json).
+# Bytes of columns a conv builds per block when it keeps none: its forward,
+# and the rebuild in its kernel gradient. The GEMM right after reads them
+# once, so a block may fill more of the cache than a backward's, and
+# desk-size images, whose GEMMs are small, gain from fewer blocks
+# (BENCH_eval_columns.json).
 COLUMN_BYTES = 1024 * 1024
 
 
@@ -210,15 +213,18 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
     images = x.data.reshape(-1, c_in, height, width)
     weights = kernel.data.reshape(c_out, -1)
+    image_bytes = c_in * k * k * height * width * images.itemsize
     xt, kt = x, kernel
-    if will_record((xt, kt)):
+    if will_record((xt, kt)) and image_bytes <= BLOCK_BYTES:
         cols = _im2col(images, k)  # the kernel gradient reads them
         out = np.matmul(weights, cols)
     else:
-        # No backward: build the columns a block of images at a time into
-        # one buffer, and write each block's rows while they are in cache.
+        # Keep no columns: build them a block of images at a time into one
+        # buffer, and write each block's rows while they are in cache. A
+        # recorded conv's kernel gradient rebuilds them into the same buffer.
+        cols = None
         out = np.empty((len(images), c_out, height * width), dtype=np.result_type(weights, images))
-        spans = blocks(len(images), c_in * k * k * height * width * images.itemsize, COLUMN_BYTES)
+        spans = blocks(len(images), image_bytes, COLUMN_BYTES)
         buffer = np.empty((spans[0].stop if spans else 0, c_in * k * k, height * width), dtype=images.dtype)
         for block in spans:
             np.matmul(weights, _im2col(images[block], k, out=buffer), out=out[block])
@@ -227,7 +233,14 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if kt.requires_grad:
             g3 = g.reshape(-1, c_out, height * width)
-            kt._accumulate(np.matmul(cols, g3.transpose(0, 2, 1)).sum(axis=0).T.reshape(kt.shape))
+            if cols is not None:
+                prod = np.matmul(cols, g3.transpose(0, 2, 1))
+            else:
+                prod = np.empty((len(g3), c_in * k * k, c_out), dtype=np.result_type(images, g))
+                for block in spans:
+                    cols_block = _im2col(images[block], k, out=buffer)
+                    np.matmul(cols_block, g3[block].transpose(0, 2, 1), out=prod[block])
+            kt._accumulate(prod.sum(axis=0).T.reshape(kt.shape))
         if xt.requires_grad:
             # dx is the correlation of the output gradient, zero-padded by
             # k-1-k//2 = k//2, with the flipped, channel-swapped kernel, taken

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from tcja_snn import cli
 from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
 from tcja_snn.data import gen_synthetic, write_dataset
+from tcja_snn.training import TrainConfig
 
 import oracles
 
@@ -46,6 +48,13 @@ class TestConfig:
     def test_defaults_load(self):
         config = load_config(None, [])
         assert config == DEFAULT_CONFIG
+
+    def test_default_run_settings(self):
+        # The default-config runs quoted as baselines train with these.
+        assert DEFAULT_CONFIG["time_steps"] == 8
+        assert dataclasses.asdict(TrainConfig()) == {
+            "lr": 1e-3, "batch_size": 16, "epochs": 10, "optimizer": "adam", "augment": False,
+        }
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -171,6 +171,10 @@ class TestValidate:
         self._stream(p=np.array([0.0, 1.0, -0.0, 1.0])).validate()
         self._stream(p=np.array([False, True, True, False])).validate()
 
+    def test_equal_timestamps_pass(self):
+        # Non-decreasing, not increasing: sensors repeat timestamps.
+        self._stream(t=np.array([3, 3, 3, 7])).validate()
+
     def test_field_lengths_differ(self):
         with pytest.raises(DataError, match="^event field lengths differ$"):
             self._stream(y=np.zeros(3, dtype=np.int64)).validate()
@@ -447,6 +451,13 @@ class TestSplit:
         a = split_train_test(samples, labels, 1)
         b = split_train_test(samples, labels, 2)
         assert a != b
+
+    def test_fifteen_members_give_one_test_sample(self):
+        samples, labels = self.labeled(per_class=15, classes=3)
+        train, test = split_train_test(samples, labels, seed=4)
+        assert len(train) == 42 and len(test) == 3
+        label_of = dict(zip(samples, labels))
+        assert sorted(label_of[s] for s in test) == [0, 1, 2]
 
     def test_small_class_rejected(self):
         with pytest.raises(DataError, match="class 1"):

@@ -352,6 +352,12 @@ class TestBuild:
         with pytest.raises(ArchParseError, match="divisible"):
             build_network(arch, num_classes=2)
 
+    @pytest.mark.parametrize("dims", [(1, 4, 6), (1, 6, 4)])
+    def test_pool_must_divide_both_sides(self, dims):
+        arch = parse_arch("4C3-LIF-MP4", input_dims=dims, time_steps=2)
+        with pytest.raises(ArchParseError, match="divisible"):
+            build_network(arch, num_classes=2)
+
     def test_build_is_deterministic_under_seed(self):
         arch = parse_arch(PRESETS["desk"], input_dims=(2, 16, 16), time_steps=8)
         a = build_network(arch, 4, rng=np.random.default_rng(5))

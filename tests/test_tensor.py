@@ -352,6 +352,39 @@ class TestConv2d:
                 assert not out.requires_grad
                 assert_same_bits(out.data, recorded.data)
 
+    # The presets' convs at their training chunk: scaled-train 2 -> 64 at
+    # 32x32 and 64 -> 64 at 16x16 over one sample of T = 14, desk 2 -> 16 at
+    # 16x16 and 16 -> 16 at 8x8 over 8 samples of T = 8; and each at one image
+    # fewer, so that blocks of 2 and of 3 images both end short.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fewer", [0, 1])
+    @pytest.mark.parametrize(
+        "batch,c_in,c_out,size", [(14, 2, 64, 32), (14, 64, 64, 16), (64, 2, 16, 16), (64, 16, 16, 8)]
+    )
+    def test_recomputed_columns_match_the_kept_ones(
+        self, monkeypatch, batch, c_in, c_out, size, fewer, dtype
+    ):
+        # A recorded conv keeps its columns while one image's fit BLOCK_BYTES.
+        # One byte less, its kernel gradient rebuilds them in blocks of 1, 2
+        # and 3 images and of the default budget, with the same bytes in the
+        # output and both gradients. The kept path runs last, so that a block
+        # the rebuild missed cannot read its values from reused memory.
+        rng = np.random.default_rng(c_in + c_out + size)
+        x = (rng.random((batch - fewer, c_in, size, size)) < 0.2).astype(dtype)
+        kernel = (rng.standard_normal((c_out, c_in, 3, 3)) * 0.1).astype(dtype)
+        g = rng.standard_normal((batch - fewer, c_out, size, size)).astype(dtype)
+        image_bytes = c_in * 9 * size * size * np.dtype(dtype).itemsize
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", image_bytes - 1)
+        rebuilt = []
+        for budget in (image_bytes, 2 * image_bytes, 3 * image_bytes, tensor.COLUMN_BYTES):
+            monkeypatch.setattr(tensor, "COLUMN_BYTES", budget)
+            rebuilt.append(conv2d_at_padding(x, kernel, 1, g))
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", image_bytes)
+        kept = conv2d_at_padding(x, kernel, 1, g)
+        for results in rebuilt:
+            for got, want in zip(results, kept):
+                assert_same_bits(got, want)
+
     @pytest.mark.parametrize("leading", [(0,), (0, 3), (4, 0)])
     def test_no_images_give_an_empty_output(self, leading):
         x = np.ones((*leading, 2, 5, 5), dtype=np.float32)
@@ -731,6 +764,27 @@ class TestNoGrad:
             tracemalloc.stop()
         bound = x.data.nbytes + out.data.nbytes + (block.stop - block.start) * image_bytes + 64 * 1024
         assert peak < bound, f"peak {peak / 2**20:.2f} MiB against {bound / 2**20:.2f} MiB"
+
+    def test_recorded_large_conv_keeps_no_columns(self):
+        # One image's columns (576 KiB) exceed BLOCK_BYTES, so the recorded
+        # conv keeps none for its kernel gradient: what stays alive after the
+        # forward is its output and one block's buffer, not the (14, 576, 256)
+        # array (8.3 MB) that a conv under the threshold keeps.
+        rng = np.random.default_rng(2)
+        x = Tensor((rng.random((14, 64, 16, 16)) < 0.2).astype(np.float32), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32), requires_grad=True)
+        image_bytes = 64 * 9 * 16 * 16 * 4
+        assert image_bytes > tensor.BLOCK_BYTES
+        block = tensor.blocks(14, image_bytes, tensor.COLUMN_BYTES)[0]
+        tracemalloc.start()
+        try:
+            out = conv2d(x, kernel)
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        bound = x.data.nbytes + out.data.nbytes + (block.stop - block.start) * image_bytes + 64 * 1024
+        assert alive < bound, f"alive {alive / 2**20:.2f} MiB against {bound / 2**20:.2f} MiB"
 
     def test_restores_recording_after_an_error(self):
         w = Tensor(np.ones(2), requires_grad=True)
