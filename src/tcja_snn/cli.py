@@ -47,12 +47,9 @@ class ConfigError(ValueError):
 # The LIF settings that the config keeps under "train" rather than "lif".
 _LIF_KEYS_IN_TRAIN = ("surrogate", "detach_reset")
 _LIF_DEFAULTS = asdict(LifConfig())
-# gen-synthetic has one flag per `gen_synthetic` parameter, named after it
-# except where listed here, with its default. The config's synthetic section
-# shares those defaults, except for the dataset sizes and the seed; its
-# class count is `num_classes`.
+# The config's synthetic section takes the generator's defaults, except for
+# the dataset sizes and the seed; its class count is `num_classes`.
 _GEN_PARAMS = inspect.signature(data_mod.gen_synthetic).parameters
-_GEN_FLAG_NAMES = {"noise_per_tick": "noise"}
 
 DEFAULT_CONFIG: dict = {
     "arch": PRESETS["desk"],
@@ -178,6 +175,15 @@ def _echo_config(config: dict, out_dir: Path) -> None:
     (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
 
+def _synthetic(config: dict, n: int, seed: int) -> list[tuple[data_mod.EventStream, int]]:
+    """`n` labeled streams of the config's synthetic data, drawn at `seed`."""
+    syn = config["data"]["synthetic"]
+    return data_mod.gen_synthetic(
+        classes=config["num_classes"], height=syn["height"], width=syn["width"],
+        t_steps=config["time_steps"], n=n, seed=seed, noise_per_tick=syn["noise_per_tick"],
+    )
+
+
 def _load_samples(
     config: dict, test_only: bool = False
 ) -> tuple[list[data_mod.FrameSample], list[data_mod.FrameSample]]:
@@ -205,23 +211,9 @@ def _load_samples(
             streams, labels, seed=config["train"]["seed"]
         )
     else:
-        if num_classes not in data_mod.SYNTHETIC_CLASSES:
-            raise ConfigError(
-                f"num_classes must be one of {data_mod.SYNTHETIC_CLASSES} for synthetic data,"
-                f" got {num_classes}"
-            )
         syn = data_cfg["synthetic"]
-        common = dict(
-            classes=num_classes,
-            height=syn["height"],
-            width=syn["width"],
-            t_steps=t_steps,
-            noise_per_tick=syn["noise_per_tick"],
-        )
-        train_streams = [] if test_only else data_mod.gen_synthetic(
-            n=syn["n_train"], seed=syn["seed"], **common
-        )
-        test_streams = data_mod.gen_synthetic(n=syn["n_test"], seed=syn["seed"] + 1, **common)
+        train_streams = [] if test_only else _synthetic(config, syn["n_train"], syn["seed"])
+        test_streams = _synthetic(config, syn["n_test"], syn["seed"] + 1)
     return (
         [] if test_only else data_mod.frames_dataset(train_streams, t_steps, num_classes),
         data_mod.frames_dataset(test_streams, t_steps, num_classes),
@@ -349,28 +341,10 @@ def cmd_inspect_attention(args, overrides: list[str]) -> int:
     return 0
 
 
-# The config leaf whose minimum each gen-synthetic flag shares.
-_GEN_FLAG_LEAVES = {
-    "t_steps": "time_steps", "n": "data.synthetic.n_train",
-    "noise": "data.synthetic.noise_per_tick",
-    **{flag: f"data.synthetic.{flag}" for flag in ("height", "width", "seed")},
-}
-
-
 def cmd_gen_synthetic(args, overrides: list[str]) -> int:
-    if overrides:
-        raise ConfigError(f"unrecognized arguments: {' '.join(overrides)}")
-    for dest, leaf in _GEN_FLAG_LEAVES.items():
-        value, least = getattr(args, dest), _MINIMUMS[leaf]
-        if value < least:
-            raise ConfigError(f"--{dest.replace('_', '-')} must be >= {least}, got {value!r}")
-    if args.classes not in data_mod.SYNTHETIC_CLASSES:
-        raise ConfigError(
-            f"--classes must be one of {data_mod.SYNTHETIC_CLASSES}, got {args.classes}"
-        )
-    dataset = data_mod.gen_synthetic(
-        **{name: getattr(args, _GEN_FLAG_NAMES.get(name, name)) for name in _GEN_PARAMS}
-    )
+    config = load_config(args.config, overrides)
+    syn = config["data"]["synthetic"]
+    dataset = _synthetic(config, syn["n_train"], syn["seed"])
     manifest = data_mod.write_dataset(args.out, dataset, fmt=args.format)
     print(f"wrote {len(dataset)} samples, manifest at {manifest}")
     return 0
@@ -399,11 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-synthetic", help="write a synthetic event dataset")
     p_gen.add_argument("--out", required=True)
-    for name, param in _GEN_PARAMS.items():
-        dest = _GEN_FLAG_NAMES.get(name, name)
-        p_gen.add_argument(
-            f"--{dest.replace('_', '-')}", dest=dest, type=type(param.default), default=param.default
-        )
+    p_gen.add_argument("--config", help="JSON run config (its training streams are written)")
     fmt_default = inspect.signature(data_mod.write_dataset).parameters["fmt"].default
     p_gen.add_argument("--format", default=fmt_default, choices=["bin", "csv"])
     return parser

@@ -378,7 +378,7 @@ def gen_synthetic(
     strong enough to drive spiking layers.
     """
     if classes not in SYNTHETIC_CLASSES:
-        raise DataError(f"classes must be one of {SYNTHETIC_CLASSES}, got {classes}")
+        raise ValueError(f"classes must be one of {SYNTHETIC_CLASSES}, got {classes}")
     rng = np.random.default_rng(seed)
     ticks = t_steps * max(1, round(max(height, width) / t_steps))
     dataset = []

@@ -215,31 +215,26 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     weights = kernel.data.reshape(c_out, -1)
     image_bytes = c_in * k * k * height * width * images.itemsize
     xt, kt = x, kernel
-    if will_record((xt, kt)) and image_bytes <= BLOCK_BYTES:
-        cols = _im2col(images, k)  # the kernel gradient reads them
-        out = np.matmul(weights, cols)
-    else:
-        # Keep no columns: build them a block of images at a time into one
-        # buffer, and write each block's rows while they are in cache. A
-        # recorded conv's kernel gradient rebuilds them into the same buffer.
-        cols = None
-        out = np.empty((len(images), c_out, height * width), dtype=np.result_type(weights, images))
-        spans = blocks(len(images), image_bytes, COLUMN_BYTES)
-        buffer = np.empty((spans[0].stop if spans else 0, c_in * k * k, height * width), dtype=images.dtype)
-        for block in spans:
-            np.matmul(weights, _im2col(images[block], k, out=buffer), out=out[block])
+    # Build the columns a block of images at a time into one buffer, and write
+    # each block's rows while they are in cache. A recorded conv whose image
+    # columns fit BLOCK_BYTES takes all images as one block and keeps the
+    # buffer for its kernel gradient; a larger one rebuilds it block by block.
+    # `out` comes first: with the buffer first, glibc's heap peaked higher.
+    out = np.empty((len(images), c_out, height * width), dtype=np.result_type(weights, images))
+    keep = will_record((xt, kt)) and image_bytes <= BLOCK_BYTES
+    spans = [slice(0, len(images))] if keep else blocks(len(images), image_bytes, COLUMN_BYTES)
+    buffer = np.empty((spans[0].stop if spans else 0, c_in * k * k, height * width), dtype=images.dtype)
+    for block in spans:
+        np.matmul(weights, _im2col(images[block], k, out=buffer), out=out[block])
     out = out.reshape(*x.shape[:-3], c_out, height, width)
 
     def backward(g: np.ndarray) -> None:
         if kt.requires_grad:
             g3 = g.reshape(-1, c_out, height * width)
-            if cols is not None:
-                prod = np.matmul(cols, g3.transpose(0, 2, 1))
-            else:
-                prod = np.empty((len(g3), c_in * k * k, c_out), dtype=np.result_type(images, g))
-                for block in spans:
-                    cols_block = _im2col(images[block], k, out=buffer)
-                    np.matmul(cols_block, g3[block].transpose(0, 2, 1), out=prod[block])
+            prod = np.empty((len(g3), c_in * k * k, c_out), dtype=np.result_type(images, g))
+            for block in spans:
+                cols = buffer if keep else _im2col(images[block], k, out=buffer)
+                np.matmul(cols, g3[block].transpose(0, 2, 1), out=prod[block])
             kt._accumulate(prod.sum(axis=0).T.reshape(kt.shape))
         if xt.requires_grad:
             # dx is the correlation of the output gradient, zero-padded by

@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 
 from tcja_snn import cli
 from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
-from tcja_snn.data import gen_synthetic, write_dataset
+from tcja_snn.data import frames_dataset, gen_synthetic, load_dataset, write_dataset
 from tcja_snn.training import TrainConfig
 
 import oracles
+
+
+# The 8x8 synthetic grid, as config overrides.
+_GRID_8 = ["--data.synthetic.height", "8", "--data.synthetic.width", "8"]
 
 
 def quick_config(tmp_path, **train_overrides):
@@ -108,6 +112,7 @@ class TestConfig:
             ("--data.synthetic.n_test", "-1"),
             ("--data.synthetic.seed", "-1"),
             ("--data.synthetic.noise_per_tick", "-1"),
+            ("--train.lr", "0"),
             ("--lif.alpha", "0"),
             ("--lif.alpha", "NaN"),
             ("--lif.gamma", "0"),  # the triangle surrogate divides by gamma²
@@ -156,6 +161,17 @@ class TestConfig:
         assert code == 1
         assert capsys.readouterr().err == f"config error: unknown config key {flag[2:]!r}\n"
         assert not out_dir.exists()
+
+    def test_one_cell_data_grid_is_accepted(self):
+        config = load_config(None, ["--data.width", "1", "--data.height", "1"])
+        assert (config["data"]["width"], config["data"]["height"]) == (1, 1)
+
+    def test_tau_of_one_trains(self, tmp_path):
+        # The smallest tau: the membrane keeps nothing of its last step.
+        path, out_dir = quick_config(tmp_path)
+        assert main(["train", "--config", str(path), "--lif.tau", "1"]) == 0
+        assert json.loads((out_dir / "config.json").read_text())["lif"]["tau"] == 1
+        assert (out_dir / "metrics.csv").read_text().splitlines()[1].startswith("0,")
 
     def test_config_path_naming_a_directory_exits_1(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path)]) == 1
@@ -230,7 +246,7 @@ class TestTrainCommand:
         args = ["train", "--num_classes", "3", "--train.epochs", "0", "--out_dir", str(out_dir)]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err == "config error: num_classes must be one of (2, 4, 8) for synthetic data, got 3\n"
+        assert err == "config error: classes must be one of (2, 4, 8), got 3\n"
         assert not (out_dir / "best.ckpt").exists()
 
     def test_overflowing_learning_rate_exits_3(self, tmp_path, capsys):
@@ -245,8 +261,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("where", ["manifest line", "manifest"])
     def test_dataset_path_naming_a_directory_exits_2(self, tmp_path, capsys, where):
         data_dir = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(data_dir), "--n", "8", "--height", "8",
-                     "--width", "8", "--t-steps", "4"]) == 0
+        assert main(["gen-synthetic", "--out", str(data_dir), "--data.synthetic.n_train", "8",
+                     *_GRID_8, "--time_steps", "4"]) == 0
         manifest = data_dir / "manifest.csv"
         if where == "manifest line":
             (data_dir / "sub").mkdir()
@@ -476,6 +492,15 @@ class TestInspectAttention:
         assert header.startswith(b"P5\n")
         assert set(pixels) == {128}  # sigmoid(0) = 0.5 everywhere
 
+    def test_sample_index_past_the_test_set_exits_2(self, tmp_path, capsys):
+        path, out_dir = quick_config(tmp_path, epochs=0)
+        assert main(["train", "--config", str(path)]) == 0
+        capsys.readouterr()
+        args = ["inspect-attention", "--checkpoint", str(out_dir / "best.ckpt"),
+                "--config", str(path), "--out", str(tmp_path / "inspect")]
+        assert main([*args, "--sample", "8"]) == 2  # quick_config holds out 8 samples
+        assert capsys.readouterr().err == "data error: sample index 8 out of range [0, 8)\n"
+
     def test_map_dims_and_values_match_oracle_recompute(self, tmp_path):
         path, out_dir = quick_config(tmp_path, epochs=1)
         assert main(["train", "--config", str(path)]) == 0
@@ -582,8 +607,8 @@ class TestHeldOutSplitOnly:
         path, out_dir = quick_config(tmp_path, epochs=1)
         flags = []
         if source == "dir":
-            assert main(["gen-synthetic", "--out", str(tmp_path / "data"), "--n", "40",
-                         "--height", "8", "--width", "8", "--t-steps", "4"]) == 0
+            assert main(["gen-synthetic", "--out", str(tmp_path / "data"),
+                         "--data.synthetic.n_train", "40", *_GRID_8, "--time_steps", "4"]) == 0
             flags = ["--data.dir", str(tmp_path / "data")]
         assert main(["train", "--config", str(path), *flags]) == 0
         n_test = len(cli._load_samples(load_config(str(path), flags))[1])
@@ -650,35 +675,42 @@ class TestBench:
 class TestGenSynthetic:
     def test_writes_manifest_and_samples(self, tmp_path):
         out = tmp_path / "data"
-        code = main(
-            [
-                "gen-synthetic",
-                "--out",
-                str(out),
-                "--classes",
-                "4",
-                "--n",
-                "8",
-                "--height",
-                "8",
-                "--width",
-                "8",
-            ]
-        )
+        code = main(["gen-synthetic", "--out", str(out), "--num_classes", "4",
+                     "--data.synthetic.n_train", "8", *_GRID_8])
         assert code == 0
         manifest = (out / "manifest.csv").read_text().strip().splitlines()
         assert len(manifest) == 8
         name, label = manifest[0].split(",")
         assert (out / name).exists() and label == "0"
 
-    def test_defaults_are_gen_synthetic_and_write_dataset_defaults(self, tmp_path):
-        out, want = tmp_path / "cli", tmp_path / "api"
-        assert main(["gen-synthetic", "--out", str(out)]) == 0
-        write_dataset(want, gen_synthetic())
-        names = sorted(f.name for f in want.iterdir())
-        assert sorted(f.name for f in out.iterdir()) == names
-        for name in names:
-            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+    @pytest.mark.parametrize("source", ["default", "non-default"])
+    def test_writes_the_training_set_that_train_generates(self, tmp_path, source):
+        path, overrides, flags = None, [], []
+        if source == "non-default":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({
+                "num_classes": 8, "time_steps": 5,
+                "data": {"synthetic": {"height": 6, "width": 11, "n_train": 24, "seed": 3}},
+            }))
+            overrides = ["--data.synthetic.noise_per_tick", "2"]
+            flags = ["--config", str(path)]
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(out), *flags, *overrides]) == 0
+        config = load_config(path and str(path), overrides)
+        want = cli._load_samples(config)[0]
+        got = frames_dataset(load_dataset(out), config["time_steps"], config["num_classes"])
+        assert len(got) == len(want) == config["data"]["synthetic"]["n_train"]
+        for mine, theirs in zip(got, want):
+            assert mine.frames.shape == theirs.frames.shape
+            assert mine.frames.tobytes() == theirs.frames.tobytes()
+            assert mine.label.tobytes() == theirs.label.tobytes()
+
+    def test_held_out_set_is_drawn_at_the_next_seed(self):
+        config = load_config(None, ["--data.synthetic.seed", "3", "--data.synthetic.n_test", "6"])
+        streams = gen_synthetic(classes=4, height=16, width=16, t_steps=8, n=6, seed=4)
+        want = frames_dataset(streams, 8, 4)
+        got = cli._load_samples(config, test_only=True)[1]
+        assert [s.frames.tobytes() for s in got] == [s.frames.tobytes() for s in want]
 
     def test_config_synthetic_defaults_are_gen_synthetic_defaults(self):
         # The dataset sizes and seed differ on purpose, and the class count
@@ -691,33 +723,38 @@ class TestGenSynthetic:
         assert (synthetic["n_train"], synthetic["n_test"], synthetic["seed"]) == (400, 100, 7)
 
     def test_unknown_flag_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # The generator's own parameter names are not config keys.
         out = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(out), "--n", "4", "--bogus", "1"]) == 1
-        assert "--bogus" in capsys.readouterr().err
-        assert not out.exists()
+        for flag in ("--bogus", "--classes", "--t-steps", "--n", "--seed", "--height",
+                     "--width", "--noise"):
+            assert main(["gen-synthetic", "--out", str(out), flag, "1"]) == 1
+            assert capsys.readouterr().err == f"config error: unknown config key {flag[2:]!r}\n"
+            assert not out.exists()
 
     def test_unsupported_class_count_exits_1_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(out), "--classes", "3"]) == 1
-        assert capsys.readouterr().err == "config error: --classes must be one of (2, 4, 8), got 3\n"
+        assert main(["gen-synthetic", "--out", str(out), "--num_classes", "3"]) == 1
+        assert capsys.readouterr().err == "config error: classes must be one of (2, 4, 8), got 3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value, least",
         [
-            ("--height", "0", 1),
-            ("--width", "-3", 1),
-            ("--t-steps", "0", 1),
-            ("--n", "-1", 1),
-            ("--seed", "-1", 0),
-            ("--noise", "-1", 0),
+            ("--data.synthetic.height", "0", 1),
+            ("--data.synthetic.width", "-3", 1),
+            ("--time_steps", "0", 1),
+            ("--num_classes", "0", 1),
+            ("--data.synthetic.n_train", "-1", 1),
+            ("--data.synthetic.n_test", "-1", 0),
+            ("--data.synthetic.seed", "-1", 0),
+            ("--data.synthetic.noise_per_tick", "-1", 0),
         ],
     )
     def test_flag_below_config_minimum_exits_1(self, tmp_path, capsys, flag, value, least):
         out = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(out), "--n", "4", flag, value]) == 1
+        assert main(["gen-synthetic", "--out", str(out), flag, value]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {flag} must be >= {least}")
+        assert err == f"config error: {flag[2:]} must be >= {least}, got {value}\n"
         assert not out.exists()
 
     def _train_on(self, tmp_path, data_dir, *flags):
@@ -726,14 +763,15 @@ class TestGenSynthetic:
 
     def test_csv_dir_needs_sensor_size(self, tmp_path, capsys):
         out = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(out), "--n", "48", "--format", "csv"]) == 0
+        assert main(["gen-synthetic", "--out", str(out), "--data.synthetic.n_train", "48",
+                     "--format", "csv"]) == 0
         assert self._train_on(tmp_path, out) == 2
         assert "data.width and data.height" in capsys.readouterr().err
         assert self._train_on(tmp_path, out, "--data.width", "16", "--data.height", "16") == 0
 
     def test_bin_dir_rejects_contradicting_size(self, tmp_path, capsys):
         out = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(out), "--n", "40"]) == 0
+        assert main(["gen-synthetic", "--out", str(out), "--data.synthetic.n_train", "40"]) == 0
         assert self._train_on(tmp_path, out, "--data.width", "8") == 2
         assert "header width 16 differs from data.width=8" in capsys.readouterr().err
 
@@ -746,8 +784,8 @@ class TestGenSynthetic:
 
     def test_generated_dir_trains(self, tmp_path):
         out = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(out), "--n", "40", "--classes", "4",
-                     "--height", "8", "--width", "8", "--t-steps", "4"]) == 0
+        assert main(["gen-synthetic", "--out", str(out), "--data.synthetic.n_train", "40",
+                     "--num_classes", "4", *_GRID_8, "--time_steps", "4"]) == 0
         config = {
             "arch": "4C3-LIF-MP2-16FC-LIF-Voting",
             "time_steps": 4,
@@ -793,8 +831,8 @@ class TestManifestLabels:
     )
     def test_bad_label_exits_2(self, tmp_path, capsys, checkpoint, command, new, count, message):
         data_dir = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(data_dir), "--n", "40", "--height", "8",
-                     "--width", "8", "--t-steps", "4"]) == 0
+        assert main(["gen-synthetic", "--out", str(data_dir), "--data.synthetic.n_train", "40",
+                     *_GRID_8, "--time_steps", "4"]) == 0
         self._relabel(data_dir, "3", new, count)
         capsys.readouterr()
         if command == "train":
@@ -834,7 +872,7 @@ class TestUnwritableOutput:
         if command == "train":
             args = ["--config", str(config), "--out_dir", str(target)]
         elif command == "gen-synthetic":
-            args = ["--out", str(target), "--n", "8", "--height", "8", "--width", "8"]
+            args = ["--out", str(target), "--data.synthetic.n_train", "8", *_GRID_8]
         else:
             args = ["--checkpoint", str(checkpoint), "--config", str(config), "--out", str(target)]
         assert main([command, *args]) == 2
@@ -905,6 +943,13 @@ class TestPgm:
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n2 2\n255\n")
         assert list(blob[-4:]) == [0, 128, 255, 64]
+
+    def test_relative_scaling_spans_the_map_range(self, tmp_path):
+        path = tmp_path / "map.pgm"
+        write_pgm(path, np.array([[1.0, 2.0], [3.0, 5.0]]))
+        assert list(path.read_bytes()[-4:]) == [0, 64, 128, 255]
+        write_pgm(path, np.full((2, 2), 0.7))
+        assert list(path.read_bytes()[-4:]) == [0, 0, 0, 0]
 
 
 # Arch strings from the grammar's tokens: uniform draws, which mostly fail

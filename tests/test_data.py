@@ -413,6 +413,27 @@ class TestAugment:
             assert np.all(out.frames >= 0)
             assert out.label.sum() == pytest.approx(1.0)
 
+    def test_pipeline_matches_recorded_digest(self, monkeypatch):
+        # A non-square frame with a partner, over enough draws to take every
+        # flip, mixup weight and geometry branch several times.
+        from tcja_snn import data
+
+        taken = []
+        for name in ("roll", "rotate", "cutout", "shear"):
+            op = getattr(data, name)
+            monkeypatch.setattr(data, name, lambda *args, op=op: taken.append(op) or op(*args))
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for i in range(48):
+            a = FrameSample(self.frames(i, h=9, w=14), one_hot(4, i % 4))
+            b = FrameSample(self.frames(i + 100, h=9, w=14), one_hot(4, (i + 1) % 4))
+            out = augment(a, rng, partner=b)
+            digest.update(out.frames.tobytes() + out.label.tobytes())
+        assert {op.__name__ for op in taken} == {"roll", "rotate", "cutout", "shear"}
+        assert digest.hexdigest() == (
+            "b4835780dec3d77b6a2ba8c0ec33fc26f65840bd3e468d9e53b77dc03a8bceb6"
+        )
+
     def test_pipeline_deterministic_under_seed(self):
         a = FrameSample(self.frames(1), one_hot(4, 1))
         b = FrameSample(self.frames(2), one_hot(4, 3))
@@ -508,8 +529,29 @@ class TestSynthetic:
             assert sample.frames.sum() == len(stream)
 
     def test_unsupported_class_count(self):
-        with pytest.raises(DataError, match="classes"):
+        # A setting, not the data, is wrong: the CLI reports it as a config error.
+        with pytest.raises(ValueError, match="classes must be one of") as err:
             gen_synthetic(classes=3)
+        assert not isinstance(err.value, DataError)
+
+    def test_eight_classes_on_a_non_square_grid_match_recorded_digest(self, tmp_path):
+        # Every direction, the diagonal ones included, and enough streams for
+        # the bar length to reach both ends of its range.
+        write_dataset(tmp_path, gen_synthetic(classes=8, height=9, width=14, t_steps=6, n=48,
+                                              seed=11, noise_per_tick=2))
+        digest = hashlib.sha256()
+        for f in sorted(tmp_path.iterdir()):
+            digest.update(f"{f.name}\n".encode() + f.read_bytes())
+        assert digest.hexdigest() == (
+            "893203b769550c98e0a5797dbbc7a26f466bc551f3c20cb299147cfd2e417ef9"
+        )
+
+    def test_one_cell_one_tick(self):
+        # One tick leaves no progress to divide by; a one-cell grid has no bar.
+        dataset = gen_synthetic(classes=2, height=1, width=1, t_steps=1, n=4, seed=0)
+        for stream, _ in dataset:
+            assert len(stream) == 1 and stream.x[0] == stream.y[0] == 0
+            assert integrate_frames(stream, 1).frames.sum() == 1
 
     def test_labels_cycle_through_classes(self):
         dataset = gen_synthetic(classes=4, n=8, seed=0)

@@ -550,6 +550,10 @@ class TestForward:
             with pytest.raises(ShapeError, match="input shape"):
                 net.forward(Tensor(bad))
 
+    def test_empty_batch_refused(self):
+        with pytest.raises(ShapeError, match="input shape"):
+            self._desk_net().forward(Tensor(np.zeros((8, 0, 2, 16, 16))))
+
     def test_mid_stack_error_carries_layer_index(self):
         arch = parse_arch("2C3-LIF-MP2", input_dims=(2, 16, 16), time_steps=2)
         net = build_network(arch, num_classes=2)

@@ -25,6 +25,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="tau"):
             LifConfig(tau=0.0)
 
+    def test_infinite_tau(self):
+        with pytest.raises(ValueError, match="tau"):
+            LifConfig(tau=math.inf)
+
     def test_threshold_above_reset(self):
         with pytest.raises(ValueError, match="v_threshold"):
             LifConfig(v_reset=1.0, v_threshold=0.5)

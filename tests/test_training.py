@@ -225,6 +225,16 @@ class TestEvaluate:
             manual += int(predict_label(out.data[:, 0]) == sample.class_index)
         assert result.accuracy == pytest.approx(manual / len(test_samples))
 
+    def test_rates_are_each_class_output_averaged_over_time(self):
+        # T = 3 differs from the 4 classes, so averaging the wrong axis shows.
+        arch = parse_arch("4C3-LIF-MP2-16FC-LIF-Voting", input_dims=(2, 8, 8), time_steps=3)
+        net = build_network(arch, num_classes=4, rng=np.random.default_rng(2))
+        streams = gen_synthetic(classes=4, height=8, width=8, t_steps=3, n=4, seed=6)
+        samples = frames_dataset(streams, t_steps=3, num_classes=4)
+        out = net.forward(stack_frames(samples, net.dtype)).data
+        for j, (_, _, _, rates) in enumerate(evaluate(net, samples).predictions):
+            np.testing.assert_array_equal(rates, out[:, j].mean(axis=0))
+
     def test_firing_rates_reported_per_spiking_layer(self):
         net = tiny_net()
         _, test_samples = tiny_dataset()
