@@ -350,8 +350,16 @@ def cmd_gen_synthetic(args, overrides: list[str]) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, such as a missing or malformed flag, as a
+    config error (exit 1) rather than exiting 2; `--help` still exits 0."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tcja-snn",
         description="Spiking network training engine with temporal-channel joint attention",
     )
@@ -388,9 +396,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
     try:
+        args, extras = build_parser().parse_known_args(argv)
         # A diverging run's overflows stay silent: its own checks name the
         # non-finite loss or parameter (exit 3).
         with np.errstate(all="ignore"):

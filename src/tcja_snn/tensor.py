@@ -5,7 +5,9 @@ links and backward closures built as ops execute, and walked in reverse
 topological order by ``Tensor.backward()``. Gradients accumulate
 additively across fan-out. Each forward pass builds a fresh graph, which
 backward frees as it goes, so there is no tape to reset between iterations.
-Inside a ``no_grad()`` block no graph is recorded at all.
+Inside a ``no_grad()`` block no graph is recorded at all. The large
+parameter gradients, which no later op of the walk reads, may run on one
+worker thread while the walk goes on; ``backward()`` waits for them.
 
 Every op is one layer-sized node with a closed-form backward, built with
 ``Tensor._node``: conv, pooling and the flattening affine map here, and
@@ -17,6 +19,9 @@ only in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -55,7 +60,9 @@ def will_record(parents: Sequence["Tensor"]) -> bool:
 # per block: small enough that a block's data and temporaries stay in cache
 # between the passes over it, large enough that a small stack is one block.
 # A recorded conv keeps its columns for the kernel gradient only while one
-# image's columns fit it; above that, the backward rebuilds them.
+# image's columns fit it; above that, the backward rebuilds them. That
+# rebuild, and an FC's weight gradient when the weight is over it, run on
+# the worker (`_param_grad`).
 BLOCK_BYTES = 256 * 1024
 # Bytes of columns a conv builds per block when it keeps none: its forward,
 # and the rebuild in its kernel gradient. The GEMM right after reads them
@@ -63,6 +70,68 @@ BLOCK_BYTES = 256 * 1024
 # desk-size images, whose GEMMs are small, gain from fewer blocks
 # (BENCH_eval_columns.json).
 COLUMN_BYTES = 1024 * 1024
+
+
+# The futures of the large parameter gradients that the running backward()
+# has handed to the worker; it waits for them all before it returns.
+_pending: list = []
+
+
+@functools.cache
+def _worker_helps() -> bool:
+    """Whether large parameter gradients run on a worker thread, checked once
+    per process: only if the process may use more than one core and numpy's
+    BLAS runs one thread. On one core, or beside a threaded BLAS, the worker
+    competes for the cores the main thread uses, and training read slower
+    (BENCH_leaf_grad_worker.json)."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x, whose BLAS builds were not measured
+        return False
+    # Only the BLAS of numpy's 2.x wheels, scipy-openblas built for 64-bit
+    # ints, was measured. An OpenBLAS of another build may be serial without
+    # locking, and so unsafe to call from two threads at once: no worker.
+    library = ctypes.CDLL(_multiarray_umath.__file__)  # finds the bundled OpenBLAS too
+    threads = getattr(library, "scipy_openblas_get_num_threads64_", None)
+    if threads is None:
+        return False
+    threads.argtypes, threads.restype = (), ctypes.c_int
+    return threads() == 1
+
+
+@functools.cache
+def _worker():
+    # Imported here: concurrent.futures brings in logging, about 0.9 MB of
+    # RSS that a process which never starts the worker need not hold.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tcja-grad")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _param_grad(work: Callable[[], None], params: Sequence["Tensor"], large: bool) -> None:
+    """Run `work`, which adds a node's contributions to the gradients of
+    `params`: at once, or, when it is `large` and `params` are leaves, on the
+    one worker while backward() walks on. The worker runs its work in the
+    order handed over, so each leaf's contributions still sum in the order
+    of the walk. The work runs under the caller's numpy error state and is
+    dropped as it starts, so nothing of it is left once backward() has
+    waited for it."""
+    if not (large and _worker_helps()) or any(p._parents for p in params):
+        work()
+        return
+    held, errors = [work], np.geterr()
+
+    def run() -> None:
+        with np.errstate(**errors):
+            held.pop()()
+
+    _pending.append(_worker().submit(run))
 
 
 def blocks(length: int, unit_bytes: int, budget: int | None = None) -> list[slice]:
@@ -155,19 +224,29 @@ class Tensor:
 
         Once its closure has run, a node drops the closure, its parents and,
         unless it is this root, its grad, so the graph is freed as it is used.
+        Large parameter gradients may run on a worker meanwhile
+        (`_param_grad`); backward waits for them all before it returns and
+        re-raises the first error among them.
         """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
         order = self._topo_order()
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is None:
-                continue
-            if node.grad is not None:
-                node._backward(node.grad)
-            node._backward, node._parents = None, ()
-            if node is not self:
-                node.grad = None
+        try:
+            for node in reversed(order):
+                if node._backward is None:
+                    continue
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._backward, node._parents = None, ()
+                if node is not self:
+                    node.grad = None
+        finally:
+            futures, _pending[:] = _pending[:], []
+            for future in futures:
+                future.exception()  # waits for it, failed or not
+        for future in futures:
+            future.result()  # re-raises the first error
 
     def _topo_order(self) -> list["Tensor"]:
         order: list[Tensor] = []
@@ -229,13 +308,16 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     out = out.reshape(*x.shape[:-3], c_out, height, width)
 
     def backward(g: np.ndarray) -> None:
-        if kt.requires_grad:
+        def kernel_grad() -> None:
             g3 = g.reshape(-1, c_out, height * width)
             prod = np.empty((len(g3), c_in * k * k, c_out), dtype=np.result_type(images, g))
             for block in spans:
                 cols = buffer if keep else _im2col(images[block], k, out=buffer)
                 np.matmul(cols, g3[block].transpose(0, 2, 1), out=prod[block])
             kt._accumulate(prod.sum(axis=0).T.reshape(kt.shape))
+
+        if kt.requires_grad:
+            _param_grad(kernel_grad, (kt,), large=not keep)
         if xt.requires_grad:
             # dx is the correlation of the output gradient, zero-padded by
             # k-1-k//2 = k//2, with the flipped, channel-swapped kernel, taken
@@ -386,11 +468,15 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         g_rows = g.reshape(t_steps * batch, -1)
+
+        def param_grads() -> None:
+            if wt.requires_grad:
+                wt._accumulate(rows.T @ g_rows)
+            if bt.requires_grad:
+                bt._accumulate(g_rows.sum(axis=0))
+
+        _param_grad(param_grads, (wt, bt), large=wt.data.nbytes > BLOCK_BYTES)
         if xt.requires_grad:
             xt._accumulate((g_rows @ wt.data.T).reshape(xt.shape))
-        if wt.requires_grad:
-            wt._accumulate(rows.T @ g_rows)
-        if bt.requires_grad:
-            bt._accumulate(g_rows.sum(axis=0))
 
     return Tensor._node(data, (xt, wt, bt), backward)

@@ -211,6 +211,32 @@ class TestConfig:
     def test_int_accepted_for_float(self):
         assert load_config(None, ["--train.lr", "1"])["train"]["lr"] == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen-synthetic", "--out", "x", "--format", "xyz"],
+             "argument --format: invalid choice: 'xyz' (choose from 'bin', 'csv')"),
+            (["eval"], "the following arguments are required: --checkpoint"),
+            (["inspect-attention", "--checkpoint", "c", "--sample", "abc"],
+             "argument --sample: invalid int value: 'abc'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-choice", "missing-flag", "bad-int", "no-command"],
+    )
+    def test_usage_error_exits_1(self, tmp_path, monkeypatch, capsys, argv, message):
+        # argparse's own exit would be 2, the data-error code, with a usage line.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["gen-synthetic", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tcja-snn")
+
 
 class TestTrainCommand:
     def test_zero_epochs_writes_artifacts(self, tmp_path):

@@ -1,9 +1,12 @@
+import sys
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from tcja_snn import tensor
+from tcja_snn.network import PRESETS, build_network, parse_arch
 from tcja_snn.tensor import ShapeError, Tensor, conv2d, fully_connected, no_grad, pool2d
 
 import oracles
@@ -792,6 +795,283 @@ class TestNoGrad:
             with no_grad():
                 raise RuntimeError
         assert oracles.mul(w, 2.0).requires_grad
+
+
+SCALED_ARCH = "64C3-LIF-MP2-TCJA-64C3-LIF-MP2-0.5DP-256FC-LIF-Voting"
+REAL_WORKER = tensor._worker
+
+
+class SpyWorker:
+    """Stands in for tensor._worker(): counts submissions and, when `run`
+    is set, hands them to the real worker; otherwise runs them at once."""
+
+    def __init__(self, run: bool):
+        self.run, self.submitted = run, 0
+
+    def submit(self, fn):
+        self.submitted += 1
+        if self.run:
+            return REAL_WORKER().submit(fn)
+        future = Future()
+        fn()
+        future.set_result(None)
+        return future
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """The worker forced on, each submission counted and run on the real worker."""
+    worker = SpyWorker(run=True)
+    monkeypatch.setattr(tensor, "_worker_helps", lambda: True)
+    monkeypatch.setattr(tensor, "_worker", lambda: worker)
+    return worker
+
+
+def conv_pass(x, kernel, g, input_grad=True):
+    xt = Tensor(x, requires_grad=input_grad)
+    kt = Tensor(kernel, requires_grad=True)
+    out = conv2d(xt, kt)
+    oracles.probe_sum(out, g).backward()
+    return [out.data, kt.grad] + ([xt.grad] if input_grad else [])
+
+
+def fc_pass(x, w, b, g):
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = fully_connected(xt, wt, bt)
+    oracles.probe_sum(out, g).backward()
+    return [out.data, xt.grad, wt.grad, bt.grad]
+
+
+def conv_arrays(batch, c_in, c_out, size, dtype):
+    rng = np.random.default_rng(c_in + c_out + size)
+    x = (rng.random((batch, c_in, size, size)) < 0.2).astype(dtype)
+    kernel = (rng.standard_normal((c_out, c_in, 3, 3)) * 0.1).astype(dtype)
+    g = rng.standard_normal((batch, c_out, size, size)).astype(dtype)
+    return x, kernel, g
+
+
+def fc_arrays(dtype):
+    """scaled-train's FC at one sample: 4096 -> 256 over T = 14."""
+    rng = np.random.default_rng(4096)
+    x = (rng.random((14, 1, 4096)) < 0.2).astype(dtype)
+    w = (rng.standard_normal((4096, 256)) * 0.02).astype(dtype)
+    b, g = rng.standard_normal(256).astype(dtype), rng.standard_normal((14, 1, 256)).astype(dtype)
+    return x, w, b, g
+
+
+class TestGradientWorker:
+    """Large parameter gradients run on a worker thread while backward()
+    walks on: a conv whose kernel gradient rebuilds its columns, and an FC
+    whose weight is over BLOCK_BYTES. backward() waits for them."""
+
+    # The presets' convs at their training chunk, each with BLOCK_BYTES one
+    # byte under its image's columns so that its kernel gradient is deferred.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "batch,c_in,c_out,size", [(14, 2, 64, 32), (14, 64, 64, 16), (64, 2, 16, 16), (64, 16, 16, 8)]
+    )
+    def test_deferred_conv_matches_the_inline_one(self, monkeypatch, spy, batch, c_in, c_out, size, dtype):
+        arrays = conv_arrays(batch, c_in, c_out, size, dtype)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", c_in * 9 * size * size * np.dtype(dtype).itemsize - 1)
+        deferred = conv_pass(*arrays)
+        assert spy.submitted == 1
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: False)
+        for got, want in zip(deferred, conv_pass(*arrays)):
+            assert_same_bits(got, want)
+        assert spy.submitted == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scaled_train_layers_defer_at_the_default_budget(self, monkeypatch, spy, dtype):
+        # scaled-train's 64 -> 64 conv (576 KiB of columns an image in f32)
+        # and its 4096 -> 256 FC (4 MiB of weight); its 2 -> 64 conv keeps
+        # its columns and runs inline.
+        conv = conv_arrays(14, 64, 64, 16, dtype)
+        fc = fc_arrays(dtype)
+        first = conv_arrays(14, 2, 64, 32, dtype)
+        deferred = conv_pass(*conv) + fc_pass(*fc) + conv_pass(*first, input_grad=False)
+        assert spy.submitted == 2
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: False)
+        inline = conv_pass(*conv) + fc_pass(*fc) + conv_pass(*first, input_grad=False)
+        for got, want in zip(deferred, inline):
+            assert_same_bits(got, want)
+
+    def test_a_shared_kernel_sums_in_walk_order(self, monkeypatch, spy):
+        # Five deferred contributions to one kernel, slow and fast in turn:
+        # the one worker adds them in the order of the walk, where workers
+        # taking turns would add the fast ones first.
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 1)
+        rng = np.random.default_rng(9)
+        kernel = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+        sizes = (1, 96, 1, 96, 1)
+        xs = [(rng.random((n, 16, 16, 16)) < 0.3).astype(np.float32) for n in sizes]
+        probes = [rng.standard_normal((n, 16, 16, 16)).astype(np.float32) for n in sizes]
+
+        def kernel_grad():
+            kt = Tensor(kernel, requires_grad=True)
+            parts = [oracles.probe_sum(conv2d(Tensor(x), kt), p) for x, p in zip(xs, probes)]
+            loss = parts[0]
+            for part in parts[1:]:
+                loss = oracles.add(loss, part)
+            loss.backward()
+            return kt.grad
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over between threads as often as it can
+        try:
+            deferred = kernel_grad()
+        finally:
+            sys.setswitchinterval(switch)
+        assert spy.submitted == 5
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: False)
+        assert_same_bits(deferred, kernel_grad())
+
+    def test_an_error_in_deferred_work_leaves_backward_unchanged(self, monkeypatch, spy):
+        x, kernel, g = conv_arrays(14, 64, 64, 16, np.float32)
+        error = RuntimeError("deferred")
+        accumulate = Tensor._accumulate
+        kt = Tensor(kernel, requires_grad=True)
+
+        def failing(self, contribution):
+            if self is kt:
+                raise error
+            accumulate(self, contribution)
+
+        monkeypatch.setattr(Tensor, "_accumulate", failing)
+        xt = Tensor(x, requires_grad=True)
+        loss = oracles.probe_sum(conv2d(xt, kt), g)
+        with pytest.raises(RuntimeError) as info:
+            loss.backward()
+        assert info.value is error
+        assert tensor._pending == [] and spy.submitted == 1
+        assert xt.grad is not None  # the walk went on to the input gradient
+        monkeypatch.setattr(Tensor, "_accumulate", accumulate)
+        again = conv_pass(x, kernel, g)
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: False)
+        for got, want in zip(again, conv_pass(x, kernel, g)):
+            assert_same_bits(got, want)
+
+    def test_an_error_in_the_walk_still_waits_for_the_worker(self, monkeypatch, spy):
+        x, kernel, g = conv_arrays(14, 64, 64, 16, np.float32)
+        error = RuntimeError("walk")
+        accumulate = Tensor._accumulate
+        xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+
+        def failing(self, contribution):
+            if self is xt:
+                raise error
+            accumulate(self, contribution)
+
+        monkeypatch.setattr(Tensor, "_accumulate", failing)
+        loss = oracles.probe_sum(conv2d(xt, kt), g)
+        with pytest.raises(RuntimeError) as info:
+            loss.backward()
+        assert info.value is error
+        assert tensor._pending == [] and spy.submitted == 1
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: False)
+        assert_same_bits(kt.grad, conv_pass(x, kernel, g)[1])
+
+    def test_deferred_work_keeps_the_callers_error_state(self, spy):
+        # cli.main silences overflow warnings; pytest turns any other into an
+        # error, which would come out of backward() from the worker.
+        x, w, b, g = fc_arrays(np.float32)
+        with np.errstate(all="ignore"):
+            grads = fc_pass(x, w, b, g * np.float32(3e38))
+        assert spy.submitted == 1
+        assert np.isinf(grads[2]).any() and np.isinf(grads[3]).any()
+
+    @pytest.mark.parametrize("layer", ["conv", "fc"])
+    def test_deferred_work_is_freed_when_backward_returns(self, spy, layer):
+        # Once backward() has returned, nothing of the deferred work is left:
+        # not the conv's rebuilt column buffer (576 KiB) and output gradient
+        # (896 KiB), nor the FC's output gradient rows (224 KiB at batch 16).
+        # What stays alive is the output and the input and parameter grads.
+        rng = np.random.default_rng(5)
+        if layer == "conv":
+            x, kernel, g = conv_arrays(14, 64, 64, 16, np.float32)
+            leaves = [Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)]
+        else:
+            _, w, b, _ = fc_arrays(np.float32)
+            x = (rng.random((14, 16, 4096)) < 0.2).astype(np.float32)
+            g = rng.standard_normal((14, 16, 256)).astype(np.float32)
+            leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        REAL_WORKER().submit(int).result()  # its thread started before the trace
+        tracemalloc.start()
+        try:
+            out = conv2d(*leaves) if layer == "conv" else fully_connected(*leaves)
+            oracles.probe_sum(out, g).backward()
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert spy.submitted == 1
+        bound = out.data.nbytes + sum(leaf.data.nbytes for leaf in leaves) + 64 * 1024
+        assert alive < bound, f"alive {alive / 2**20:.2f} MiB against {bound / 2**20:.2f} MiB"
+
+
+def _scaled_net_pass():
+    arch = parse_arch(SCALED_ARCH, input_dims=(2, 32, 32), time_steps=14)
+    net = build_network(arch, 4, rng=np.random.default_rng(0))
+    x = (np.random.default_rng(1).random((14, 1, 2, 32, 32)) < 0.2).astype(np.float32)
+    out = net.forward(Tensor(x))
+    oracles.probe_sum(out, np.ones(out.shape, dtype=np.float32)).backward()
+
+
+class TestGradientWorkerGate:
+    """The worker runs only where it was measured to gain: the process may
+    use more than one core and numpy's BLAS runs one thread."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        worker = SpyWorker(run=False)
+        monkeypatch.setattr(tensor, "_worker", lambda: worker)
+        gate = tensor._worker_helps
+        gate.cache_clear()
+        yield worker
+        gate.cache_clear()  # the next call probes this process again
+
+    @staticmethod
+    def blas(monkeypatch, **symbols):
+        library = type("Library", (), {name: staticmethod(value) for name, value in symbols.items()})
+        monkeypatch.setattr(tensor.ctypes, "CDLL", lambda path: library())
+
+    def test_two_cores_and_one_blas_thread_submit(self, monkeypatch, counted):
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+        self.blas(monkeypatch, scipy_openblas_get_num_threads64_=lambda: 1)
+        _scaled_net_pass()
+        assert counted.submitted == 2  # the 64 -> 64 conv and the FC
+
+    @pytest.mark.parametrize(
+        "cores,symbols",
+        [
+            ({0, 1}, {"scipy_openblas_get_num_threads64_": lambda: 2}),
+            ({0, 1}, {"openblas_get_num_threads": lambda: 1}),
+            ({1}, {"scipy_openblas_get_num_threads64_": lambda: 1}),
+            ({0, 1}, {}),
+        ],
+        ids=["blas-threads", "unmeasured-blas", "one-core", "no-symbol"],
+    )
+    def test_a_closed_gate_submits_nothing(self, monkeypatch, counted, cores, symbols):
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: cores)
+        self.blas(monkeypatch, **symbols)
+        _scaled_net_pass()
+        assert counted.submitted == 0
+
+    def test_the_gate_is_checked_once(self, monkeypatch, counted):
+        probes = []
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+        self.blas(monkeypatch, scipy_openblas_get_num_threads64_=lambda: probes.append(1) or 1)
+        _scaled_net_pass()
+        _scaled_net_pass()
+        assert probes == [1] and counted.submitted == 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_desk_network_never_submits(self, monkeypatch, counted, dtype):
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: True)
+        arch = parse_arch(PRESETS["desk"], input_dims=(2, 16, 16), time_steps=8)
+        net = build_network(arch, 4, rng=np.random.default_rng(0), dtype=dtype)
+        x = (np.random.default_rng(1).random((8, net.chunk_size, 2, 16, 16)) < 0.2).astype(dtype)
+        out = net.forward(Tensor(x), rng=np.random.default_rng(2))
+        oracles.probe_sum(out, np.ones(out.shape, dtype=dtype)).backward()
+        assert counted.submitted == 0
 
 
 class TestDeterminism:
