@@ -1,41 +1,23 @@
 #!/usr/bin/env python3
 """End-to-end smoke run: train on synthetic moving bars, eval, dump attention.
 
+Every command runs the default config; training takes 8 epochs.
+
 Usage: python3 scripts/quickstart.py [out_dir]
 """
 
-import json
 import sys
 from pathlib import Path
 
 from tcja_snn.cli import main
 
 out_dir = Path(sys.argv[1] if len(sys.argv) > 1 else "runs/quickstart")
-config = {
-    "arch": "16C3-LIF-MP2-TCJA-16C3-LIF-MP2-64FC-LIF-Voting",
-    "time_steps": 8,
-    "num_classes": 4,
-    "out_dir": str(out_dir),
-    "train": {"epochs": 8, "batch_size": 16, "seed": 0},
-}
-out_dir.mkdir(parents=True, exist_ok=True)
-config_path = out_dir / "quickstart_config.json"
-config_path.write_text(json.dumps(config, indent=2))
+best = str(out_dir / "best.ckpt")
 
 for argv in (
-    ["train", "--config", str(config_path)],
-    ["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--config", str(config_path)],
-    [
-        "inspect-attention",
-        "--checkpoint",
-        str(out_dir / "best.ckpt"),
-        "--config",
-        str(config_path),
-        "--sample",
-        "0",
-        "--out",
-        str(out_dir / "attention"),
-    ],
+    ["train", "--out_dir", str(out_dir), "--train.epochs", "8"],
+    ["eval", "--checkpoint", best],
+    ["inspect-attention", "--checkpoint", best, "--out", str(out_dir / "attention")],
 ):
     code = main(argv)
     if code != 0:

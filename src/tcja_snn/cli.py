@@ -44,9 +44,6 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or unreadable config files."""
 
 
-# The LIF settings that the config keeps under "train" rather than "lif".
-_LIF_KEYS_IN_TRAIN = ("surrogate", "detach_reset")
-_LIF_DEFAULTS = asdict(LifConfig())
 # The config's synthetic section takes the generator's defaults, except for
 # the dataset sizes and the seed; its class count is `num_classes`.
 _GEN_PARAMS = inspect.signature(data_mod.gen_synthetic).parameters
@@ -68,13 +65,8 @@ DEFAULT_CONFIG: dict = {
             "noise_per_tick": _GEN_PARAMS["noise_per_tick"].default,
         },
     },
-    "train": {
-        **asdict(TrainConfig()),
-        "seed": 0,
-        "precision": "f32",
-        **{key: _LIF_DEFAULTS[key] for key in _LIF_KEYS_IN_TRAIN},
-    },
-    "lif": {key: value for key, value in _LIF_DEFAULTS.items() if key not in _LIF_KEYS_IN_TRAIN},
+    "train": {**asdict(TrainConfig()), "seed": 0, "precision": "f32"},
+    "lif": asdict(LifConfig()),
     "tcja": asdict(TcjaConfig()),
 }
 
@@ -221,16 +213,13 @@ def _load_samples(
 
 
 def _build_from_config(config: dict, dims: tuple[int, int, int], rng: np.random.Generator):
-    # The train section also carries two LIF settings, the seed, which reaches
-    # training only as `rng`, and the precision, which is the network's dtype.
+    # The train section also carries the seed, which reaches training only as
+    # `rng`, and the precision, which is the network's dtype. The config's own
+    # time_steps, num_classes, lif and tcja keys are the network's description.
     train_kw = dict(config["train"])
-    lif_kw = {key: train_kw.pop(key) for key in _LIF_KEYS_IN_TRAIN}
     del train_kw["seed"]
-    # The config's own time_steps, num_classes and tcja keys are the description's.
-    meta = {**config, "input_dims": dims, "precision": train_kw.pop("precision"),
-            "lif": {**lif_kw, **config["lif"]}}
-    train_cfg = TrainConfig(**train_kw)
-    return network_from_meta(config["arch"], meta, rng), train_cfg
+    meta = {**config, "input_dims": dims, "precision": train_kw.pop("precision")}
+    return network_from_meta(config["arch"], meta, rng), TrainConfig(**train_kw)
 
 
 def cmd_train(args, overrides: list[str]) -> int:

@@ -46,6 +46,9 @@ class EventStream:
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise DataError("event field lengths differ")
+        for name in "txyp":
+            if (dtype := getattr(self, name).dtype).kind not in "biu":
+                raise DataError(f"event field {name} must hold integers, got dtype {dtype}")
         if np.count_nonzero(self.t[1:] < self.t[:-1]):
             raise DataError("timestamps must be non-decreasing")
         for name, arr, bound in (("x", self.x, self.width), ("y", self.y, self.height)):
@@ -53,19 +56,16 @@ class EventStream:
             if np.count_nonzero(bad):
                 at = np.flatnonzero(bad)[0]
                 raise DataError(f"{name}={arr[at]} out of range [0, {bound}) at record {at}")
-        p = self.p
-        bad = _outside(p, 2) if p.dtype.kind in "biu" else (p != 0) & (p != 1)
+        bad = _outside(self.p, 2)
         if np.count_nonzero(bad):
             at = np.flatnonzero(bad)[0]
-            raise DataError(f"polarity {p[at]} not in {{0,1}} at record {at}")
+            raise DataError(f"polarity {self.p[at]} not in {{0,1}} at record {at}")
 
 
 def _outside(arr: np.ndarray, bound: int) -> np.ndarray:
-    """Mask of the entries outside [0, bound). Integers take one comparison,
-    read as unsigned so that a negative one is larger than any bound."""
-    if arr.dtype.kind in "biu":
-        return arr.view(f"u{arr.itemsize}") >= bound
-    return (arr < 0) | (arr >= bound)
+    """Mask of the integer entries outside [0, bound), in one comparison:
+    read as unsigned, a negative one is larger than any bound."""
+    return arr.view(f"u{arr.itemsize}") >= bound
 
 
 @dataclass

@@ -278,9 +278,6 @@ class Network:
     layers: list[Layer] = field(default_factory=list)
     params: list[tuple[str, Tensor]] = field(default_factory=list)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return self.params
-
     def param_count(self) -> int:
         return sum(t.size for _, t in self.params)
 

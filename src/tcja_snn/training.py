@@ -316,7 +316,7 @@ def make_checkpoint(
 ) -> Checkpoint:
     """Snapshot the run; arrays are copied, since training updates them in place."""
     records: list[tuple[str, np.ndarray]] = []
-    for name, p in net.parameters():
+    for name, p in net.params:
         records.append((f"param.{name}", p.data.copy()))
     for name in sorted(opt_state.m):
         records.append((f"adam.m.{name}", opt_state.m[name].copy()))
@@ -355,7 +355,7 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, OptimizerState, dict, in
         raise CheckpointError(f"checkpoint is missing record or key {err}") from err
     except (IndexError, OverflowError, TypeError, ValueError) as err:
         raise CheckpointError(f"checkpoint cannot be rebuilt: {err}") from err
-    for name, p in net.parameters():
+    for name, p in net.params:
         key = f"param.{name}"
         if key not in named:
             raise CheckpointError(f"checkpoint lacks tensor {key!r} for this arch")
@@ -407,11 +407,11 @@ def run_epoch(
                 raise NumericsError(f"non-finite loss in epoch {epoch}, batch {batch_idx}")
             batch_loss += value
             loss.backward()
-        for _, p in net.parameters():
+        for _, p in net.params:
             if p.grad is not None:
                 p.grad /= len(batch)
-        optimizer_step(net.parameters(), opt_state, cfg)
-        for name, p in net.parameters():
+        optimizer_step(net.params, opt_state, cfg)
+        for name, p in net.params:
             if not np.isfinite(p.data).all():
                 raise NumericsError(
                     f"non-finite parameter {name!r} in epoch {epoch}, batch {batch_idx}"

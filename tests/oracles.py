@@ -652,7 +652,7 @@ def per_sample_pass(net, samples, rng=None) -> tuple[np.ndarray, float, dict[str
         loss_sum += loss.item()
         loss.backward()
         outputs.append(out.data[:, 0])
-    grads = {name: p.grad.copy() for name, p in net.parameters()}
+    grads = {name: p.grad.copy() for name, p in net.params}
     net.zero_grads()
     return np.stack(outputs, axis=1), loss_sum, grads
 

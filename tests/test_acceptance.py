@@ -231,7 +231,7 @@ def test_criterion_6_parameter_accounting():
             cfg = TcjaConfig(k_t=k, k_c=k)
             net = build_network(arch, num_classes=64, tcja_cfg=cfg)
             attn_params = sum(
-                p.size for name, p in net.parameters() if name.endswith((".w", ".e"))
+                p.size for name, p in net.params if name.endswith((".w", ".e"))
             )
             assert attn_params == tla_n + cla_n == c * c * k + t * t * k
             assert net.param_count() == analytic_param_count(arch, 64, cfg)

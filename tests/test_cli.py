@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from tcja_snn import cli
 from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
 from tcja_snn.data import frames_dataset, gen_synthetic, load_dataset, write_dataset
-from tcja_snn.training import TrainConfig
+from tcja_snn.neuron import LifConfig
+from tcja_snn.training import TrainConfig, load_checkpoint
 
 import oracles
 
@@ -153,7 +154,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "flag,value",
         [("--lif.strict_eq2", "true"), ("--data.synthetic.kind", '"moving-bar"'),
-         ("--data.synthetic.classes", "4")],
+         ("--data.synthetic.classes", "4"),
+         # Moved to the lif section, which is `asdict(LifConfig())`.
+         ("--train.surrogate", "atan"), ("--train.detach_reset", "false")],
     )
     def test_removed_key_exits_1(self, tmp_path, capsys, flag, value):
         out_dir = tmp_path / "run"
@@ -172,6 +175,17 @@ class TestConfig:
         assert main(["train", "--config", str(path), "--lif.tau", "1"]) == 0
         assert json.loads((out_dir / "config.json").read_text())["lif"]["tau"] == 1
         assert (out_dir / "metrics.csv").read_text().splitlines()[1].startswith("0,")
+
+    def test_echoed_lif_section_is_the_checkpoints(self, tmp_path):
+        assert DEFAULT_CONFIG["lif"] == dataclasses.asdict(LifConfig())
+        path, out_dir = quick_config(tmp_path)
+        code = main(["train", "--config", str(path), "--lif.surrogate", "triangle",
+                     "--lif.detach_reset", "false"])
+        assert code == 0
+        echoed = json.loads((out_dir / "config.json").read_text())["lif"]
+        meta = dict(load_checkpoint(out_dir / "last.ckpt").records)["meta.config"]
+        assert echoed == json.loads(meta.tobytes())["lif"]
+        assert echoed == {**DEFAULT_CONFIG["lif"], "surrogate": "triangle", "detach_reset": False}
 
     def test_config_path_naming_a_directory_exits_1(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path)]) == 1
@@ -359,6 +373,14 @@ class TestEvalCommand:
             rows = list(csv.reader(fh))
         assert rows[0][:3] == ["sample_id", "true", "predicted"]
         assert len(rows) - 1 == 8  # n_test
+
+    def test_one_held_out_sample_evaluates(self, tmp_path):
+        # The input-dims check reads the first held-out sample, the only one here.
+        path, out_dir = quick_config(tmp_path, epochs=0)
+        assert main(["train", "--config", str(path)]) == 0
+        flags = ["--config", str(path), "--data.synthetic.n_test", "1"]
+        assert main(["eval", "--checkpoint", str(out_dir / "last.ckpt"), *flags]) == 0
+        assert len((out_dir / "predictions.csv").read_text().splitlines()) == 2
 
     def test_corrupted_magic_exits_4(self, tmp_path):
         path, out_dir = quick_config(tmp_path, epochs=0)
@@ -1024,9 +1046,8 @@ class TestFuzz:
             config = {
                 "arch": arch, "time_steps": time_steps, "out_dir": str(tmp / "run"),
                 "data": {"synthetic": {"height": side, "width": side, "n_train": 4, "n_test": 2}},
-                "train": {"epochs": 1, "batch_size": 4, "precision": precision,
-                          "surrogate": surrogate},
-                "lif": {}, "tcja": {},
+                "train": {"epochs": 1, "batch_size": 4, "precision": precision},
+                "lif": {"surrogate": surrogate}, "tcja": {},
             }
             for (section, key), value in edits:
                 config[section][key] = value

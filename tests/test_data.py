@@ -168,7 +168,6 @@ class TestValidate:
         EventStream(*(np.zeros(0, dtype=np.int64),) * 4, width=1, height=1).validate()
         small = {name: np.array([0, 1, 1, 0], dtype=np.uint8) for name in "xyp"}
         self._stream(**small).validate()
-        self._stream(p=np.array([0.0, 1.0, -0.0, 1.0])).validate()
         self._stream(p=np.array([False, True, True, False])).validate()
 
     def test_equal_timestamps_pass(self):
@@ -188,7 +187,7 @@ class TestValidate:
         [
             ([0, 3, -1, 9], r"^x=-1 out of range \[0, 8\) at record 2$"),
             ([0, 8, -1, 9], r"^x=8 out of range \[0, 8\) at record 1$"),
-            ([0.0, 7.5, 8.0, -1], r"^x=8.0 out of range \[0, 8\) at record 2$"),
+            ([0, 7, 9, -1], r"^x=9 out of range \[0, 8\) at record 2$"),
             ([0, 2**40, 1, 1], r"^x=1099511627776 out of range \[0, 8\) at record 1$"),
         ],
     )
@@ -206,13 +205,36 @@ class TestValidate:
         [
             ([0, 1, 2, 0], r"^polarity 2 not in \{0,1\} at record 2$"),
             ([1, -1, 0, 3], r"^polarity -1 not in \{0,1\} at record 1$"),
-            ([0.0, 1.0, 1.0, 0.5], r"^polarity 0.5 not in \{0,1\} at record 3$"),
-            ([np.nan, 1.0, 1.0, 0.0], r"^polarity nan not in \{0,1\} at record 0$"),
         ],
     )
     def test_polarity_outside_zero_one(self, values, message):
         with pytest.raises(DataError, match=message):
             self._stream(p=np.array(values)).validate()
+
+    @pytest.mark.parametrize(
+        "name, values, dtype",
+        [
+            ("x", [0.0, 7.5, 8.0, -1], "float64"),
+            ("p", [0.0, 1.0, 1.0, 0.5], "float64"),
+            ("p", [np.nan, 1.0, 1.0, 0.0], "float64"),
+            ("p", [0.0, 1.0, -0.0, 1.0], "float64"),
+            ("t", [0.0, 1.0, 2.0, 3.0], "float32"),
+            ("y", [0, 1, 1, 0], "complex128"),
+        ],
+        ids=["x-fraction", "p-half", "p-nan", "p-whole-floats", "t-float32", "y-complex"],
+    )
+    def test_a_field_that_is_not_integer_is_refused(self, name, values, dtype):
+        # The readers and generators make int64; frames and writers index with integers.
+        message = rf"^event field {name} must hold integers, got dtype {dtype}$"
+        with pytest.raises(DataError, match=message):
+            self._stream(**{name: np.array(values, dtype=dtype)}).validate()
+
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_write_events_refuses_a_float_field_and_writes_nothing(self, tmp_path, suffix):
+        path = tmp_path / f"events{suffix}"
+        with pytest.raises(DataError, match="^event field x must hold integers"):
+            write_events(path, self._stream(x=np.array([0.0, 1.0, 7.5, 2.0])))
+        assert not path.exists()
 
     def test_a_strided_field_is_checked_as_its_values(self):
         wide = np.array([[0, 9], [3, 9], [-2, 9], [1, 9]], dtype=np.int64)

@@ -202,7 +202,7 @@ class TestDropout:
     def test_chunk_forward_equals_per_sample_forwards_with_augment_off(self):
         arch = parse_arch("8FC-LIF-0.5DP-8FC-LIF", input_dims=(2, 3, 3), time_steps=5)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(0))
-        for _, p in net.parameters():
+        for _, p in net.params:
             p.data *= 4.0
         x = (np.random.default_rng(1).random((5, 3, 2, 3, 3)) * 2).astype(np.float32)
         got = net.forward(Tensor(x), rng=np.random.default_rng(8)).data
@@ -362,7 +362,7 @@ class TestBuild:
         arch = parse_arch(PRESETS["desk"], input_dims=(2, 16, 16), time_steps=8)
         a = build_network(arch, 4, rng=np.random.default_rng(5))
         b = build_network(arch, 4, rng=np.random.default_rng(5))
-        for (_, pa), (_, pb) in zip(a.parameters(), b.parameters()):
+        for (_, pa), (_, pb) in zip(a.params, b.params):
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
@@ -454,8 +454,8 @@ class TestBuilderInverse:
             assert other.shapes == net.shapes
             assert other.lif_cfg == lif_cfg and other.tcja_cfg == tcja_cfg
             assert other.dtype == net.dtype == dtype
-            assert [key for key, _ in other.parameters()] == [key for key, _ in net.parameters()]
-            for (key, got), (_, want) in zip(other.parameters(), net.parameters()):
+            assert [key for key, _ in other.params] == [key for key, _ in net.params]
+            for (key, got), (_, want) in zip(other.params, net.params):
                 assert got.data.dtype == want.data.dtype, key
                 assert got.data.tobytes() == want.data.tobytes(), key
 
@@ -471,7 +471,7 @@ class TestForward:
 
     def test_zero_weights_give_zero_spikes(self):
         net = self._desk_net()
-        for _, p in net.parameters():
+        for _, p in net.params:
             p.data[...] = 0.0
         x = Tensor(np.random.default_rng(1).random((8, 3, 2, 16, 16)))
         out = net.forward(x)
@@ -500,7 +500,7 @@ class TestForward:
         net_attn.layers[0].kernel.data = net.layers[0].kernel.data.copy()
         net_attn.layers[4].weight.data = net.layers[3].weight.data.copy()
         net_attn.layers[4].bias.data = net.layers[3].bias.data.copy()
-        for name, p in net_attn.parameters():
+        for name, p in net_attn.params:
             if name.endswith((".w", ".e")):
                 p.data[...] = 0.0
         x = Tensor(np.random.default_rng(3).random((8, 2, 16, 16)))
@@ -528,7 +528,7 @@ class TestForward:
         assert interior
         for node in interior:
             assert node._backward is None and node._parents == () and node.grad is None
-        assert all(p.grad is not None for _, p in net.parameters())
+        assert all(p.grad is not None for _, p in net.params)
 
     def test_output_spikes_binary_when_final_layer_is_lif(self):
         net = self._desk_net(arch_text="8C3-LIF-MP2-16FC-LIF")
@@ -588,7 +588,7 @@ class TestGradientHandOver:
         # weight and bias; the second conv's input and kernel; TCJA's input,
         # w and e; the first conv's kernel (the frames need no gradient).
         assert len(handed) == 17
-        params = [p for _, p in net.parameters()]
+        params = [p for _, p in net.params]
         assert {id(p) for p in params} <= {id(t) for t, _ in handed}
         for i, (target, contribution) in enumerate(handed):
             assert contribution.flags.writeable

@@ -5,11 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tcja_snn.attention import TcjaConfig
+from tcja_snn.cli import DEFAULT_CONFIG
+from tcja_snn.network import PRESETS, analytic_param_count, parse_arch
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_attention_ablation_prints_three_variants():
-    # Zero epochs: the script builds all three networks and prints its table.
+    # Zero epochs: the script trains all three networks for no epoch and prints its table.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "scripts/attention_ablation.py", "0"],
@@ -18,7 +22,16 @@ def test_attention_ablation_prints_three_variants():
     assert proc.returncode == 0, proc.stderr
     table = proc.stdout.split("variant    params   best_acc\n", 1)[1].splitlines()
     assert [row.split()[0] for row in table] == ["none", "multiply", "add"]
-    assert all(int(row.split()[1]) > 0 for row in table)
+    syn = DEFAULT_CONFIG["data"]["synthetic"]
+    dims = (2, syn["height"], syn["width"])
+    variants = {"none": ("16C3-LIF-MP2-16C3-LIF-MP2-64FC-LIF-Voting", "multiply"),
+                "multiply": (PRESETS["desk"], "multiply"), "add": (PRESETS["desk"], "add")}
+    for row in table:
+        name, params, _ = row.split()
+        arch_text, fusion = variants[name]
+        arch = parse_arch(arch_text, input_dims=dims, time_steps=DEFAULT_CONFIG["time_steps"])
+        want = analytic_param_count(arch, DEFAULT_CONFIG["num_classes"], TcjaConfig(fusion=fusion))
+        assert int(params) == want
 
 
 def test_mutants_lists_candidates_and_mutates_only_a_copy(tmp_path, monkeypatch):

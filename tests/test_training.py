@@ -194,7 +194,7 @@ class TestDescent:
         out = net.forward(x)
         loss = smse_loss(out, target)
         loss.backward()
-        optimizer_step(net.parameters(), OptimizerState(), cfg)
+        optimizer_step(net.params, OptimizerState(), cfg)
         assert loss_value() < before
 
 
@@ -301,7 +301,7 @@ def desk_batch(n=10, weight_scale=4.0, fusion="multiply", dtype=np.float64):
     net = build_network(
         arch, 4, tcja_cfg=TcjaConfig(fusion=fusion), rng=np.random.default_rng(4), dtype=dtype
     )
-    for _, p in net.parameters():
+    for _, p in net.params:
         p.data *= weight_scale
     rng = np.random.default_rng(0)
     samples = [
@@ -384,7 +384,7 @@ class TestBatchedParity:
         cfg = TrainConfig(lr=1e-3, batch_size=len(samples), epochs=1, optimizer="sgd")
         result = train(net, samples, [], cfg, np.random.default_rng(0))
         assert abs(result.history[0]["train_loss"] * len(samples) - want_loss) <= 1e-10
-        for name, p in net.parameters():
+        for name, p in net.params:
             assert np.abs(p.grad * len(samples) - want_grads[name]).max() <= 1e-10, name
 
     def test_evaluate_equals_evaluate_of_each_sample(self, monkeypatch):
@@ -451,6 +451,7 @@ class TestCheckpoint:
             ("a", np.arange(12, dtype=">f8").reshape(3, 4)[:, ::2]),
             ("b", np.zeros((2, 0, 3), dtype=np.float32)),
             ("c", np.arange(6, dtype=np.int64).reshape(2, 3).T),
+            ("d", np.asarray(2.5)),  # rank 0: one value and no dims
         ]
         ckpt = Checkpoint(arch="x", records=records)
         save_checkpoint(tmp_path / "x.ckpt", ckpt)
@@ -490,14 +491,14 @@ class TestCheckpoint:
         state = OptimizerState()
 
         def step():
-            for _, p in net.parameters():
+            for _, p in net.params:
                 p.grad = np.ones_like(p.data)
-            optimizer_step(net.parameters(), state, cfg)
+            optimizer_step(net.params, state, cfg)
 
         step()  # so the Adam moments exist and are nonzero
         ckpt = make_checkpoint(net, state, np.random.default_rng(0), epoch=0)
         kept = [(name, arr.copy()) for name, arr in ckpt.records]
-        for _, p in net.parameters():
+        for _, p in net.params:
             p.data += 1.0
         step()
         for (name, arr), (_, before) in zip(ckpt.records, kept):
@@ -586,7 +587,7 @@ class TestCheckpoint:
             records.append((name, arr))
         restored = restore_network(Checkpoint(arch=ckpt.arch, records=records))[0]
         assert restored.lif_cfg == net.lif_cfg
-        for (name, got), (_, want) in zip(restored.parameters(), net.parameters()):
+        for (name, got), (_, want) in zip(restored.params, net.params):
             assert got.data.tobytes() == want.data.tobytes(), name
 
     def test_rng_state_roundtrips(self, tmp_path):
@@ -711,7 +712,7 @@ class TestTrainLoop:
         assert json.loads(dict(ckpt.records)["meta.config"].tobytes())["precision"] == "f64"
         restored = restore_network(ckpt)[0]
         assert restored.dtype == np.float64
-        assert all(p.data.dtype == np.float64 for _, p in restored.parameters())
+        assert all(p.data.dtype == np.float64 for _, p in restored.params)
 
     def test_augmented_training_runs_and_is_deterministic(self):
         losses = []
