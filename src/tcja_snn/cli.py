@@ -106,10 +106,9 @@ def _apply_overrides(config: dict, pairs: list[str]) -> dict:
 
 # Leaves whose default is None take a value of this type when set.
 _OPTIONAL_TYPES = {"data.dir": str, "data.width": int, "data.height": int}
-# Smallest accepted value of each integer leaf that has one.
+# Smallest accepted value of each integer leaf that no config dataclass checks.
 _MINIMUMS = {
-    "time_steps": 1, "num_classes": 1, "train.batch_size": 1, "train.epochs": 0, "train.seed": 0,
-    "data.width": 1, "data.height": 1,
+    "time_steps": 1, "num_classes": 1, "train.seed": 0, "data.width": 1, "data.height": 1,
     **{f"data.synthetic.{key}": 1 for key in ("height", "width", "n_train")},
     **{f"data.synthetic.{key}": 0 for key in ("n_test", "seed", "noise_per_tick")},
 }

@@ -58,6 +58,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr < np.inf:  # NaN fails the range too
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
 
@@ -88,13 +92,8 @@ def smse_loss(outputs: Tensor, target: np.ndarray) -> Tensor:
     return Tensor._node(np.asarray((diff * diff).sum() / count), (outputs,), backward)
 
 
-def predict_label(outputs: Tensor | np.ndarray) -> int:
-    """Class with the highest mean firing rate; lowest index wins ties."""
-    data = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs)
-    return _top_class(data.mean(axis=0))
-
-
-def _top_class(rates: np.ndarray) -> int:
+def predict_label(rates: np.ndarray) -> int:
+    """The class with the highest of the (C,) mean firing rates; lowest index wins ties."""
     return int(np.argmax(rates))  # the first of equal maxima
 
 
@@ -178,7 +177,7 @@ def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
             out = net.forward(stack_frames(chunk, net.dtype), observe=observe)
         for j, sample in enumerate(chunk):
             rates = out.data[:, j].mean(axis=0)
-            predictions.append((len(predictions), sample.class_index, _top_class(rates), rates))
+            predictions.append((len(predictions), sample.class_index, predict_label(rates), rates))
     n = len(samples)
     totals = Counter(true for _, true, _, _ in predictions)
     hits = Counter(true for _, true, pred, _ in predictions if pred == true)

@@ -1023,6 +1023,29 @@ _EDGES = [0, -1, math.nan, math.inf, -math.inf, 1e300, -1e300]
 _KEYS = [("train", "lr"), ("train", "epochs"), ("train", "batch_size"), ("lif", "tau"),
          ("lif", "v_reset"), ("lif", "v_threshold"), ("lif", "alpha"), ("lif", "gamma"),
          ("tcja", "k_t"), ("tcja", "k_c")]
+_PRECISIONS = ["f32", "f64"]
+_SURROGATES = ["atan", "triangle"]
+
+
+def _fuzz_run(tmp: Path, arch, time_steps, side, precision, surrogate, edits=()):
+    """Exit codes of `train`, `eval` and `inspect-attention` on the fuzz's
+    config for these draws, written into `tmp`."""
+    config = {
+        "arch": arch, "time_steps": time_steps, "out_dir": str(tmp / "run"),
+        "data": {"synthetic": {"height": side, "width": side, "n_train": 4, "n_test": 2}},
+        "train": {"epochs": 1, "batch_size": 4, "precision": precision},
+        "lif": {"surrogate": surrogate}, "tcja": {},
+    }
+    for (section, key), value in edits:
+        config[section][key] = value
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config))
+    ckpt = ["--checkpoint", str(tmp / "run" / "last.ckpt"), "--config", str(path),
+            "--out", str(tmp / "out")]
+    trained = main(["train", "--config", str(path)])
+    evaluated = main(["eval", *ckpt])
+    inspected = main(["inspect-attention", *ckpt])
+    return trained, evaluated, inspected
 
 
 class TestFuzz:
@@ -1034,30 +1057,30 @@ class TestFuzz:
         arch=_ARCHS,
         time_steps=st.integers(1, 3),
         side=st.integers(4, 8),
-        precision=st.sampled_from(["f32", "f64"]),
-        surrogate=st.sampled_from(["atan", "triangle"]),
+        precision=st.sampled_from(_PRECISIONS),
+        surrogate=st.sampled_from(_SURROGATES),
         edits=st.lists(st.tuples(st.sampled_from(_KEYS), st.sampled_from(_EDGES)), max_size=1),
     )
     def test_every_command_returns_a_documented_exit_code(
         self, arch, time_steps, side, precision, surrogate, edits
     ):
         with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            config = {
-                "arch": arch, "time_steps": time_steps, "out_dir": str(tmp / "run"),
-                "data": {"synthetic": {"height": side, "width": side, "n_train": 4, "n_test": 2}},
-                "train": {"epochs": 1, "batch_size": 4, "precision": precision},
-                "lif": {"surrogate": surrogate}, "tcja": {},
-            }
-            for (section, key), value in edits:
-                config[section][key] = value
-            path = tmp / "config.json"
-            path.write_text(json.dumps(config))
-            ckpt = ["--checkpoint", str(tmp / "run" / "last.ckpt"), "--config", str(path),
-                    "--out", str(tmp / "out")]
-            trained = main(["train", "--config", str(path)])
-            evaluated = main(["eval", *ckpt])
-            inspected = main(["inspect-attention", *ckpt])
+            trained, evaluated, inspected = _fuzz_run(
+                Path(tmp), arch, time_steps, side, precision, surrogate, edits
+            )
         assert {trained, evaluated, inspected} <= set(range(6))
         if trained == 0:
             assert evaluated == 0 and inspected in (0, 5)
+
+    # The fuzz accepts exit 1, so a base config that every command refuses
+    # (a key the CLI no longer knows, say) would pass it without one run.
+    @pytest.mark.parametrize("precision", _PRECISIONS)
+    @pytest.mark.parametrize("surrogate", _SURROGATES)
+    def test_base_config_runs_every_command(self, tmp_path, precision, surrogate):
+        trained, evaluated, inspected = _fuzz_run(
+            tmp_path, "4C3-LIF-MP2-TCJA-8FC-LIF-Voting", 2, 8, precision, surrogate
+        )
+        assert (trained, evaluated) == (0, 0) and inspected in (0, 5)
+
+    def test_edited_keys_are_config_keys(self):
+        assert all(key in DEFAULT_CONFIG[section] for section, key in _KEYS)

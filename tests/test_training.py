@@ -110,14 +110,34 @@ class TestPredict:
     def test_single_class_fires(self):
         outputs = np.zeros((6, 4))
         outputs[:, 2] = 1.0
-        assert predict_label(outputs) == 2
+        assert predict_label(outputs.mean(axis=0)) == 2
 
     def test_all_zero_breaks_tie_to_class_zero(self):
-        assert predict_label(np.zeros((4, 3))) == 0
+        assert predict_label(np.zeros((4, 3)).mean(axis=0)) == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        rates = np.array([[0.2, 0.7, 0.7]])
+        rates = np.array([0.2, 0.7, 0.7])
         assert predict_label(rates) == 1
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # A negative batch size ran zero batches and left every parameter as drawn.
+            ({"batch_size": -1}, "batch_size must be >= 1, got -1"),
+            ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+            ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ],
+        ids=["negative-batch", "zero-batch", "negative-epochs"],
+    )
+    def test_out_of_range_setting_is_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**kwargs)
+
+    def test_smallest_settings_are_accepted(self):
+        cfg = TrainConfig(batch_size=1, epochs=0)
+        assert (cfg.batch_size, cfg.epochs) == (1, 0)
 
 
 class TestOptimizer:
@@ -212,7 +232,8 @@ class TestEvaluate:
         _, test_samples = tiny_dataset()
         sample = test_samples[0]
         out = net.forward(Tensor(sample.frames[:, None].astype(net.dtype)))
-        sample_fixed = FrameSample(frames=sample.frames, label=one_hot(4, predict_label(out.data[:, 0])))
+        label = one_hot(4, predict_label(out.data[:, 0].mean(axis=0)))
+        sample_fixed = FrameSample(frames=sample.frames, label=label)
         assert evaluate(net, [sample_fixed]).accuracy == 1.0
 
     def test_accuracy_matches_manual_recount(self):
@@ -222,7 +243,7 @@ class TestEvaluate:
         manual = 0
         for sample in test_samples:
             out = net.forward(Tensor(sample.frames[:, None].astype(net.dtype)))
-            manual += int(predict_label(out.data[:, 0]) == sample.class_index)
+            manual += int(predict_label(out.data[:, 0].mean(axis=0)) == sample.class_index)
         assert result.accuracy == pytest.approx(manual / len(test_samples))
 
     def test_rates_are_each_class_output_averaged_over_time(self):
