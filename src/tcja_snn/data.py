@@ -231,11 +231,7 @@ def _scatter_transform(frames: np.ndarray, map_xy) -> np.ndarray:
     keep = (nx >= 0) & (nx < width) & (ny >= 0) & (ny < height)
     out = np.zeros_like(frames)
     src_y, src_x = ys[keep], xs[keep]
-    np.add.at(
-        out,
-        (slice(None), slice(None), ny[keep], nx[keep]),
-        frames[:, :, src_y, src_x],
-    )
+    np.add.at(out, (slice(None), slice(None), ny[keep], nx[keep]), frames[:, :, src_y, src_x])
     return out
 
 
@@ -276,9 +272,7 @@ def cutout(frames: np.ndarray, side: int, cy: int, cx: int) -> np.ndarray:
     return out
 
 
-def mixup(
-    sample: FrameSample, partner: FrameSample, lam: float
-) -> FrameSample:
+def mixup(sample: FrameSample, partner: FrameSample, lam: float) -> FrameSample:
     frames = lam * sample.frames + (1.0 - lam) * partner.frames
     if sample.label is None or partner.label is None:
         raise DataError("mixup needs labeled samples")
@@ -317,9 +311,7 @@ def augment(
 # -- splitting --------------------------------------------------------------------
 
 
-def split_train_test(
-    samples: list, labels: list[int], seed: int
-) -> tuple[list, list]:
+def split_train_test(samples: list, labels: list[int], seed: int) -> tuple[list, list]:
     """Deterministic stratified 9:1 split; every class needs >= 10 samples."""
     if len(samples) != len(labels):
         raise DataError("samples and labels differ in length")
@@ -379,6 +371,10 @@ def gen_synthetic(
     """
     if classes not in SYNTHETIC_CLASSES:
         raise ValueError(f"classes must be one of {SYNTHETIC_CLASSES}, got {classes}")
+    for name, value, low in (("height", height, 1), ("width", width, 1), ("t_steps", t_steps, 1),
+                             ("n", n, 0), ("noise_per_tick", noise_per_tick, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(seed)
     ticks = t_steps * max(1, round(max(height, width) / t_steps))
     dataset = []
@@ -391,11 +387,7 @@ def gen_synthetic(
 
 
 def _moving_bar_stream(
-    direction: int,
-    height: int,
-    width: int,
-    ticks: int,
-    rng: np.random.Generator,
+    direction: int, height: int, width: int, ticks: int, rng: np.random.Generator,
     noise_per_tick: int,
 ) -> EventStream:
     dx, dy = _DIRECTIONS[direction]
@@ -406,7 +398,7 @@ def _moving_bar_stream(
     ox, oy = (-dy, dx) if (dx and dy) else ((0, 1) if dx else (1, 0))
     cx0 = (width - 1) / 2.0 - dx * span / 2.0
     cy0 = (height - 1) / 2.0 - dy * span / 2.0
-    ts, xs, ys, ps = [], [], [], []
+    events: list[tuple[int, int, int, int]] = []  # (t, x, y, p)
     prev_cells: set[tuple[int, int]] = set()
     for tick in range(ticks):
         prog = tick / (ticks - 1) if ticks > 1 else 0.0
@@ -418,32 +410,18 @@ def _moving_bar_stream(
             py = int(round(cy + oy * s))
             if 0 <= px < width and 0 <= py < height:
                 cells.add((px, py))
-        base = tick * 1000
-        seq = 0
-        # ON where the bar is now, then OFF where it just left.
-        for area, polarity in ((cells, 1), (prev_cells - cells, 0)):
-            for px, py in sorted(area):
-                for _ in range(_EVENTS_PER_CELL):
-                    ts.append(base + seq)
-                    xs.append(px)
-                    ys.append(py)
-                    ps.append(polarity)
-                    seq += 1
+        # ON where the bar is now, then OFF where it just left, then noise;
+        # the tick's n-th event comes n microseconds after its start.
+        tick_events = [(px, py, polarity)
+                       for area, polarity in ((cells, 1), (prev_cells - cells, 0))
+                       for px, py in sorted(area) for _ in range(_EVENTS_PER_CELL)]
         for _ in range(noise_per_tick):
-            ts.append(base + seq)
-            xs.append(int(rng.integers(0, width)))
-            ys.append(int(rng.integers(0, height)))
-            ps.append(int(rng.integers(0, 2)))
-            seq += 1
+            tick_events.append((int(rng.integers(0, width)), int(rng.integers(0, height)),
+                                int(rng.integers(0, 2))))
+        events += [(tick * 1000 + seq, *xyp) for seq, xyp in enumerate(tick_events)]
         prev_cells = cells
-    stream = EventStream(
-        t=np.asarray(ts, dtype=np.int64),
-        x=np.asarray(xs, dtype=np.int64),
-        y=np.asarray(ys, dtype=np.int64),
-        p=np.asarray(ps, dtype=np.int64),
-        width=width,
-        height=height,
-    )
+    columns = np.asarray(events, dtype=np.int64).reshape(-1, 4).T
+    stream = EventStream(*columns, width=width, height=height)
     stream.validate()
     return stream
 

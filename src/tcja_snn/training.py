@@ -13,12 +13,13 @@ states.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -77,9 +78,7 @@ def smse_loss(outputs: Tensor, target: np.ndarray) -> Tensor:
         raise ShapeError(f"expected (T, ..., C) outputs, got {outputs.shape}")
     target = np.asarray(target, dtype=outputs.dtype)
     if target.shape != outputs.shape[1:]:
-        raise ShapeError(
-            f"target shape {target.shape} does not match outputs {outputs.shape}"
-        )
+        raise ShapeError(f"target shape {target.shape} does not match outputs {outputs.shape}")
     diff = outputs.data - target
     # One sample's element count, a Python int: an np.int64 would promote f32 to f64.
     count = outputs.shape[0] * outputs.shape[-1]
@@ -313,14 +312,13 @@ def make_checkpoint(
     rng: np.random.Generator,
     epoch: int,
 ) -> Checkpoint:
-    """Snapshot the run; arrays are copied, since training updates them in place."""
-    records: list[tuple[str, np.ndarray]] = []
-    for name, p in net.params:
-        records.append((f"param.{name}", p.data.copy()))
-    for name in sorted(opt_state.m):
-        records.append((f"adam.m.{name}", opt_state.m[name].copy()))
-    for name in sorted(opt_state.v):
-        records.append((f"adam.v.{name}", opt_state.v[name].copy()))
+    """Snapshot the run; arrays are copied, since training updates them in place.
+
+    `train` stores `epoch` as `meta.epoch`: in `best.ckpt` the best epoch's
+    index, in `last.ckpt` the number of epochs run so far."""
+    records = [(f"param.{name}", p.data.copy()) for name, p in net.params]
+    for key, moments in (("m", opt_state.m), ("v", opt_state.v)):
+        records += [(f"adam.{key}.{name}", moments[name].copy()) for name in sorted(moments)]
     records.append(("opt.step", np.asarray([opt_state.step], dtype=np.int64)))
     records.append(("meta.epoch", np.asarray([epoch], dtype=np.int64)))
     records.append(("meta.rng", _json_blob(rng.bit_generator.state)))
@@ -328,10 +326,20 @@ def make_checkpoint(
     return Checkpoint(arch=render(net.arch), records=records)
 
 
+def _replace_file(path: Path, pieces: Iterable[bytes | memoryview]) -> None:
+    """Write `pieces` to a temporary file beside `path`, then move it over
+    `path`, so that a reader sees the old file or the whole new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(pieces)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only if the write failed
+
+
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    with open(path, "wb") as f:
-        for piece in ckpt._pieces():
-            f.write(piece)
+    _replace_file(Path(path), ckpt._pieces())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -363,21 +371,42 @@ def restore_network(ckpt: Checkpoint) -> tuple[Network, OptimizerState, dict, in
                 f"tensor {key!r} shape {named[key].shape} does not match {p.shape}"
             )
         p.data = named[key].astype(net.dtype)
-        m_key, v_key = f"adam.m.{name}", f"adam.v.{name}"
-        if m_key in named:
-            opt_state.m[name] = named[m_key].astype(net.dtype)
-        if v_key in named:
-            opt_state.v[name] = named[v_key].astype(net.dtype)
+        for key, moments in (("m", opt_state.m), ("v", opt_state.v)):
+            if f"adam.{key}.{name}" in named:
+                moments[name] = named[f"adam.{key}.{name}"].astype(net.dtype)
     return net, opt_state, rng_state, epoch
 
 
 # -- training loop ------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class EpochRecord:
+    """One epoch of a run, which its log line and its `metrics.csv` and `timing.csv` rows show."""
+
+    epoch: int
+    train_loss: float
+    test_acc: float
+    wall_seconds: float
+
+
+_LOG_LINE = ("epoch {0.epoch}: train_loss={0.train_loss:.4f}"
+             " test_acc={0.test_acc:.4f} ({0.wall_seconds:.1f}s)")
+# Each per-epoch file's header and row; with the wall seconds apart, reruns
+# of one config and seed write the same `metrics.csv`.
+_RUN_TABLES = {
+    "metrics.csv": ("epoch,train_loss,test_acc", "{0.epoch},{0.train_loss:.10g},{0.test_acc:.10g}"),
+    "timing.csv": ("epoch,wall_seconds", "{0.epoch},{0.wall_seconds:.3f}"),
+}
+
+
 @dataclass
 class TrainResult:
-    history: list[dict]
-    best_accuracy: float
+    history: list[EpochRecord]
+
+    @property
+    def best_accuracy(self) -> float:
+        return max((r.test_acc for r in self.history), default=0.0)  # 0.0 after no epoch
 
 
 def run_epoch(
@@ -423,49 +452,41 @@ def train(
     net: Network, train_samples: list[FrameSample], test_samples: list[FrameSample],
     cfg: TrainConfig, rng: np.random.Generator, out_dir: str | Path | None = None, log=None,
 ) -> TrainResult:
-    """Run the full loop; optionally persist metrics and checkpoints to `out_dir`.
+    """Run the full loop, one `EpochRecord` an epoch, and keep the run in `out_dir`.
 
-    Metrics rows hold epoch, train loss, and test accuracy; wall-clock
-    seconds go to a separate timing file so the metrics file is
-    byte-identical across reruns of the same config and seed.
+    With `out_dir`, each epoch ends by writing `best.ckpt` (`meta.epoch` its
+    index) if its test accuracy beats every earlier epoch's, then
+    `metrics.csv`, `timing.csv` and `last.ckpt` (`meta.epoch` the epochs run
+    so far), each through a temporary file that then replaces it. So a run
+    stopped early, by a `NumericsError` or otherwise, keeps its finished
+    epochs' files whole. After zero epochs both checkpoints are one snapshot.
     """
     if not train_samples:
         raise ValueError("training set is empty")
-    opt_state = OptimizerState()
-    history: list[dict] = []
-    best_acc = -1.0
-    best_ckpt: Checkpoint | None = None
-
+    opt_state, result = OptimizerState(), TrainResult(history=[])
     out_dir = Path(out_dir) if out_dir is not None else None
-    metrics_rows = ["epoch,train_loss,test_acc"]
-    timing_rows = ["epoch,wall_seconds"]
+
+    def save(best: Checkpoint | None, last: Checkpoint) -> None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if best is not None:
+            save_checkpoint(out_dir / "best.ckpt", best)
+        for name, (header, row) in _RUN_TABLES.items():
+            lines = [header, *map(row.format, result.history)]
+            _replace_file(out_dir / name, ["".join(f"{line}\n" for line in lines).encode()])
+        save_checkpoint(out_dir / "last.ckpt", last)
 
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
         train_loss = run_epoch(net, train_samples, cfg, opt_state, rng, epoch)
-        result = evaluate(net, test_samples)
-        wall = time.perf_counter() - tic
-        history.append({"epoch": epoch, "train_loss": train_loss, "test_acc": result.accuracy})
-        metrics_rows.append(f"{epoch},{train_loss:.10g},{result.accuracy:.10g}")
-        timing_rows.append(f"{epoch},{wall:.3f}")
+        acc = evaluate(net, test_samples).accuracy
+        improved = not result.history or acc > result.best_accuracy
+        result.history.append(EpochRecord(epoch, train_loss, acc, time.perf_counter() - tic))
         if log is not None:
-            log(
-                f"epoch {epoch}: train_loss={train_loss:.4f}"
-                f" test_acc={result.accuracy:.4f} ({wall:.1f}s)"
-            )
-        if result.accuracy > best_acc:
-            best_acc = result.accuracy
-            best_ckpt = make_checkpoint(net, opt_state, rng, epoch)
-
-    final_ckpt = make_checkpoint(net, opt_state, rng, cfg.epochs)
-    if best_ckpt is None:
-        best_acc = 0.0
-        best_ckpt = final_ckpt
-
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "metrics.csv").write_text("\n".join(metrics_rows) + "\n")
-        (out_dir / "timing.csv").write_text("\n".join(timing_rows) + "\n")
-        save_checkpoint(out_dir / "best.ckpt", best_ckpt)
-        save_checkpoint(out_dir / "last.ckpt", final_ckpt)
-    return TrainResult(history=history, best_accuracy=best_acc)
+            log(_LOG_LINE.format(result.history[-1]))
+        if out_dir is not None:
+            best = make_checkpoint(net, opt_state, rng, epoch) if improved else None
+            save(best, make_checkpoint(net, opt_state, rng, epoch + 1))
+    if out_dir is not None and not cfg.epochs:
+        snapshot = make_checkpoint(net, opt_state, rng, 0)
+        save(snapshot, snapshot)
+    return result

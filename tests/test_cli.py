@@ -298,6 +298,32 @@ class TestTrainCommand:
         assert err == "numeric abort: non-finite parameter 'layer0.kernel' in epoch 0, batch 0\n"
         assert not (out_dir / "last.ckpt").exists()
 
+    def test_numeric_abort_keeps_the_finished_epochs(self, tmp_path, monkeypatch, capsys):
+        from tcja_snn import training
+
+        steps = []
+        step = training.optimizer_step
+
+        def poisoned_in_epoch_2(params, *args):
+            step(params, *args)
+            steps.append(None)
+            if len(steps) == 7:  # three batches an epoch: epoch 2's first step
+                params[0][1].data[...] = np.nan
+
+        monkeypatch.setattr(training, "optimizer_step", poisoned_in_epoch_2)
+        path, out_dir = quick_config(tmp_path, epochs=4)
+        assert main(["train", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric abort: non-finite parameter 'layer0.kernel' in epoch 2, batch 0\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "best.ckpt", "config.json", "last.ckpt", "metrics.csv", "timing.csv",
+        ]
+        for name in ("metrics.csv", "timing.csv"):
+            rows = (out_dir / name).read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == ["0", "1"]
+        assert training.restore_network(load_checkpoint(out_dir / "last.ckpt"))[3] == 2
+        assert training.restore_network(load_checkpoint(out_dir / "best.ckpt"))[3] in (0, 1)
+
     @pytest.mark.parametrize("where", ["manifest line", "manifest"])
     def test_dataset_path_naming_a_directory_exits_2(self, tmp_path, capsys, where):
         data_dir = tmp_path / "data"

@@ -59,6 +59,13 @@ class TestEventIo:
         back = read_events(path)
         assert len(back) == 0 and back.width == 4 and back.height == 4
 
+    def test_zero_by_zero_grid_binary_roundtrip(self, tmp_path):
+        # 0 is the u16 header's lowest value: an empty stream on no grid still fits.
+        empty = np.zeros(0, dtype=np.int64)
+        write_events(tmp_path / "none.bin", EventStream(empty, empty, empty, empty, 0, 0))
+        back = read_events(tmp_path / "none.bin")
+        assert (len(back), back.width, back.height) == (0, 0, 0)
+
     def test_csv_roundtrips_through_binary_bit_exactly(self, tmp_path):
         csv_path = tmp_path / "events.csv"
         csv_path.write_text("100,1,2,1\n200,3,0,0\n300,0,4,1\n")
@@ -549,6 +556,18 @@ class TestSynthetic:
         for stream, _ in gen_synthetic(classes=8, height=10, width=10, t_steps=5, n=8, seed=1):
             sample = integrate_frames(stream, 5)
             assert sample.frames.sum() == len(stream)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": -1}, "n must be >= 0, got -1"),
+        ({"noise_per_tick": -2}, "noise_per_tick must be >= 0, got -2"),
+        ({"height": 0}, "height must be >= 1, got 0"),
+        ({"width": -3}, "width must be >= 1, got -3"),
+        ({"t_steps": 0}, "t_steps must be >= 1, got 0"),
+    ])
+    def test_out_of_range_argument_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as err:
+            gen_synthetic(**kwargs)
+        assert not isinstance(err.value, DataError)
 
     def test_unsupported_class_count(self):
         # A setting, not the data, is wrong: the CLI reports it as a config error.

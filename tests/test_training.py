@@ -1,6 +1,9 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from tcja_snn import network, training
 from tcja_snn.attention import TcjaConfig
 from tcja_snn.data import FrameSample, frames_dataset, gen_synthetic, one_hot
-from tcja_snn.network import PRESETS, build_network, parse_arch
+from tcja_snn.network import PRESETS, build_network, parse_arch, render
 from tcja_snn.tensor import Tensor
 from tcja_snn.training import (
     CHECKPOINT_MAGIC,
@@ -404,7 +407,7 @@ class TestBatchedParity:
         # in each grad.
         cfg = TrainConfig(lr=1e-3, batch_size=len(samples), epochs=1, optimizer="sgd")
         result = train(net, samples, [], cfg, np.random.default_rng(0))
-        assert abs(result.history[0]["train_loss"] * len(samples) - want_loss) <= 1e-10
+        assert abs(result.history[0].train_loss * len(samples) - want_loss) <= 1e-10
         for name, p in net.params:
             assert np.abs(p.grad * len(samples) - want_grads[name]).max() <= 1e-10, name
 
@@ -466,6 +469,50 @@ class TestCheckpoint:
         blob = (tmp_path / "desk.ckpt").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == self.DESK_UNTRAINED_SHA256
         assert b"".join(ckpt._pieces()) == blob
+
+    # A v1 file written by a trained run (4C3-LIF-MP2-16FC-LIF-Voting, 8x8, T=2,
+    # 4 epochs of 16 samples), kept so that later versions go on reading it.
+    V1_FIXTURE = Path(__file__).parent / "fixtures" / "v1_trained.ckpt"
+    V1_PARAMS_SHA256 = "60dd3617dea69776fb438094b07699a20fa2582e92c882c105d495feb3f1cadc"
+
+    def test_v1_fixture_restores_as_pinned(self):
+        ckpt = load_checkpoint(self.V1_FIXTURE)
+        named = dict(ckpt.records)
+        assert (ckpt.version, ckpt.arch) == (1, "4C3-LIF-MP2-16FC-LIF-Voting")
+        assert json.loads(named["meta.config"].tobytes()) == {
+            "input_dims": [2, 8, 8], "time_steps": 2, "num_classes": 4, "precision": "f32",
+            "lif": {"tau": 2.0, "v_reset": 0.0, "v_threshold": 1.0, "surrogate": "atan",
+                    "alpha": 2.0, "gamma": 1.0, "detach_reset": True},
+            "tcja": {"k_t": 4, "k_c": 4, "fusion": "multiply"},
+        }
+        params = [(name, arr) for name, arr in ckpt.records if name.startswith("param.")]
+        assert [(name, arr.dtype.str, arr.shape) for name, arr in params] == [
+            ("param.layer0.kernel", "<f4", (4, 2, 3, 3)),
+            ("param.layer3.weight", "<f4", (64, 16)),
+            ("param.layer3.bias", "<f4", (16,)),
+        ]
+        digest = hashlib.sha256(b"".join(arr.tobytes() for _, arr in params)).hexdigest()
+        assert digest == self.V1_PARAMS_SHA256
+        net, opt_state, _, epoch = restore_network(ckpt)
+        assert (epoch, opt_state.step, render(net.arch)) == (4, 8, ckpt.arch)
+        for (name, p), (_, stored) in zip(net.params, params):
+            np.testing.assert_array_equal(p.data, stored, err_msg=name)
+        assert sorted(opt_state.m) == sorted(opt_state.v) == sorted(name for name, _ in net.params)
+        streams = gen_synthetic(classes=4, height=8, width=8, t_steps=2, n=8, seed=32)
+        assert evaluate(net, frames_dataset(streams, 2, 4)).accuracy == 0.625
+
+    def test_failed_save_keeps_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ckpt = make_checkpoint(tiny_net(), OptimizerState(), np.random.default_rng(0), 0)
+        save_checkpoint(path, ckpt)
+        before = path.read_bytes()
+        # A record of a dtype the format has no code for fails partway through the write.
+        records = [("a", np.zeros(3, np.float32)), ("b", np.zeros(3, np.int16))]
+        bad = Checkpoint(arch="x", records=records)
+        with pytest.raises(KeyError):
+            save_checkpoint(path, bad)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_non_contiguous_and_big_endian_records_written_as_encoded(self, tmp_path):
         records = [
@@ -530,7 +577,7 @@ class TestCheckpoint:
         cfg = TrainConfig(epochs=3, batch_size=8, lr=0.05)
         result = train(tiny_net(seed=3), train_samples, test_samples, cfg,
                        np.random.default_rng(3), out_dir=tmp_path)
-        accs = [row["test_acc"] for row in result.history]
+        accs = [row.test_acc for row in result.history]
         best_epoch = accs.index(result.best_accuracy)
         assert accs[-1] < result.best_accuracy  # the best epoch precedes the last
         restored, _, _, epoch = restore_network(load_checkpoint(tmp_path / "best.ckpt"))
@@ -679,12 +726,55 @@ class TestTrainLoop:
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "last.ckpt").exists()
 
+    def test_stopped_run_keeps_its_finished_epochs(self, monkeypatch, tmp_path):
+        train_samples, test_samples = tiny_dataset()
+        cfg = TrainConfig(epochs=4, batch_size=8, lr=0.05)
+        two = dataclasses.replace(cfg, epochs=2)
+        full = train(tiny_net(seed=3), train_samples, test_samples, two, np.random.default_rng(3),
+                     out_dir=tmp_path / "full")
+        calls = []
+
+        def evaluate_until_epoch_2(net, samples):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt  # stops the run in its third epoch
+            return evaluate(net, samples)
+
+        monkeypatch.setattr(training, "evaluate", evaluate_until_epoch_2)
+        with pytest.raises(KeyboardInterrupt):
+            train(tiny_net(seed=3), train_samples, test_samples, cfg, np.random.default_rng(3),
+                  out_dir=tmp_path / "stopped")
+        stopped = tmp_path / "stopped"
+        assert sorted(p.name for p in stopped.iterdir()) == [
+            "best.ckpt", "last.ckpt", "metrics.csv", "timing.csv",
+        ]
+        # The two finished epochs, byte for byte as a run of two epochs leaves them.
+        for name in ("metrics.csv", "best.ckpt", "last.ckpt"):
+            assert (stopped / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+        assert len((stopped / "metrics.csv").read_text().splitlines()) == 1 + 2
+        assert len((stopped / "timing.csv").read_text().splitlines()) == 1 + 2
+        assert restore_network(load_checkpoint(stopped / "last.ckpt"))[3] == 2
+        best_epoch = [r.test_acc for r in full.history].index(full.best_accuracy)
+        assert restore_network(load_checkpoint(stopped / "best.ckpt"))[3] == best_epoch
+
+    def test_log_line_and_timing_row_show_one_record(self, monkeypatch, tmp_path):
+        clock = iter([100.0, 102.5, 300.0, 301.5])
+        fake_time = types.SimpleNamespace(perf_counter=lambda: next(clock))
+        monkeypatch.setattr(training, "time", fake_time)
+        train_samples, test_samples = tiny_dataset()
+        lines = []
+        result = train(tiny_net(), train_samples, test_samples, TrainConfig(epochs=2, batch_size=8),
+                       np.random.default_rng(0), out_dir=tmp_path, log=lines.append)
+        assert [r.wall_seconds for r in result.history] == [2.5, 1.5]
+        assert [line.rsplit(" ", 1)[1] for line in lines] == ["(2.5s)", "(1.5s)"]
+        assert (tmp_path / "timing.csv").read_text() == "epoch,wall_seconds\n0,2.500\n1,1.500\n"
+
     def test_initial_loss_in_unit_range(self):
         train_samples, test_samples = tiny_dataset()
         net = tiny_net(seed=11)
         cfg = TrainConfig(epochs=1, batch_size=8)
         result = train(net, train_samples, test_samples, cfg, np.random.default_rng(0))
-        assert 0.0 < result.history[0]["train_loss"] < 1.0
+        assert 0.0 < result.history[0].train_loss < 1.0
 
     def test_metrics_and_checkpoints_reproducible(self, tmp_path):
         outs = []
@@ -742,7 +832,7 @@ class TestTrainLoop:
             net = tiny_net(seed=4)
             cfg = TrainConfig(epochs=2, batch_size=8, augment=augment)
             result = train(net, train_samples, test_samples, cfg, np.random.default_rng(0))
-            losses.append([row["train_loss"] for row in result.history])
+            losses.append([row.train_loss for row in result.history])
         assert losses[0] == losses[1]
         assert all(np.isfinite(v) for v in losses[0])
         # The config flag alone switches augmentation on.
@@ -772,15 +862,20 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=2, batch_size=8)
         result = train(tiny_net(seed=2), train_samples, test_samples, cfg,
                        np.random.default_rng(3), out_dir=tmp_path)
-        accs = [row["test_acc"] for row in result.history]
+        accs = [row.test_acc for row in result.history]
         best_snapshots = sum(acc > max(accs[:i], default=-1.0) for i, acc in enumerate(accs))
         batches, chunks_per_batch = 3, 3  # 24 samples by 8, each batch as 3 + 3 + 2
+        # One snapshot an epoch for last.ckpt, and one per improvement for best.ckpt.
         assert calls == {
             "optimizer_step": batches * cfg.epochs,
             "smse_loss": chunks_per_batch * batches * cfg.epochs,
             "evaluate": cfg.epochs,
-            "make_checkpoint": best_snapshots + 1,
+            "make_checkpoint": cfg.epochs + best_snapshots,
         }
+        # Without an out_dir there is nothing to write, so no snapshot is taken.
+        calls.clear()
+        train(tiny_net(seed=2), train_samples, test_samples, cfg, np.random.default_rng(3))
+        assert "make_checkpoint" not in calls
 
     def test_train_is_run_epoch_in_a_loop(self, tmp_path):
         train_samples, test_samples = tiny_dataset()
@@ -793,8 +888,8 @@ class TestTrainLoop:
         for epoch in range(cfg.epochs):
             loss = run_epoch(net, train_samples, cfg, opt_state, rng, epoch)
             acc = evaluate(net, test_samples).accuracy
-            history.append({"epoch": epoch, "train_loss": loss, "test_acc": acc})
-        assert result.history == history
+            history.append((epoch, loss, acc))
+        assert [(r.epoch, r.train_loss, r.test_acc) for r in result.history] == history
         # The last checkpoint holds the parameters, Adam moments, step and RNG state.
         looped = b"".join(make_checkpoint(net, opt_state, rng, cfg.epochs)._pieces())
         assert (tmp_path / "last.ckpt").read_bytes() == looped
