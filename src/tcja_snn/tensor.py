@@ -5,9 +5,10 @@ links and backward closures built as ops execute, and walked in reverse
 topological order by ``Tensor.backward()``. Gradients accumulate
 additively across fan-out. Each forward pass builds a fresh graph, which
 backward frees as it goes, so there is no tape to reset between iterations.
-Inside a ``no_grad()`` block no graph is recorded at all. The large
-parameter gradients, which no later op of the walk reads, may run on one
-worker thread while the walk goes on; ``backward()`` waits for them.
+Inside a ``no_grad()`` block no graph is recorded at all. One worker
+thread serves two uses: the large parameter gradients, which no later op
+of the walk reads, may run on it while the walk goes on, and ``backward()``
+waits for them; and ``training.evaluate`` may run every other chunk on it.
 
 Every op is one layer-sized node with a closed-form backward, built with
 ``Tensor._node``: conv, pooling and the flattening affine map here, and
@@ -32,6 +33,9 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an operation."""
 
 
+# One flag for the process, not per thread: `training.evaluate` runs its
+# chunks on two threads inside one `no_grad` block, and joins the worker's
+# inside it, so both threads record nothing and it reads True again after.
 _recording = True
 
 
@@ -79,11 +83,13 @@ _pending: list = []
 
 @functools.cache
 def _worker_helps() -> bool:
-    """Whether large parameter gradients run on a worker thread, checked once
-    per process: only if the process may use more than one core and numpy's
-    BLAS runs one thread. On one core, or beside a threaded BLAS, the worker
-    competes for the cores the main thread uses, and training read slower
-    (BENCH_leaf_grad_worker.json)."""
+    """Whether the worker thread runs work beside the main thread, checked
+    once per process: the large parameter gradients of a backward
+    (`_param_grad`) and every other chunk of an evaluation
+    (`training.evaluate`). Only if the process may use more than one core
+    and numpy's BLAS runs one thread: on one core, or beside a threaded BLAS,
+    the worker competes for the cores the main thread uses, and training
+    read slower (BENCH_leaf_grad_worker.json)."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return False
     try:
@@ -107,11 +113,23 @@ def _worker():
     # RSS that a process which never starts the worker need not hold.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tcja-grad")
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tcja-worker")
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
     os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _submit(fn: Callable[[], object]):
+    """Hand `fn` to the worker and return its future. It runs under the
+    caller's numpy error state, which threads do not share."""
+    errors = np.geterr()
+
+    def run():
+        with np.errstate(**errors):
+            return fn()
+
+    return _worker().submit(run)
 
 
 def _param_grad(work: Callable[[], None], params: Sequence["Tensor"], large: bool) -> None:
@@ -125,13 +143,8 @@ def _param_grad(work: Callable[[], None], params: Sequence["Tensor"], large: boo
     if not (large and _worker_helps()) or any(p._parents for p in params):
         work()
         return
-    held, errors = [work], np.geterr()
-
-    def run() -> None:
-        with np.errstate(**errors):
-            held.pop()()
-
-    _pending.append(_worker().submit(run))
+    held = [work]
+    _pending.append(_submit(lambda: held.pop()()))
 
 
 def blocks(length: int, unit_bytes: int, budget: int | None = None) -> list[slice]:

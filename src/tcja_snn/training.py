@@ -18,12 +18,14 @@ import struct
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import data as data_mod
+from . import tensor as tensor_mod
 from .data import FrameSample
 from .network import LifLayer, Network, build_network, parse_arch, render
 from .neuron import LifConfig
@@ -157,26 +159,52 @@ def stack_frames(samples: list[FrameSample], dtype) -> Tensor:
     return Tensor(np.stack([s.frames for s in samples], axis=1, dtype=dtype))
 
 
-def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
-    """Accuracy, per-class accuracy, and mean firing rate per spiking layer.
-
-    Runs the samples in chunks, with the same figures as one at a time."""
-    rate_sums: dict[str, float] = {}
-    predictions = []
+def _evaluate_chunk(net: Network, chunk: list[FrameSample]) -> tuple[list, list]:
+    """One chunk's forward pass: each spiking layer's per-sample mean rates,
+    in layer order, and each sample's (true, predicted, rates)."""
+    layer_rates = []
 
     def observe(layer, x_in: Tensor, out: Tensor) -> None:
         if isinstance(layer, LifLayer):
-            # Each sample's own mean, added in sample order.
             axes = tuple(a for a in range(out.ndim) if a != 1)
-            for rate in out.data.mean(axis=axes):
-                rate_sums[layer.name] = rate_sums.get(layer.name, 0.0) + float(rate)
+            layer_rates.append((layer.name, out.data.mean(axis=axes)))
 
-    for chunk in chunks(samples, net.eval_chunk_size):
-        with no_grad():
-            out = net.forward(stack_frames(chunk, net.dtype), observe=observe)
-        for j, sample in enumerate(chunk):
-            rates = out.data[:, j].mean(axis=0)
-            predictions.append((len(predictions), sample.class_index, predict_label(rates), rates))
+    out = net.forward(stack_frames(chunk, net.dtype), observe=observe)
+    rates = [out.data[:, j].mean(axis=0) for j in range(len(chunk))]
+    return layer_rates, [(s.class_index, predict_label(r), r) for s, r in zip(chunk, rates)]
+
+
+def evaluate(net: Network, samples: list[FrameSample]) -> EvalResult:
+    """Accuracy, per-class accuracy, and mean firing rate per spiking layer.
+
+    Runs the samples in chunks, with the same figures as one at a time.
+    Where the worker helps (`tensor._worker_helps`) and there are two chunks
+    or more, it runs chunks 1, 3, 5, ... while this thread runs 0, 2, 4, ...;
+    the figures are merged in chunk order, so they are the same bits."""
+    parts = list(chunks(samples, net.eval_chunk_size))
+    with no_grad():
+        if len(parts) < 2 or not tensor_mod._worker_helps():
+            results = [_evaluate_chunk(net, part) for part in parts]
+        else:
+            futures = [tensor_mod._submit(partial(_evaluate_chunk, net, part)) for part in parts[1::2]]
+            results = [None] * len(parts)
+            try:
+                results[::2] = [_evaluate_chunk(net, part) for part in parts[::2]]
+                results[1::2] = [future.result() for future in futures]
+            finally:  # after an error, nothing is left queued or running
+                for future in futures:
+                    future.cancel()
+                for future in futures:
+                    if not future.cancelled():
+                        future.exception()  # waits for it, failed or not
+    rate_sums: dict[str, float] = {}
+    predictions = []
+    for layer_rates, rows in results:
+        for name, means in layer_rates:
+            for rate in means:  # each sample's own mean, added in sample order
+                rate_sums[name] = rate_sums.get(name, 0.0) + float(rate)
+        for true, pred, rates in rows:
+            predictions.append((len(predictions), true, pred, rates))
     n = len(samples)
     totals = Counter(true for _, true, _, _ in predictions)
     hits = Counter(true for _, true, pred, _ in predictions if pred == true)

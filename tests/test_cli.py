@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcja_snn import cli
+from tcja_snn import cli, network, tensor
 from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
-from tcja_snn.data import frames_dataset, gen_synthetic, load_dataset, write_dataset
+from tcja_snn.data import DataError, frames_dataset, gen_synthetic, load_dataset, write_dataset
 from tcja_snn.neuron import LifConfig
-from tcja_snn.training import TrainConfig, load_checkpoint
+from tcja_snn.training import NumericsError, TrainConfig, load_checkpoint
 
 import oracles
 
@@ -531,6 +532,55 @@ class TestEvalCommand:
             "checkpoint error: checkpoint cannot be rebuilt:"
             " LIF settings do not fit f32: v_threshold becomes inf\n"
         )
+
+
+class TestEvalOnTheWorker:
+    """`eval` of 8 held-out files in chunks of 5 and 3: the chunk of 3 runs
+    on the worker when its gate is open, and on the caller when it is shut."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        path, out_dir = quick_config(tmp_path_factory.mktemp("eval-worker"))
+        assert main(["train", "--config", str(path)]) == 0
+        return ["eval", "--checkpoint", str(out_dir / "last.ckpt"), "--config", str(path)], out_dir
+
+    @pytest.fixture(autouse=True)
+    def chunks_of_five(self, monkeypatch):
+        monkeypatch.setattr(network.Network, "eval_chunk_size", 5)
+
+    def test_predictions_are_the_same_bytes(self, monkeypatch, trained):
+        argv, out_dir = trained
+        written = {}
+        for worker in (True, False):
+            monkeypatch.setattr(tensor, "_worker_helps", lambda: worker)
+            assert main(argv) == 0
+            written[worker] = (out_dir / "predictions.csv").read_bytes()
+        assert written[True] == written[False]
+
+    @pytest.mark.parametrize(
+        "error,code,prefix",
+        [(NumericsError, 3, "numeric abort"), (DataError, 2, "data error"), (ValueError, 1, "config error")],
+    )
+    @pytest.mark.parametrize("failing", [3, 5], ids=["workers-chunk", "callers-chunk"])
+    def test_a_failing_chunk_exits_as_on_one_thread(self, monkeypatch, capsys, trained, failing, error, code, prefix):
+        forward, threads = network.Network.forward, []
+
+        def failing_forward(net, x, *args, **kwargs):
+            threads.append((threading.current_thread().name, x.shape[1]))
+            if x.shape[1] == failing:
+                raise error("chunk")
+            return forward(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(network.Network, "forward", failing_forward)
+        capsys.readouterr()
+        for worker in (True, False):
+            monkeypatch.setattr(tensor, "_worker_helps", lambda: worker)
+            assert main(trained[0]) == code
+            assert capsys.readouterr().err == f"{prefix}: chunk\n"
+        # The first run's failing chunk ran on the worker or on the caller.
+        thread = next(name for name, size in threads if size == failing)
+        assert thread.startswith("tcja-worker" if failing == 3 else "MainThread")
+        assert tensor._recording is True
 
 
 class TestInspectAttention:

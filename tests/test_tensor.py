@@ -813,8 +813,7 @@ class SpyWorker:
         if self.run:
             return REAL_WORKER().submit(fn)
         future = Future()
-        fn()
-        future.set_result(None)
+        future.set_result(fn())
         return future
 
 

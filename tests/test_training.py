@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import sys
+import threading
+import time
 import types
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcja_snn import network, training
+from tcja_snn import network, tensor, training
 from tcja_snn.attention import TcjaConfig
 from tcja_snn.data import FrameSample, frames_dataset, gen_synthetic, one_hot
 from tcja_snn.network import PRESETS, build_network, parse_arch, render
@@ -37,6 +40,7 @@ from tcja_snn.training import (
 )
 
 import oracles
+from test_tensor import REAL_WORKER, SCALED_ARCH, spy  # spy: the worker forced on, counted
 
 
 def tiny_dataset(n_train=24, n_test=8, seed=0):
@@ -411,13 +415,17 @@ class TestBatchedParity:
         for name, p in net.params:
             assert np.abs(p.grad * len(samples) - want_grads[name]).max() <= 1e-10, name
 
-    def test_evaluate_equals_evaluate_of_each_sample(self, monkeypatch):
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
+    def test_evaluate_equals_evaluate_of_each_sample(self, monkeypatch, worker):
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: worker)
         net, samples = desk_batch(dtype=np.float32)
         monkeypatch.setattr(network.Network, "eval_chunk_size", 4)
         assert_evaluate_equals_each_sample_alone(net, samples, [4, 4, 2])
 
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_evaluate_at_the_evaluation_chunk_equals_each_sample(self, dtype):
+    def test_evaluate_at_the_evaluation_chunk_equals_each_sample(self, monkeypatch, dtype, worker):
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: worker)
         chunk = desk_batch(n=0, dtype=dtype)[0].eval_chunk_size
         assert chunk > 2
         net, samples = desk_batch(n=chunk + 2, dtype=dtype)
@@ -425,9 +433,10 @@ class TestBatchedParity:
 
 
 def assert_evaluate_equals_each_sample_alone(net, samples, want_chunks):
-    """`evaluate` runs `samples` as `want_chunks` forward passes, and its
-    rates, predictions, per-class accuracy and firing rates are byte-equal
-    to those of `evaluate` on each sample alone."""
+    """`evaluate` runs `samples` as `want_chunks` forward passes, in any
+    order (on the worker, chunk 1 may start first), and its rates,
+    predictions, per-class accuracy and firing rates are byte-equal to those
+    of `evaluate` on each sample alone."""
     sizes = []
     forward = net.forward
 
@@ -438,7 +447,7 @@ def assert_evaluate_equals_each_sample_alone(net, samples, want_chunks):
     net.forward = spy
     whole = evaluate(net, samples)
     del net.forward
-    assert sizes == want_chunks
+    assert sorted(sizes) == sorted(want_chunks)
     alone = [evaluate(net, [sample]) for sample in samples]
     for i, (got, single) in enumerate(zip(whole.predictions, alone)):
         want = single.predictions[0]
@@ -453,6 +462,183 @@ def assert_evaluate_equals_each_sample_alone(net, samples, want_chunks):
     for name, rate in whole.firing_rates.items():
         assert 0.0 < rate < 1.0
         assert rate == sum(single.firing_rates[name] for single in alone) / len(samples)
+
+
+def eval_bits(result):
+    """Every figure of an `EvalResult`, each prediction's rates as bytes."""
+    rows = [(i, true, pred, rates.tobytes()) for i, true, pred, rates in result.predictions]
+    return result.accuracy, result.per_class, result.firing_rates, rows
+
+
+def scaled_batch(dtype):
+    """perfbench's scaled-train network, its weights scaled up so that every
+    layer fires, and its 4-sample test set of random (14, 2, 32, 32) frames."""
+    arch = parse_arch(SCALED_ARCH, input_dims=(2, 32, 32), time_steps=14)
+    net = build_network(arch, 4, rng=np.random.default_rng(0), dtype=dtype)
+    for _, p in net.params:
+        p.data *= 4.0
+    rng = np.random.default_rng(1)
+    samples = [
+        FrameSample(frames=rng.poisson(0.5, (14, 2, 32, 32)).astype(float), label=one_hot(4, i))
+        for i in range(4)
+    ]
+    return net, samples
+
+
+def watch_forward(net, fail=lambda on_worker, x: None):
+    """Wrap `net.forward` to log, per call, whether it ran on the worker and
+    its chunk size as it starts, and "end" as it leaves; `fail(on_worker,
+    x)` runs first and may raise."""
+    calls = []
+    forward = net.forward
+
+    def watched(x, *args, **kwargs):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        calls.append((on_worker, x.shape[1]))
+        try:
+            fail(on_worker, x)
+            return forward(x, *args, **kwargs)
+        finally:
+            calls.append("end")
+
+    net.forward = watched
+    return calls
+
+
+class TestEvaluateOnTheWorker:
+    """With two chunks or more and the worker gate open, `evaluate` runs
+    chunks 1, 3, 5, ... on the worker while the caller runs 0, 2, 4, ...,
+    and merges the figures in chunk order: the same bits as one thread."""
+
+    @staticmethod
+    def assert_bit_equal_to_serial(monkeypatch, spy, net, samples):
+        threaded = evaluate(net, samples)
+        submitted = spy.submitted
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: False)
+        assert eval_bits(threaded) == eval_bits(evaluate(net, samples))
+        assert spy.submitted == submitted
+        assert all(0.0 < rate < 1.0 for rate in threaded.firing_rates.values())
+        return submitted
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_chunks", [2, 3, 5])
+    def test_desk_chunks_match_the_serial_path(self, monkeypatch, spy, n_chunks, dtype):
+        monkeypatch.setattr(network.Network, "eval_chunk_size", 4)
+        net, samples = desk_batch(n=4 * n_chunks - 2, dtype=dtype)  # the last chunk holds 2
+        assert self.assert_bit_equal_to_serial(monkeypatch, spy, net, samples) == n_chunks // 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scaled_chunks_match_the_serial_path(self, monkeypatch, spy, dtype):
+        net, samples = scaled_batch(dtype)
+        assert net.eval_chunk_size == 1
+        assert self.assert_bit_equal_to_serial(monkeypatch, spy, net, samples) == 2
+
+    def test_the_worker_runs_the_odd_chunks(self, monkeypatch, spy):
+        monkeypatch.setattr(network.Network, "eval_chunk_size", 4)
+        net, samples = desk_batch(n=17, dtype=np.float32)  # chunks of 4, 4, 4, 4 and 1
+        calls = watch_forward(net)
+        evaluate(net, samples)
+        assert sorted(call for call in calls if call != "end") == [
+            (False, 1), (False, 4), (False, 4), (True, 4), (True, 4)
+        ]
+        worker = REAL_WORKER().submit(threading.current_thread).result(timeout=60)
+        assert worker.name.startswith("tcja-worker")
+
+    def test_chunks_match_the_serial_path_under_frequent_thread_switches(self, monkeypatch, spy):
+        monkeypatch.setattr(network.Network, "eval_chunk_size", 1)
+        net, samples = desk_batch(n=9, dtype=np.float32)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over between threads as often as it can
+        try:
+            threaded = [eval_bits(evaluate(net, samples)) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(switch)
+        assert spy.submitted == 3 * 4
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: False)
+        assert threaded == [eval_bits(evaluate(net, samples))] * 3
+
+    # desk-train's and desk-eval's test sets, and a whole chunk.
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_one_chunk_submits_nothing(self, spy, n):
+        net, samples = desk_batch(n=n, dtype=np.float32)
+        assert net.eval_chunk_size == 20
+        calls = watch_forward(net)
+        evaluate(net, samples)
+        assert spy.submitted == 0 and calls == [(False, n), "end"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_workers_chunk_keeps_the_callers_error_state(self, monkeypatch, spy, dtype):
+        # cli.main silences overflow warnings; pytest turns any other into an
+        # error, which would come out of evaluate from the worker.
+        monkeypatch.setattr(network.Network, "eval_chunk_size", 1)
+        net, samples = desk_batch(n=2, dtype=dtype)
+        huge = FrameSample(np.full_like(samples[1].frames, np.finfo(dtype).max), samples[1].label)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            evaluate(net, [huge])
+        with np.errstate(all="ignore"):
+            threaded = evaluate(net, [samples[0], huge])
+            assert spy.submitted == 1
+            monkeypatch.setattr(tensor, "_worker_helps", lambda: False)
+            assert eval_bits(threaded) == eval_bits(evaluate(net, [samples[0], huge]))
+
+
+class TestEvaluateFailures:
+    """An error in either thread's chunk leaves `evaluate` as it was raised,
+    with no chunk queued or running and graph recording back on."""
+
+    @staticmethod
+    def assert_settled(calls):
+        assert calls.count("end") == len(calls) - calls.count("end")  # every pass has left
+        ran = len(calls)
+        REAL_WORKER().submit(int).result(timeout=60)  # whatever was still queued has run
+        assert len(calls) == ran
+        assert tensor._pending == [] and tensor._recording is True
+
+    def test_an_error_in_the_workers_chunk(self, monkeypatch, spy):
+        monkeypatch.setattr(network.Network, "eval_chunk_size", 2)
+        net, samples = desk_batch(n=10, dtype=np.float32)  # chunks 1 and 3 on the worker
+        error = RuntimeError("worker")
+        raised = []
+
+        def fail(on_worker, x):
+            if on_worker and not raised:
+                raised.append(error)
+                raise error
+
+        calls = watch_forward(net, fail)
+        with pytest.raises(RuntimeError) as info:
+            evaluate(net, samples)
+        assert info.value is error and spy.submitted == 2
+        self.assert_settled(calls)
+
+    def test_an_error_in_the_callers_chunk_waits_for_the_worker(self, monkeypatch):
+        monkeypatch.setattr(network.Network, "eval_chunk_size", 2)
+        net, samples = desk_batch(n=10, dtype=np.float32)
+        error = RuntimeError("caller")
+        started = threading.Event()
+        futures = []  # the worker's chunks 1 and 3
+        worker = types.SimpleNamespace(submit=lambda fn: futures.append(REAL_WORKER().submit(fn)) or futures[-1])
+        monkeypatch.setattr(tensor, "_worker_helps", lambda: True)
+        monkeypatch.setattr(tensor, "_worker", lambda: worker)
+
+        def fail(on_worker, x):
+            if on_worker:  # still busy with chunk 1 until evaluate has cancelled chunk 3
+                started.set()
+                deadline = time.monotonic() + 10
+                while not futures[1].cancelled() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.01)
+            else:
+                assert started.wait(timeout=10)
+                raise error
+
+        calls = watch_forward(net, fail)
+        with pytest.raises(RuntimeError) as info:
+            evaluate(net, samples)
+        assert info.value is error and len(futures) == 2
+        self.assert_settled(calls)
+        # The worker finished chunk 1 before evaluate left; chunk 3 never ran.
+        assert sorted(call for call in calls if call != "end") == [(False, 2), (True, 2)]
 
 
 class TestCheckpoint:
