@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import at_least
 from .tensor import ShapeError, Tensor
 
 _FUSIONS = ("multiply", "add")
@@ -34,8 +35,7 @@ class TcjaConfig:
     fusion: str = "multiply"
 
     def __post_init__(self):
-        if self.k_t < 1 or self.k_c < 1:
-            raise ValueError(f"kernel sizes must be >= 1, got k_t={self.k_t} k_c={self.k_c}")
+        at_least(1, k_t=self.k_t, k_c=self.k_c)
         if self.fusion not in _FUSIONS:
             raise ValueError(f"fusion must be one of {_FUSIONS}, got {self.fusion!r}")
 

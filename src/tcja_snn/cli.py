@@ -1,8 +1,9 @@
 """Command-line interface: train, eval, inspect-attention, gen-synthetic.
 
-Runs are configured by a JSON file plus ``--dotted.key value`` overrides;
-unknown keys and mistyped values are rejected, and the fully resolved config
-is echoed into the output directory so any run can be reproduced from it.
+Runs are configured by a JSON file plus ``--dotted.key value`` overrides,
+read into `RunConfig`: a tree of frozen dataclasses, each field a key whose
+type and default it states, each section's ranges in its `__post_init__`.
+The resolved config is echoed into the output directory to reproduce the run.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric abort,
 4 checkpoint mismatch, 5 network has no attention blocks.
@@ -11,13 +12,14 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numeric abort,
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import ctypes
+import functools
 import inspect
 import json
 import sys
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from .network import PRESETS, Network, TcjaLayer
 from .neuron import LifConfig
 from .tensor import Tensor, no_grad
 from .training import (
+    PRECISIONS,
     CheckpointError,
     NumericsError,
     TrainConfig,
@@ -44,41 +47,45 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or unreadable config files."""
 
 
-# The config's synthetic section takes the generator's defaults, except for
-# the dataset sizes and the seed; its class count is `num_classes`.
-_GEN_PARAMS = inspect.signature(data_mod.gen_synthetic).parameters
+@dataclass(frozen=True)
+class TrainSection(TrainConfig):
+    """The config's train section: `TrainConfig` plus the run's seed, which
+    reaches training only as its RNG, and the network's float type."""
 
-DEFAULT_CONFIG: dict = {
-    "arch": PRESETS["desk"],
-    "time_steps": 8,
-    "num_classes": 4,
-    "out_dir": "runs/default",
-    "data": {
-        "dir": None,
-        "width": None,
-        "height": None,
-        "synthetic": {
-            **{key: _GEN_PARAMS[key].default for key in ("height", "width")},
-            "n_train": 400,
-            "n_test": 100,
-            "seed": 7,
-            "noise_per_tick": _GEN_PARAMS["noise_per_tick"].default,
-        },
-    },
-    "train": {**asdict(TrainConfig()), "seed": 0, "precision": "f32"},
-    "lif": asdict(LifConfig()),
-    "tcja": asdict(TcjaConfig()),
-}
+    seed: int = 0
+    precision: str = "f32"
+
+    def __post_init__(self):
+        super().__post_init__()
+        data_mod.at_least(0, seed=self.seed)
+        if self.precision not in PRECISIONS:
+            names = " or ".join(PRECISIONS)
+            raise ValueError(f"precision must be {names}, got {self.precision!r}")
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(base.get(key), dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value)
-        else:
-            out[key] = value
-    return out
+@dataclass(frozen=True)
+class RunConfig:
+    """A run's whole config. Its time_steps, num_classes, lif and tcja keys
+    and its train section's precision are the network's description."""
+
+    arch: str = PRESETS["desk"]
+    time_steps: int = 8
+    num_classes: int = 4
+    out_dir: str = "runs/default"
+    data: data_mod.DataConfig = data_mod.DataConfig()
+    train: TrainSection = TrainSection()
+    lif: LifConfig = LifConfig()
+    tcja: TcjaConfig = TcjaConfig()
+
+    def __post_init__(self):
+        data_mod.at_least(1, time_steps=self.time_steps, num_classes=self.num_classes)
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, type]:
+    """Each field of the config dataclass `cls` by name, with its annotated type."""
+    hints = typing.get_type_hints(cls)
+    return {field.name: hints[field.name] for field in fields(cls)}
 
 
 def _parse_literal(text: str):
@@ -95,70 +102,60 @@ def _apply_overrides(config: dict, pairs: list[str]) -> dict:
         if not flag.startswith("--"):
             raise ConfigError(f"expected --key, got {flag!r}")
         *sections, leaf = flag[2:].split(".")
-        node = config
+        node, cls = config, RunConfig
         for key in sections:
-            node = node.get(key)
-            if not isinstance(node, dict):
+            cls = _field_types(cls).get(key)
+            node = node.setdefault(key, {})
+            if not (is_dataclass(cls) and isinstance(node, dict)):
                 raise ConfigError(f"unknown config key {flag[2:]!r}")
         node[leaf] = _parse_literal(raw)
     return config
 
 
-# Leaves whose default is None take a value of this type when set.
-_OPTIONAL_TYPES = {"data.dir": str, "data.width": int, "data.height": int}
-# Smallest accepted value of each integer leaf that no config dataclass checks.
-_MINIMUMS = {
-    "time_steps": 1, "num_classes": 1, "train.seed": 0, "data.width": 1, "data.height": 1,
-    **{f"data.synthetic.{key}": 1 for key in ("height", "width", "n_train")},
-    **{f"data.synthetic.{key}": 0 for key in ("n_test", "seed", "noise_per_tick")},
-}
-
-
-def _type_ok(value, want: type) -> bool:
+def _type_ok(value, kinds: tuple[type, ...]) -> bool:
     """A bool is not an int, and an int stands in for a float."""
-    if isinstance(value, bool) or want is bool:
-        return isinstance(value, bool) and want is bool
-    return isinstance(value, (int, float) if want is float else want)
+    if float in kinds:
+        kinds += (int,)
+    return isinstance(value, kinds) and isinstance(value, bool) == (bool in kinds)
 
 
-def _check_config(config: dict, default: dict, path: str = "") -> None:
-    """Raise ConfigError unless `config` has `default`'s keys and leaf types."""
-    unknown = sorted(config.keys() - default.keys())
-    if unknown:
-        raise ConfigError(f"unknown config key {path + unknown[0]!r}")
-    for key, want in default.items():
+def _read(cls: type, raw: dict, path: str = ""):
+    """The config dataclass `cls` read from the JSON object `raw`, whose
+    dotted key prefix is `path`. A missing key takes its field's default."""
+    types = _field_types(cls)
+    kwargs = {}
+    for key, value in raw.items():
         where = path + key
-        if key not in config:
-            raise ConfigError(f"missing config key {where!r}")
-        value = config[key]
-        if isinstance(want, dict):
+        if key not in types:
+            raise ConfigError(f"unknown config key {where!r}")
+        want = types[key]
+        kinds = typing.get_args(want) or (want,)  # `int | None` gives (int, NoneType)
+        if is_dataclass(want):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be an object, got {value!r}")
-            _check_config(value, want, where + ".")
-            continue
-        kind = type(want) if want is not None else _OPTIONAL_TYPES[where]
-        if not (value is None and want is None or _type_ok(value, kind)):
-            raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
-        if where in _MINIMUMS and value is not None and value < _MINIMUMS[where]:
-            raise ConfigError(f"{where} must be >= {_MINIMUMS[where]}, got {value!r}")
+            value = _read(want, value, where + ".")
+        elif not _type_ok(value, kinds):
+            raise ConfigError(f"{where} must be {kinds[0].__name__}, got {value!r}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as err:  # the section's own range checks
+        raise ConfigError(f"{path}{err}") from None
 
 
-def load_config(config_path: str | None, overrides: list[str]) -> dict:
-    config = copy.deepcopy(DEFAULT_CONFIG)
+def load_config(config_path: str | None, overrides: list[str]) -> RunConfig:
+    config = {}
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            config = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise ConfigError(f"invalid JSON in {path}: {err}") from err
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config root must be an object, got {type(loaded).__name__}")
-        config = _merge(config, loaded)
-    config = _apply_overrides(config, overrides)
-    _check_config(config, DEFAULT_CONFIG)
-    return config
+        if not isinstance(config, dict):
+            raise ConfigError(f"config root must be an object, got {type(config).__name__}")
+    return _read(RunConfig, _apply_overrides(config, overrides))
 
 
 def _echo_config(config: dict, out_dir: Path) -> None:
@@ -166,17 +163,8 @@ def _echo_config(config: dict, out_dir: Path) -> None:
     (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
 
-def _synthetic(config: dict, n: int, seed: int) -> list[tuple[data_mod.EventStream, int]]:
-    """`n` labeled streams of the config's synthetic data, drawn at `seed`."""
-    syn = config["data"]["synthetic"]
-    return data_mod.gen_synthetic(
-        classes=config["num_classes"], height=syn["height"], width=syn["width"],
-        t_steps=config["time_steps"], n=n, seed=seed, noise_per_tick=syn["noise_per_tick"],
-    )
-
-
 def _load_samples(
-    config: dict, test_only: bool = False
+    config: RunConfig, test_only: bool = False
 ) -> tuple[list[data_mod.FrameSample], list[data_mod.FrameSample]]:
     """Build train/test frame sets from a dataset directory or the generator.
 
@@ -184,68 +172,58 @@ def _load_samples(
     is still read whole, so its split and grid checks still run, but the
     training streams are neither generated nor integrated.
     """
-    t_steps = config["time_steps"]
-    num_classes = config["num_classes"]
-    data_cfg = config["data"]
-    if data_cfg["dir"] is not None:
-        root = Path(data_cfg["dir"])
-        streams = data_mod.load_dataset(
-            root, width=data_cfg["width"], height=data_cfg["height"]
-        )
+    t_steps, num_classes = config.time_steps, config.num_classes
+    if config.data.dir is not None:
+        streams = data_mod.load_dataset(config.data)
         labels = [label for _, label in streams]
         if max(labels, default=0) >= num_classes:
             raise data_mod.DataError(
-                f"{root / 'manifest.csv'}: label {max(labels)} is out of range"
+                f"{Path(config.data.dir) / 'manifest.csv'}: label {max(labels)} is out of range"
                 f" for num_classes={num_classes}"
             )
         train_streams, test_streams = data_mod.split_train_test(
-            streams, labels, seed=config["train"]["seed"]
+            streams, labels, seed=config.train.seed
         )
     else:
-        syn = data_cfg["synthetic"]
-        train_streams = [] if test_only else _synthetic(config, syn["n_train"], syn["seed"])
-        test_streams = _synthetic(config, syn["n_test"], syn["seed"] + 1)
+        syn = config.data.synthetic
+        train_streams = [] if test_only else syn.generate(num_classes, t_steps)
+        test_streams = syn.generate(num_classes, t_steps, test=True)
     return (
         [] if test_only else data_mod.frames_dataset(train_streams, t_steps, num_classes),
         data_mod.frames_dataset(test_streams, t_steps, num_classes),
     )
 
 
-def _build_from_config(config: dict, dims: tuple[int, int, int], rng: np.random.Generator):
-    # The train section also carries the seed, which reaches training only as
-    # `rng`, and the precision, which is the network's dtype. The config's own
-    # time_steps, num_classes, lif and tcja keys are the network's description.
-    train_kw = dict(config["train"])
-    del train_kw["seed"]
-    meta = {**config, "input_dims": dims, "precision": train_kw.pop("precision")}
-    return network_from_meta(config["arch"], meta, rng), TrainConfig(**train_kw)
+def _build_from_config(config: RunConfig, dims: tuple[int, int, int], rng: np.random.Generator):
+    meta = {**asdict(config), "input_dims": dims, "precision": config.train.precision}
+    return network_from_meta(config.arch, meta, rng)
 
 
 def cmd_train(args, overrides: list[str]) -> int:
     config = load_config(args.config, overrides)
-    out_dir = Path(config["out_dir"])
-    rng = np.random.default_rng(config["train"]["seed"])
+    out_dir = Path(config.out_dir)
+    rng = np.random.default_rng(config.train.seed)
     train_samples, test_samples = _load_samples(config)
     dims = tuple(train_samples[0].frames.shape[1:])
-    net, train_cfg = _build_from_config(config, dims, rng)
-    _echo_config(config, out_dir)
-    result = train(net, train_samples, test_samples, train_cfg, rng, out_dir=out_dir, log=print)
+    net = _build_from_config(config, dims, rng)
+    _echo_config(asdict(config), out_dir)
+    result = train(net, train_samples, test_samples, config.train, rng, out_dir=out_dir, log=print)
     print(f"best test accuracy: {result.best_accuracy:.4f}")
     print(f"artifacts written to {out_dir}")
     return 0
 
 
-def _matching_test_samples(net: Network, config: dict) -> list[data_mod.FrameSample]:
+def _matching_test_samples(net: Network, config: RunConfig) -> list[data_mod.FrameSample]:
     """The config's test samples, once T, classes and input dims fit the network."""
-    if net.arch.time_steps != config["time_steps"]:
+    if net.arch.time_steps != config.time_steps:
         raise CheckpointError(
             f"checkpoint trained with T={net.arch.time_steps},"
-            f" config asks for T={config['time_steps']}"
+            f" config asks for T={config.time_steps}"
         )
-    if net.num_classes != config["num_classes"]:
+    if net.num_classes != config.num_classes:
         raise CheckpointError(
             f"checkpoint has {net.num_classes} classes,"
-            f" config asks for {config['num_classes']}"
+            f" config asks for {config.num_classes}"
         )
     _, test_samples = _load_samples(config, test_only=True)
     expected = list(net.arch.input_dims)
@@ -331,8 +309,7 @@ def cmd_inspect_attention(args, overrides: list[str]) -> int:
 
 def cmd_gen_synthetic(args, overrides: list[str]) -> int:
     config = load_config(args.config, overrides)
-    syn = config["data"]["synthetic"]
-    dataset = _synthetic(config, syn["n_train"], syn["seed"])
+    dataset = config.data.synthetic.generate(config.num_classes, config.time_steps)
     manifest = data_mod.write_dataset(args.out, dataset, fmt=args.format)
     print(f"wrote {len(dataset)} samples, manifest at {manifest}")
     return 0

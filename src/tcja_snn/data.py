@@ -28,6 +28,13 @@ class DataError(ValueError):
     """Raised for unreadable, malformed, or out-of-contract data."""
 
 
+def at_least(floor: int, **values: int | None) -> None:
+    """Raise ValueError naming the first of `values` below `floor`; None is unset."""
+    for name, value in values.items():
+        if value is not None and value < floor:
+            raise ValueError(f"{name} must be >= {floor}, got {value}")
+
+
 @dataclass
 class EventStream:
     """Time-ordered events plus the sensor resolution they live on."""
@@ -354,43 +361,50 @@ _DIRECTIONS = (
 )
 
 
-def gen_synthetic(
-    classes: int = 4,
-    height: int = 16,
-    width: int = 16,
-    t_steps: int = 8,
-    n: int = 100,
-    seed: int = 0,
-    noise_per_tick: int = 1,
-) -> list[tuple[EventStream, int]]:
-    """Labeled event streams of a bright bar sweeping in one of `classes` directions.
+@dataclass(frozen=True)
+class SyntheticConfig:
+    """The moving bars' sensor grid and noise events per tick, and a run's two
+    sets: `n_train` streams drawn at `seed` and `n_test` at `seed + 1`."""
 
-    Each bar cell emits three events per tick, mimicking the burst a sensor
-    produces per brightness change; this keeps integrated count frames
-    strong enough to drive spiking layers.
-    """
-    if classes not in SYNTHETIC_CLASSES:
-        raise ValueError(f"classes must be one of {SYNTHETIC_CLASSES}, got {classes}")
-    for name, value, low in (("height", height, 1), ("width", width, 1), ("t_steps", t_steps, 1),
-                             ("n", n, 0), ("noise_per_tick", noise_per_tick, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-    rng = np.random.default_rng(seed)
-    ticks = t_steps * max(1, round(max(height, width) / t_steps))
-    dataset = []
-    for i in range(n):
-        label = i % classes
-        dataset.append(
-            (_moving_bar_stream(label, height, width, ticks, rng, noise_per_tick), label)
-        )
-    return dataset
+    height: int = 16
+    width: int = 16
+    n_train: int = 400
+    n_test: int = 100
+    seed: int = 7
+    noise_per_tick: int = 1
+
+    def __post_init__(self):
+        at_least(1, height=self.height, width=self.width, n_train=self.n_train)
+        at_least(0, n_test=self.n_test, seed=self.seed, noise_per_tick=self.noise_per_tick)
+
+    def generate(
+        self, classes: int, t_steps: int, test: bool = False
+    ) -> list[tuple[EventStream, int]]:
+        """The training streams, or with `test` the test streams: labeled
+        event streams of a bright bar sweeping in one of `classes` directions.
+
+        Each bar cell emits three events per tick, mimicking the burst a sensor
+        produces per brightness change; this keeps integrated count frames
+        strong enough to drive spiking layers.
+        """
+        if classes not in SYNTHETIC_CLASSES:
+            raise ValueError(f"classes must be one of {SYNTHETIC_CLASSES}, got {classes}")
+        at_least(1, t_steps=t_steps)
+        n, seed = (self.n_test, self.seed + 1) if test else (self.n_train, self.seed)
+        rng = np.random.default_rng(seed)
+        ticks = t_steps * max(1, round(max(self.height, self.width) / t_steps))
+        dataset = []
+        for i in range(n):
+            label = i % classes
+            dataset.append((_moving_bar_stream(label, self, ticks, rng), label))
+        return dataset
 
 
 def _moving_bar_stream(
-    direction: int, height: int, width: int, ticks: int, rng: np.random.Generator,
-    noise_per_tick: int,
+    direction: int, grid: SyntheticConfig, ticks: int, rng: np.random.Generator
 ) -> EventStream:
     dx, dy = _DIRECTIONS[direction]
+    height, width = grid.height, grid.width
     span = max(height, width) - 1
     bar_len = int(rng.integers(round(0.7 * span), span + 1))
     jitter = int(rng.integers(-1, 2))
@@ -415,7 +429,7 @@ def _moving_bar_stream(
         tick_events = [(px, py, polarity)
                        for area, polarity in ((cells, 1), (prev_cells - cells, 0))
                        for px, py in sorted(area) for _ in range(_EVENTS_PER_CELL)]
-        for _ in range(noise_per_tick):
+        for _ in range(grid.noise_per_tick):
             tick_events.append((int(rng.integers(0, width)), int(rng.integers(0, height)),
                                 int(rng.integers(0, 2))))
         events += [(tick * 1000 + seq, *xyp) for seq, xyp in enumerate(tick_events)]
@@ -427,6 +441,20 @@ def _moving_bar_stream(
 
 
 # -- dataset directories -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """A run's events: the manifest directory `dir` on a `width` x `height`
+    sensor (CSV event files need it), or if `dir` is None, the moving bars."""
+
+    dir: str | None = None
+    width: int | None = None
+    height: int | None = None
+    synthetic: SyntheticConfig = SyntheticConfig()
+
+    def __post_init__(self):
+        at_least(1, width=self.width, height=self.height)
 
 
 def write_dataset(
@@ -446,13 +474,9 @@ def write_dataset(
     return manifest
 
 
-def load_dataset(
-    root: str | Path,
-    width: int | None = None,
-    height: int | None = None,
-) -> list[tuple[EventStream, int]]:
-    """Read a manifest directory back into labeled streams on one sensor grid."""
-    root = Path(root)
+def load_dataset(data: DataConfig) -> list[tuple[EventStream, int]]:
+    """Read manifest directory `data.dir` into labeled streams on one sensor grid."""
+    root = Path(data.dir)
     manifest = root / "manifest.csv"
     if not manifest.is_file():
         raise DataError(f"manifest not found: {manifest}")
@@ -473,7 +497,7 @@ def load_dataset(
             raise DataError(
                 f"{manifest}: line {lineno}: label {label!r} is not a non-negative integer"
             )
-        stream = read_events(root / path, width=width, height=height)
+        stream = read_events(root / path, width=data.width, height=data.height)
         grid = grid or (stream.width, stream.height)
         if (stream.width, stream.height) != grid:
             raise DataError(

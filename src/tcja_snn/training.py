@@ -26,7 +26,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import tensor as tensor_mod
-from .data import FrameSample
+from .data import FrameSample, at_least
 from .network import LifLayer, Network, build_network, parse_arch, render
 from .neuron import LifConfig
 from .attention import TcjaConfig
@@ -60,11 +60,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 < self.lr < np.inf:  # NaN fails the range too
-            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        at_least(1, batch_size=self.batch_size)
+        at_least(0, epochs=self.epochs)
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tcja_snn.attention import TcjaConfig, TcjaParams, ccf, cla, param_count, squeeze, tcja_forward, tla
-from tcja_snn.data import frames_dataset, gen_synthetic, integrate_frames, slice_bounds
+from tcja_snn.data import SyntheticConfig, frames_dataset, integrate_frames, slice_bounds
 from tcja_snn.network import (
     PRESETS,
     analytic_param_count,
@@ -260,14 +260,10 @@ def test_criterion_7_frame_integration():
                 else:
                     assert hi == n
             width, height = int(rng.integers(2, 12)), int(rng.integers(2, 12))
-            stream_set = gen_synthetic(
-                classes=4,
-                height=height,
-                width=width,
-                t_steps=max(2, t_steps),
-                n=1,
-                seed=int(rng.integers(0, 1 << 31)),
+            grid = SyntheticConfig(
+                height=height, width=width, n_train=1, seed=int(rng.integers(0, 1 << 31))
             )
+            stream_set = grid.generate(classes=4, t_steps=max(2, t_steps))
             stream = stream_set[0][0]
             if len(stream) < t_steps:
                 continue
@@ -276,8 +272,10 @@ def test_criterion_7_frame_integration():
 
 
 def _acceptance_dataset():
-    train_streams = gen_synthetic(classes=4, height=16, width=16, t_steps=8, n=400, seed=7)
-    test_streams = gen_synthetic(classes=4, height=16, width=16, t_steps=8, n=100, seed=8)
+    # The default config's synthetic sets: 400 streams at seed 7, 100 at seed 8.
+    grid = SyntheticConfig(height=16, width=16, n_train=400, n_test=100, seed=7)
+    train_streams = grid.generate(classes=4, t_steps=8)
+    test_streams = grid.generate(classes=4, t_steps=8, test=True)
     return (
         frames_dataset(train_streams, 8, 4),
         frames_dataset(test_streams, 8, 4),
@@ -312,8 +310,9 @@ def test_criterion_8_end_to_end_desk_run():
 def test_criterion_9_determinism_and_persistence(tmp_path):
     with report("criterion 9: identical runs byte-identical; checkpoint round-trips"):
         def run(out):
-            train_streams = gen_synthetic(classes=4, height=8, width=8, t_steps=4, n=24, seed=5)
-            test_streams = gen_synthetic(classes=4, height=8, width=8, t_steps=4, n=8, seed=6)
+            grid = SyntheticConfig(height=8, width=8, n_train=24, n_test=8, seed=5)
+            train_streams = grid.generate(classes=4, t_steps=4)
+            test_streams = grid.generate(classes=4, t_steps=4, test=True)
             train_samples = frames_dataset(train_streams, 4, 4)
             test_samples = frames_dataset(test_streams, 4, 4)
             arch = parse_arch(

@@ -1,12 +1,12 @@
 import argparse
 import csv
 import dataclasses
-import inspect
 import json
 import math
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcja_snn import cli, network, tensor
-from tcja_snn.cli import DEFAULT_CONFIG, build_parser, load_config, main, write_pgm
-from tcja_snn.data import DataError, frames_dataset, gen_synthetic, load_dataset, write_dataset
+from tcja_snn.attention import TcjaConfig
+from tcja_snn.cli import RunConfig, TrainSection, build_parser, load_config, main, write_pgm
+from tcja_snn.data import (
+    DataConfig, DataError, SyntheticConfig, frames_dataset, load_dataset, write_dataset,
+)
 from tcja_snn.neuron import LifConfig
 from tcja_snn.training import NumericsError, TrainConfig, load_checkpoint
 
@@ -53,14 +56,71 @@ def quick_config(tmp_path, **train_overrides):
 class TestConfig:
     def test_defaults_load(self):
         config = load_config(None, [])
-        assert config == DEFAULT_CONFIG
+        assert config == RunConfig()
 
     def test_default_run_settings(self):
         # The default-config runs quoted as baselines train with these.
-        assert DEFAULT_CONFIG["time_steps"] == 8
+        assert RunConfig().time_steps == 8
         assert dataclasses.asdict(TrainConfig()) == {
             "lr": 1e-3, "batch_size": 16, "epochs": 10, "optimizer": "adam", "augment": False,
         }
+
+    def test_echoed_default_config_is_run_config_defaults(self, tmp_path, monkeypatch):
+        # A run without a config file echoes every field's default; training
+        # itself is stubbed out, since the echo is written before it starts.
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: SimpleNamespace(best_accuracy=0))
+        assert main(["train", "--out_dir", str(tmp_path)]) == 0
+        echoed = json.loads((tmp_path / "config.json").read_text())
+        assert echoed.pop("out_dir") == str(tmp_path)
+        defaults = dataclasses.asdict(RunConfig())
+        assert defaults.pop("out_dir") == "runs/default"
+        assert echoed == defaults
+        assert defaults == {
+            "arch": network.PRESETS["desk"], "time_steps": 8, "num_classes": 4,
+            "data": {
+                "dir": None, "width": None, "height": None,
+                "synthetic": {"height": 16, "width": 16, "n_train": 400, "n_test": 100,
+                              "seed": 7, "noise_per_tick": 1},
+            },
+            "train": {**dataclasses.asdict(TrainConfig()), "seed": 0, "precision": "f32"},
+            "lif": dataclasses.asdict(LifConfig()),
+            "tcja": dataclasses.asdict(TcjaConfig()),
+        }
+
+    @pytest.mark.parametrize(
+        "section, kwargs, message",
+        [
+            (RunConfig, {"time_steps": 0}, "time_steps must be >= 1, got 0"),
+            (RunConfig, {"num_classes": 0}, "num_classes must be >= 1, got 0"),
+            (TrainSection, {"seed": -1}, "seed must be >= 0, got -1"),
+            (TrainSection, {"precision": "f16"}, "precision must be f32 or f64, got 'f16'"),
+        ],
+    )
+    def test_library_caller_gets_the_range(self, section, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            section(**kwargs)
+
+    def test_each_floor_itself_is_accepted(self):
+        config = RunConfig(time_steps=1, num_classes=1, train=TrainSection(seed=0))
+        assert (config.time_steps, config.num_classes, config.train.seed) == (1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--train.precision", "f16"), ("--lif.tau", "0.5"), ("--tcja.fusion", "x"),
+         ("--train.batch_size", "0"), ("--tcja.k_t", "0")],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval", "gen-synthetic"])
+    def test_section_range_exits_1_before_any_data_work(
+        self, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        loaded = []
+        monkeypatch.setattr(cli, "_load_samples", lambda *args, **kwargs: loaded.append(args))
+        extra = {"train": [], "eval": ["--checkpoint", str(tmp_path / "none.ckpt")],
+                 "gen-synthetic": ["--out", str(tmp_path / "data")]}[command]
+        assert main([command, *extra, "--out_dir", str(tmp_path / "run"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag[2:]} ") and err.count("\n") == 1
+        assert loaded == [] and list(tmp_path.iterdir()) == []
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -166,9 +226,21 @@ class TestConfig:
         assert capsys.readouterr().err == f"config error: unknown config key {flag[2:]!r}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "file_config, flag",
+        [({}, "--foo.bar"), ({}, "--time_steps.x"), ({}, "--data.dir.x"),
+         ({"data": 5}, "--data.dir")],
+        ids=["unknown-section", "under-a-leaf", "under-a-null-leaf", "under-a-non-object"],
+    )
+    def test_unknown_dotted_key_is_named_whole(self, tmp_path, capsys, file_config, flag):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(file_config))
+        assert main(["train", "--config", str(path), flag, '"x"']) == 1
+        assert capsys.readouterr().err == f"config error: unknown config key {flag[2:]!r}\n"
+
     def test_one_cell_data_grid_is_accepted(self):
         config = load_config(None, ["--data.width", "1", "--data.height", "1"])
-        assert (config["data"]["width"], config["data"]["height"]) == (1, 1)
+        assert (config.data.width, config.data.height) == (1, 1)
 
     def test_tau_of_one_trains(self, tmp_path):
         # The smallest tau: the membrane keeps nothing of its last step.
@@ -178,7 +250,7 @@ class TestConfig:
         assert (out_dir / "metrics.csv").read_text().splitlines()[1].startswith("0,")
 
     def test_echoed_lif_section_is_the_checkpoints(self, tmp_path):
-        assert DEFAULT_CONFIG["lif"] == dataclasses.asdict(LifConfig())
+        assert RunConfig().lif == LifConfig()
         path, out_dir = quick_config(tmp_path)
         code = main(["train", "--config", str(path), "--lif.surrogate", "triangle",
                      "--lif.detach_reset", "false"])
@@ -186,7 +258,8 @@ class TestConfig:
         echoed = json.loads((out_dir / "config.json").read_text())["lif"]
         meta = dict(load_checkpoint(out_dir / "last.ckpt").records)["meta.config"]
         assert echoed == json.loads(meta.tobytes())["lif"]
-        assert echoed == {**DEFAULT_CONFIG["lif"], "surrogate": "triangle", "detach_reset": False}
+        assert echoed == {**dataclasses.asdict(LifConfig()), "surrogate": "triangle",
+                          "detach_reset": False}
 
     def test_config_path_naming_a_directory_exits_1(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path)]) == 1
@@ -220,11 +293,12 @@ class TestConfig:
     def test_unknown_precision_exits_1(self, tmp_path, capsys):
         path, out_dir = quick_config(tmp_path, precision="f16")
         assert main(["train", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == "config error: precision must be f32 or f64, got 'f16'\n"
+        err = capsys.readouterr().err
+        assert err == "config error: train.precision must be f32 or f64, got 'f16'\n"
         assert not out_dir.exists()
 
     def test_int_accepted_for_float(self):
-        assert load_config(None, ["--train.lr", "1"])["train"]["lr"] == 1
+        assert load_config(None, ["--train.lr", "1"]).train.lr == 1
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -822,8 +896,9 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--out", str(out), *flags, *overrides]) == 0
         config = load_config(path and str(path), overrides)
         want = cli._load_samples(config)[0]
-        got = frames_dataset(load_dataset(out), config["time_steps"], config["num_classes"])
-        assert len(got) == len(want) == config["data"]["synthetic"]["n_train"]
+        got = frames_dataset(load_dataset(DataConfig(str(out))), config.time_steps,
+                             config.num_classes)
+        assert len(got) == len(want) == config.data.synthetic.n_train
         for mine, theirs in zip(got, want):
             assert mine.frames.shape == theirs.frames.shape
             assert mine.frames.tobytes() == theirs.frames.tobytes()
@@ -831,20 +906,10 @@ class TestGenSynthetic:
 
     def test_held_out_set_is_drawn_at_the_next_seed(self):
         config = load_config(None, ["--data.synthetic.seed", "3", "--data.synthetic.n_test", "6"])
-        streams = gen_synthetic(classes=4, height=16, width=16, t_steps=8, n=6, seed=4)
+        streams = SyntheticConfig(n_train=6, seed=4).generate(classes=4, t_steps=8)
         want = frames_dataset(streams, 8, 4)
         got = cli._load_samples(config, test_only=True)[1]
         assert [s.frames.tobytes() for s in got] == [s.frames.tobytes() for s in want]
-
-    def test_config_synthetic_defaults_are_gen_synthetic_defaults(self):
-        # The dataset sizes and seed differ on purpose, and the class count
-        # is num_classes; the rest is shared.
-        params = inspect.signature(gen_synthetic).parameters
-        synthetic = DEFAULT_CONFIG["data"]["synthetic"]
-        assert sorted(synthetic) == ["height", "n_test", "n_train", "noise_per_tick", "seed", "width"]
-        for key in ("height", "width", "noise_per_tick"):
-            assert synthetic[key] == params[key].default, key
-        assert (synthetic["n_train"], synthetic["n_test"], synthetic["seed"]) == (400, 100, 7)
 
     def test_unknown_flag_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # The generator's own parameter names are not config keys.
@@ -901,7 +966,8 @@ class TestGenSynthetic:
 
     def test_mixed_grid_dir_names_the_file(self, tmp_path, capsys):
         out = tmp_path / "data"
-        dataset = gen_synthetic(n=40) + gen_synthetic(height=12, width=12, n=1)
+        dataset = (SyntheticConfig(n_train=40, seed=0).generate(4, 8)
+                   + SyntheticConfig(height=12, width=12, n_train=1, seed=0).generate(4, 8))
         write_dataset(out, dataset)
         assert self._train_on(tmp_path, out) == 2
         assert "sample_00040.bin: sensor grid 12x12 differs" in capsys.readouterr().err
@@ -1159,4 +1225,6 @@ class TestFuzz:
         assert (trained, evaluated) == (0, 0) and inspected in (0, 5)
 
     def test_edited_keys_are_config_keys(self):
-        assert all(key in DEFAULT_CONFIG[section] for section, key in _KEYS)
+        config = RunConfig()
+        assert all(key in {field.name for field in dataclasses.fields(getattr(config, section))}
+                   for section, key in _KEYS)

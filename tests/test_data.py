@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcja_snn.data import (
+    DataConfig,
     DataError,
     EventStream,
     FrameSample,
+    SyntheticConfig,
     augment,
     cutout,
     frames_dataset,
-    gen_synthetic,
     hflip,
     integrate_frames,
     load_dataset,
@@ -297,7 +298,7 @@ class TestEventFuzz:
         write_events(root / "a.bin", toy_stream())
         (root / "manifest.csv").write_bytes(blob)
         try:
-            load_dataset(root)
+            load_dataset(DataConfig(str(root)))
         except DataError:
             pass
 
@@ -516,8 +517,8 @@ class TestSplit:
 
 class TestSynthetic:
     def test_two_classes_have_disjoint_late_footprints(self):
-        dataset = gen_synthetic(classes=2, height=12, width=12, t_steps=6, n=2, seed=0,
-                                noise_per_tick=0)
+        grid = SyntheticConfig(height=12, width=12, n_train=2, seed=0, noise_per_tick=0)
+        dataset = grid.generate(classes=2, t_steps=6)
         frames = {label: integrate_frames(s, 6).frames for s, label in dataset}
         # Last slice: ON events of an east-moving bar sit in the right half,
         # a west-moving bar in the left half.
@@ -529,9 +530,9 @@ class TestSynthetic:
         assert west[:, :6].sum() > 0 and west[:, 6:].sum() == 0
 
     def test_fixed_seed_is_byte_identical(self, tmp_path):
-        kwargs = dict(classes=4, height=16, width=16, t_steps=8, n=8, seed=42)
-        write_dataset(tmp_path / "a", gen_synthetic(**kwargs))
-        write_dataset(tmp_path / "b", gen_synthetic(**kwargs))
+        kwargs = dict(height=16, width=16, n_train=8, seed=42)
+        write_dataset(tmp_path / "a", SyntheticConfig(**kwargs).generate(classes=4, t_steps=8))
+        write_dataset(tmp_path / "b", SyntheticConfig(**kwargs).generate(classes=4, t_steps=8))
         files_a = sorted((tmp_path / "a").iterdir())
         files_b = sorted((tmp_path / "b").iterdir())
         assert [f.name for f in files_a] == [f.name for f in files_b]
@@ -544,7 +545,8 @@ class TestSynthetic:
         digest = hashlib.sha256()
         for fmt in ("bin", "csv"):
             out = tmp_path / fmt
-            write_dataset(out, gen_synthetic(n=8, seed=0), fmt=fmt)
+            dataset = SyntheticConfig(n_train=8, seed=0).generate(classes=4, t_steps=8)
+            write_dataset(out, dataset, fmt=fmt)
             for f in sorted(out.iterdir()):
                 digest.update(f"{fmt}/{f.name}\n".encode())
                 digest.update(f.read_bytes())
@@ -553,33 +555,51 @@ class TestSynthetic:
         )
 
     def test_generated_streams_conserve_count_through_integration(self):
-        for stream, _ in gen_synthetic(classes=8, height=10, width=10, t_steps=5, n=8, seed=1):
+        grid = SyntheticConfig(height=10, width=10, n_train=8, seed=1)
+        for stream, _ in grid.generate(classes=8, t_steps=5):
             sample = integrate_frames(stream, 5)
             assert sample.frames.sum() == len(stream)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"n": -1}, "n must be >= 0, got -1"),
+        ({"n_test": -1}, "n_test must be >= 0, got -1"),
         ({"noise_per_tick": -2}, "noise_per_tick must be >= 0, got -2"),
         ({"height": 0}, "height must be >= 1, got 0"),
         ({"width": -3}, "width must be >= 1, got -3"),
         ({"t_steps": 0}, "t_steps must be >= 1, got 0"),
+        ({"n_train": 0}, "n_train must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_out_of_range_argument_named(self, kwargs, message):
+        # The six SyntheticConfig fields, and the generator's own t_steps.
+        fields = {key: value for key, value in kwargs.items() if key != "t_steps"}
         with pytest.raises(ValueError, match=f"^{message}$") as err:
-            gen_synthetic(**kwargs)
+            SyntheticConfig(**fields).generate(classes=4, t_steps=kwargs.get("t_steps", 8))
         assert not isinstance(err.value, DataError)
+
+    def test_each_floor_itself_is_accepted(self):
+        grid = SyntheticConfig(height=1, width=1, n_train=1, n_test=0, seed=0, noise_per_tick=0)
+        assert len(grid.generate(classes=2, t_steps=1)) == 1
+        assert grid.generate(classes=2, t_steps=1, test=True) == []
+
+    def test_test_set_is_drawn_at_the_next_seed(self):
+        grid = SyntheticConfig(height=8, width=8, n_train=3, n_test=2, seed=4)
+        test = grid.generate(classes=4, t_steps=4, test=True)
+        train = SyntheticConfig(height=8, width=8, n_train=2, seed=5).generate(4, t_steps=4)
+        assert [len(stream) for stream, _ in test] == [len(stream) for stream, _ in train]
+        for (mine, _), (theirs, _) in zip(test, train):
+            assert all(np.array_equal(getattr(mine, f), getattr(theirs, f)) for f in "txyp")
 
     def test_unsupported_class_count(self):
         # A setting, not the data, is wrong: the CLI reports it as a config error.
         with pytest.raises(ValueError, match="classes must be one of") as err:
-            gen_synthetic(classes=3)
+            SyntheticConfig().generate(classes=3, t_steps=8)
         assert not isinstance(err.value, DataError)
 
     def test_eight_classes_on_a_non_square_grid_match_recorded_digest(self, tmp_path):
         # Every direction, the diagonal ones included, and enough streams for
         # the bar length to reach both ends of its range.
-        write_dataset(tmp_path, gen_synthetic(classes=8, height=9, width=14, t_steps=6, n=48,
-                                              seed=11, noise_per_tick=2))
+        grid = SyntheticConfig(height=9, width=14, n_train=48, seed=11, noise_per_tick=2)
+        write_dataset(tmp_path, grid.generate(classes=8, t_steps=6))
         digest = hashlib.sha256()
         for f in sorted(tmp_path.iterdir()):
             digest.update(f"{f.name}\n".encode() + f.read_bytes())
@@ -589,21 +609,21 @@ class TestSynthetic:
 
     def test_one_cell_one_tick(self):
         # One tick leaves no progress to divide by; a one-cell grid has no bar.
-        dataset = gen_synthetic(classes=2, height=1, width=1, t_steps=1, n=4, seed=0)
+        dataset = SyntheticConfig(height=1, width=1, n_train=4, seed=0).generate(2, t_steps=1)
         for stream, _ in dataset:
             assert len(stream) == 1 and stream.x[0] == stream.y[0] == 0
             assert integrate_frames(stream, 1).frames.sum() == 1
 
     def test_labels_cycle_through_classes(self):
-        dataset = gen_synthetic(classes=4, n=8, seed=0)
+        dataset = SyntheticConfig(n_train=8, seed=0).generate(classes=4, t_steps=8)
         assert [label for _, label in dataset] == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 class TestDatasetDir:
     def test_write_then_load_roundtrip(self, tmp_path):
-        dataset = gen_synthetic(classes=4, height=8, width=8, t_steps=4, n=8, seed=3)
+        dataset = SyntheticConfig(height=8, width=8, n_train=8, seed=3).generate(4, t_steps=4)
         write_dataset(tmp_path, dataset, fmt="bin")
-        back = load_dataset(tmp_path)
+        back = load_dataset(DataConfig(str(tmp_path)))
         assert len(back) == 8
         for (s1, l1), (s2, l2) in zip(dataset, back):
             assert l1 == l2
@@ -611,24 +631,41 @@ class TestDatasetDir:
             np.testing.assert_array_equal(s1.x, s2.x)
 
     def test_csv_dataset_roundtrip(self, tmp_path):
-        dataset = gen_synthetic(classes=2, height=8, width=8, t_steps=4, n=4, seed=3)
+        dataset = SyntheticConfig(height=8, width=8, n_train=4, seed=3).generate(2, t_steps=4)
         write_dataset(tmp_path, dataset, fmt="csv")
-        back = load_dataset(tmp_path, width=8, height=8)
+        back = load_dataset(DataConfig(str(tmp_path), width=8, height=8))
         for (s1, _), (s2, _) in zip(dataset, back):
             np.testing.assert_array_equal(s1.t, s2.t)
 
     def test_mixed_grid_dataset_names_the_file(self, tmp_path):
-        small = gen_synthetic(classes=2, height=6, width=6, t_steps=4, n=1, seed=0)
-        write_dataset(tmp_path, gen_synthetic(classes=2, height=8, width=8, t_steps=4, n=2) + small)
+        small = SyntheticConfig(height=6, width=6, n_train=1, seed=0).generate(2, t_steps=4)
+        large = SyntheticConfig(height=8, width=8, n_train=2, seed=0).generate(2, t_steps=4)
+        write_dataset(tmp_path, large + small)
         with pytest.raises(DataError, match="sample_00002.bin: sensor grid 6x6 differs"):
-            load_dataset(tmp_path)
+            load_dataset(DataConfig(str(tmp_path)))
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_sensor_size_below_one_is_a_setting_error(self, tmp_path, fmt, key):
+        # Not a data fault: before the floor, a CSV dataset read width=0 as an
+        # event out of range and a binary one as a header that differs.
+        dataset = SyntheticConfig(height=8, width=8, n_train=2, seed=0).generate(2, t_steps=4)
+        write_dataset(tmp_path, dataset, fmt=fmt)
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$") as err:
+            load_dataset(DataConfig(str(tmp_path), **{"width": 8, "height": 8, key: 0}))
+        assert not isinstance(err.value, DataError)
+        assert len(load_dataset(DataConfig(str(tmp_path), width=8, height=8))) == 2
+
+    def test_unset_or_one_cell_sensor_size_is_accepted(self):
+        assert DataConfig(width=1, height=1).width == 1
+        assert DataConfig(width=None, height=None).height is None
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
-            load_dataset(tmp_path)
+            load_dataset(DataConfig(str(tmp_path)))
 
     def test_frames_dataset_attaches_one_hot(self):
-        dataset = gen_synthetic(classes=4, height=8, width=8, t_steps=4, n=4, seed=5)
+        dataset = SyntheticConfig(height=8, width=8, n_train=4, seed=5).generate(4, t_steps=4)
         samples = frames_dataset(dataset, t_steps=4, num_classes=4)
         for sample, (_, label) in zip(samples, dataset):
             assert sample.label.shape == (4,)

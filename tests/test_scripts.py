@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from tcja_snn.attention import TcjaConfig
-from tcja_snn.cli import DEFAULT_CONFIG
+from tcja_snn.cli import RunConfig
 from tcja_snn.network import PRESETS, analytic_param_count, parse_arch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,15 +22,15 @@ def test_attention_ablation_prints_three_variants():
     assert proc.returncode == 0, proc.stderr
     table = proc.stdout.split("variant    params   best_acc\n", 1)[1].splitlines()
     assert [row.split()[0] for row in table] == ["none", "multiply", "add"]
-    syn = DEFAULT_CONFIG["data"]["synthetic"]
-    dims = (2, syn["height"], syn["width"])
+    defaults = RunConfig()
+    dims = (2, defaults.data.synthetic.height, defaults.data.synthetic.width)
     variants = {"none": ("16C3-LIF-MP2-16C3-LIF-MP2-64FC-LIF-Voting", "multiply"),
                 "multiply": (PRESETS["desk"], "multiply"), "add": (PRESETS["desk"], "add")}
     for row in table:
         name, params, _ = row.split()
         arch_text, fusion = variants[name]
-        arch = parse_arch(arch_text, input_dims=dims, time_steps=DEFAULT_CONFIG["time_steps"])
-        want = analytic_param_count(arch, DEFAULT_CONFIG["num_classes"], TcjaConfig(fusion=fusion))
+        arch = parse_arch(arch_text, input_dims=dims, time_steps=defaults.time_steps)
+        want = analytic_param_count(arch, defaults.num_classes, TcjaConfig(fusion=fusion))
         assert int(params) == want
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tcja_snn import network, tensor, training
 from tcja_snn.attention import TcjaConfig
-from tcja_snn.data import FrameSample, frames_dataset, gen_synthetic, one_hot
+from tcja_snn.data import FrameSample, SyntheticConfig, frames_dataset, one_hot
 from tcja_snn.network import PRESETS, build_network, parse_arch, render
 from tcja_snn.tensor import Tensor
 from tcja_snn.training import (
@@ -44,8 +44,9 @@ from test_tensor import REAL_WORKER, SCALED_ARCH, spy  # spy: the worker forced 
 
 
 def tiny_dataset(n_train=24, n_test=8, seed=0):
-    streams_train = gen_synthetic(classes=4, height=8, width=8, t_steps=4, n=n_train, seed=seed)
-    streams_test = gen_synthetic(classes=4, height=8, width=8, t_steps=4, n=n_test, seed=seed + 1)
+    grid = SyntheticConfig(height=8, width=8, n_train=n_train, n_test=n_test, seed=seed)
+    streams_train = grid.generate(classes=4, t_steps=4)
+    streams_test = grid.generate(classes=4, t_steps=4, test=True)
     return (
         frames_dataset(streams_train, t_steps=4, num_classes=4),
         frames_dataset(streams_test, t_steps=4, num_classes=4),
@@ -257,7 +258,7 @@ class TestEvaluate:
         # T = 3 differs from the 4 classes, so averaging the wrong axis shows.
         arch = parse_arch("4C3-LIF-MP2-16FC-LIF-Voting", input_dims=(2, 8, 8), time_steps=3)
         net = build_network(arch, num_classes=4, rng=np.random.default_rng(2))
-        streams = gen_synthetic(classes=4, height=8, width=8, t_steps=3, n=4, seed=6)
+        streams = SyntheticConfig(height=8, width=8, n_train=4, seed=6).generate(4, t_steps=3)
         samples = frames_dataset(streams, t_steps=3, num_classes=4)
         out = net.forward(stack_frames(samples, net.dtype)).data
         for j, (_, _, _, rates) in enumerate(evaluate(net, samples).predictions):
@@ -684,7 +685,7 @@ class TestCheckpoint:
         for (name, p), (_, stored) in zip(net.params, params):
             np.testing.assert_array_equal(p.data, stored, err_msg=name)
         assert sorted(opt_state.m) == sorted(opt_state.v) == sorted(name for name, _ in net.params)
-        streams = gen_synthetic(classes=4, height=8, width=8, t_steps=2, n=8, seed=32)
+        streams = SyntheticConfig(height=8, width=8, n_train=8, seed=32).generate(4, t_steps=2)
         assert evaluate(net, frames_dataset(streams, 2, 4)).accuracy == 0.625
 
     def test_failed_save_keeps_the_old_file_and_no_temporary(self, tmp_path):
